@@ -3,7 +3,7 @@
 Subcommands: synth-manifest, extract, augment, train, evaluate, sweep.
 Exit codes: 0 success, 2 I/O failure, 3 empty cohort, 4 config error.
 Defaults may come from a JSON config file (--config or $RESPSCREEN_CONFIG);
-explicit flags always win.
+explicit flags always win, and a key that no subcommand has exits 4.
 """
 
 from __future__ import annotations
@@ -273,17 +273,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_with_config(parser, argv, command: str, config: dict) -> argparse.Namespace:
+    """Re-parse `argv` with `config` as the subcommand's defaults.
+
+    argparse then resolves precedence (an explicit flag in any form wins)
+    and converts each value with its flag's type. A key that no subcommand
+    has is an error; a key of another subcommand is ignored.
+    """
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {cmd: {a.dest: a for a in p._actions if a.dest != "help"}
+             for cmd, p in subparsers.choices.items()}
+    defaults = {}
+    for key, value in config.items():
+        dest = key.replace("-", "_")
+        if not any(dest in f for f in flags.values()):
+            raise ConfigError(f"config: unknown key {key!r}")
+        action = flags[command].get(dest)
+        if action is None:
+            continue
+        if action.nargs == 0:  # an on/off flag such as --augment
+            if not isinstance(value, bool):
+                raise ConfigError(f"config: {key!r} must be true or false")
+            defaults[dest] = value
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            defaults[dest] = str(value)  # argparse applies the flag's type to str defaults
+        else:
+            raise ConfigError(f"config: {key!r} must be a string or a number")
+    subparsers.choices[command].set_defaults(**defaults)
+    try:
+        return parser.parse_args(argv)
+    except SystemExit:  # argparse has printed which value it rejected
+        raise ConfigError("config: invalid value") from None
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        defaults = _load_config_defaults(args.config)
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            # flags given on the command line win over config-file values
-            if hasattr(args, attr) and f"--{key.replace('_', '-')}" not in argv:
-                setattr(args, attr, value)
+        config = _load_config_defaults(args.config)
+        if config:
+            args = _parse_with_config(parser, argv, args.command, config)
         return args.func(args)
     except (EmptyCohort, TooFewUsers) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -218,15 +218,3 @@ def balance(samples, labels, seed: int) -> list[int]:
             keep.extend(idx)
     return sorted(int(i) for i in keep)
 
-
-def balance_split(
-    train_labels, test_labels, seed: int, balance_train: bool = True
-) -> tuple[list[int], list[int]]:
-    """Balanced index subsets for a fold: the test side is always balanced
-    exactly; the train side is balanced unless augmentation defers it."""
-    test_keep = balance(None, test_labels, seed)
-    if balance_train:
-        train_keep = balance(None, train_labels, seed + 1)
-    else:
-        train_keep = list(range(len(np.asarray(train_labels))))
-    return train_keep, test_keep

@@ -28,7 +28,7 @@ from .dataset import (
     task_spec,
 )
 from .embeddings import EmbeddingFrames, combine, pool
-from .errors import ConfigError, SilentSample, TooShort
+from .errors import ConfigError, RespScreenError, SilentSample, TooShort
 from .metrics import precision_recall, roc_auc
 from .model import GridSpec, PCA_CUTOFFS, fit_pipeline, grid_search
 from .util import write_text_atomic
@@ -129,7 +129,7 @@ class FeatureStore:
 
     def vector(self, record: SampleRecord, feature_type: str) -> np.ndarray:
         if feature_type == "handcrafted":
-            return self._handcrafted_values(self.handcrafted(record))
+            return self.handcrafted(record).values
         if feature_type == "vggish":
             return self.pooled(record).values
         variant = feature_type.split("-")[1]
@@ -150,12 +150,8 @@ class FeatureStore:
             key = (record.sample_id, variant.method, variant.copy_index, cfg.rng_seed)
             if key not in self._aug_handcrafted:
                 self._aug_handcrafted[key] = feat.extract_handcrafted(variant.segment)
-            out.append(self._handcrafted_values(self._aug_handcrafted[key]))
+            out.append(self._aug_handcrafted[key].values)
         return out
-
-    @staticmethod
-    def _handcrafted_values(v: feat.HandcraftedVector) -> np.ndarray:
-        return v.values
 
 
 @dataclass(frozen=True)
@@ -334,7 +330,8 @@ def sweep(
     """Cross product over modalities x cutoffs x feature types.
 
     Cells needing embeddings are marked `skipped` when none are loaded;
-    per-cell failures are recorded as `error:<type>` and the sweep continues.
+    a cell that fails with a `RespScreenError` is recorded as `error:<type>`
+    and the sweep continues. Other exceptions are bugs and propagate.
     """
     store = FeatureStore(base_dir, embeddings)
     rows = []
@@ -355,7 +352,7 @@ def sweep(
                         records, config, base_dir=base_dir, embeddings=embeddings,
                         grid=grid, store=store,
                     )
-                except Exception as exc:  # record and continue
+                except RespScreenError as exc:  # record and continue
                     rows.append(SweepRow(**base, status=f"error:{type(exc).__name__}"))
                     continue
                 agg = report.aggregate

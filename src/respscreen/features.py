@@ -4,6 +4,11 @@ Layout (canonical order, 4 + 4*11 + 3*13*11 = 477):
   duration, onsets, tempo, period,
   then 11 statistics for each of rms, centroid, rolloff, zcr,
   then 11 statistics for each of 13 MFCC, 13 delta-MFCC, 13 delta2-MFCC.
+
+Data flow: `analyze` makes a recording's one spectral analysis (one STFT,
+one log-mel); each family is a pure function of that `Analysis` or of a
+series from it (onset envelope -> onsets, tempo; RMS -> period), and
+`extract_handcrafted` chains analyze -> families -> `summarize`.
 """
 
 from __future__ import annotations
@@ -99,7 +104,8 @@ def summarize(series) -> StatSummary:
 
     Quartiles use linear interpolation; std is population (N); skewness is
     the biased Fisher-Pearson coefficient and kurtosis the biased excess.
-    Zero-variance series get skewness = kurtosis = 0.
+    Zero-variance series, and those whose squared variance underflows to 0,
+    get skewness = kurtosis = 0.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.size == 0:
@@ -107,7 +113,7 @@ def summarize(series) -> StatSummary:
     mean = float(np.mean(x))
     std = float(np.std(x))
     m2 = std * std
-    if m2 > 0:
+    if m2**2 > 0:  # m2**2 underflows before m2**1.5 does
         centered = x - mean
         skew = float(np.mean(centered**3)) / m2**1.5
         kurt = float(np.mean(centered**4)) / m2**2 - 3.0
@@ -129,20 +135,34 @@ def summarize(series) -> StatSummary:
     )
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """One recording's short-time analysis at `dsp.DEFAULT_FRAMES`."""
+
+    segment: AudioSegment
+    spectrogram: dsp.Spectrogram
+    logmel: np.ndarray  # [N_MELS x n_frames], natural log of mel power
+    frame_rate: float  # frames per second
+
+
+def analyze(seg: AudioSegment) -> Analysis:
+    """One STFT and one log-mel of a trimmed segment."""
+    frames = dsp.DEFAULT_FRAMES
+    spec = dsp.stft(seg, frames)
+    fb = dsp.mel_filterbank(seg.sample_rate, frames.frame_length, N_MELS)
+    logmel = dsp.log_compress(dsp.mel_power(spec, fb))
+    return Analysis(seg, spec, logmel, seg.sample_rate / frames.hop_length)
+
+
 def duration(seg: AudioSegment) -> float:
     """Length in seconds (the segment is assumed already trimmed)."""
     return len(seg) / seg.sample_rate
 
 
-def onset_envelope(seg: AudioSegment, frames: dsp.FrameSpec = dsp.DEFAULT_FRAMES) -> np.ndarray:
+def onset_envelope(a: Analysis) -> np.ndarray:
     """Onset strength: per-frame sum of positive log-mel first differences."""
-    spec = dsp.stft(seg, frames)
-    fb = dsp.mel_filterbank(seg.sample_rate, frames.frame_length, N_MELS)
-    logmel = dsp.log_compress(dsp.mel_power(spec, fb))
-    diff = np.diff(logmel, axis=1)
-    env = np.zeros(logmel.shape[1])
-    env[1:] = np.maximum(0.0, diff).sum(axis=0)
-    return env
+    rises = np.maximum(0.0, np.diff(a.logmel, axis=1)).sum(axis=0)
+    return np.concatenate(([0.0], rises))
 
 
 def _pick_peaks(env: np.ndarray, frame_rate: float) -> list[int]:
@@ -171,23 +191,20 @@ def _pick_peaks(env: np.ndarray, frame_rate: float) -> list[int]:
     return peaks
 
 
-def onset_count(seg: AudioSegment, frames: dsp.FrameSpec = dsp.DEFAULT_FRAMES) -> int:
+def onset_count(env: np.ndarray, frame_rate: float) -> int:
     """Number of picked peaks in the onset strength envelope."""
-    env = onset_envelope(seg, frames)
-    return len(_pick_peaks(env, seg.sample_rate / frames.hop_length))
+    return len(_pick_peaks(env, frame_rate))
 
 
-def tempo(seg: AudioSegment, frames: dsp.FrameSpec = dsp.DEFAULT_FRAMES) -> float:
+def tempo(env: np.ndarray, frame_rate: float) -> float:
     """Global tempo (BPM) from the onset envelope autocorrelation.
 
     Candidate lags in [30, 300] BPM are scored by autocorrelation times a
     log-normal prior centered at 120 BPM with sigma of one octave; returns
     0 for an identically zero envelope.
     """
-    env = onset_envelope(seg, frames)
     if env.max() <= 0:
         return 0.0
-    frame_rate = seg.sample_rate / frames.hop_length
     env = env - env.mean()
     ac = np.correlate(env, env, mode="full")[len(env) - 1 :]
     min_lag = max(1, int(np.ceil(60.0 * frame_rate / TEMPO_BPM_MAX)))
@@ -201,53 +218,36 @@ def tempo(seg: AudioSegment, frames: dsp.FrameSpec = dsp.DEFAULT_FRAMES) -> floa
     return float(bpms[int(np.argmax(scores))])
 
 
-def rms_envelope(seg: AudioSegment, frames: dsp.FrameSpec = dsp.DEFAULT_FRAMES) -> np.ndarray:
-    """Per-frame RMS of the magnitude spectrogram (the amplitude envelope)."""
-    spec = dsp.stft(seg, frames)
-    return np.sqrt(np.mean(spec.magnitudes**2, axis=0))
-
-
-def envelope_period(seg: AudioSegment, frames: dsp.FrameSpec = dsp.DEFAULT_FRAMES) -> float:
+def envelope_period(rms: np.ndarray, frame_rate: float) -> float:
     """Dominant modulation frequency (Hz) of the RMS envelope.
 
     The envelope spectrum's lowest modes carry the nonzero mean, so the
     argmax is taken over DFT modes >= 4. Returns 0 when the envelope has
     fewer than 8 frames.
     """
-    env = rms_envelope(seg, frames)
-    if len(env) < PERIOD_MIN_FRAMES:
+    if len(rms) < PERIOD_MIN_FRAMES:
         return 0.0
-    spectrum = np.abs(np.fft.rfft(env))
-    if len(spectrum) <= PERIOD_MIN_MODE:
-        return 0.0
-    frame_rate = seg.sample_rate / frames.hop_length
+    spectrum = np.abs(np.fft.rfft(rms))  # >= 5 modes, as len(rms) >= 8
     k = PERIOD_MIN_MODE + int(np.argmax(spectrum[PERIOD_MIN_MODE:]))
-    return k * frame_rate / len(env)
+    return k * frame_rate / len(rms)
 
 
-def frame_features(
-    seg: AudioSegment, frames: dsp.FrameSpec = dsp.DEFAULT_FRAMES
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def frame_features(a: Analysis) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-frame (rms, centroid, rolloff, zcr) time series."""
-    spec = dsp.stft(seg, frames)
-    mags = spec.magnitudes
-    freqs = spec.bin_frequencies
+    mags = a.spectrogram.magnitudes
+    freqs = a.spectrogram.bin_frequencies
 
-    rms = np.sqrt(np.mean(mags**2, axis=0))
+    energy = mags**2
+    rms = np.sqrt(np.mean(energy, axis=0))
 
     col_sum = mags.sum(axis=0)
     centroid = (freqs[:, None] * mags).sum(axis=0) / np.where(col_sum > 0, col_sum, 1.0)
 
-    energy = mags**2
     cum = np.cumsum(energy, axis=0)
-    total = cum[-1]
-    target = ROLLOFF_FRACTION * total
-    rolloff_idx = np.argmax(cum >= target[None, :], axis=0)
-    rolloff = freqs[rolloff_idx]
+    rolloff = freqs[np.argmax(cum >= ROLLOFF_FRACTION * cum[-1], axis=0)]
 
-    raw = dsp.frame_signal(seg.samples, frames)
-    signs = np.signbit(raw)
-    zcr = np.count_nonzero(signs[1:] != signs[:-1], axis=0) / frames.frame_length
+    signs = np.signbit(dsp.frame_signal(a.segment.samples, dsp.DEFAULT_FRAMES))
+    zcr = np.count_nonzero(signs[1:] != signs[:-1], axis=0) / dsp.DEFAULT_FRAMES.frame_length
 
     return rms, centroid, rolloff, zcr
 
@@ -264,32 +264,30 @@ def delta(matrix: np.ndarray, width: int = DELTA_WIDTH) -> np.ndarray:
     return out / denom
 
 
-def mfcc_features(
-    seg: AudioSegment, frames: dsp.FrameSpec = dsp.DEFAULT_FRAMES
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mfcc_features(a: Analysis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """MFCC, delta-MFCC and delta2-MFCC matrices, each [13 x n_frames]."""
-    spec = dsp.stft(seg, frames)
-    fb = dsp.mel_filterbank(seg.sample_rate, frames.frame_length, N_MELS)
-    logmel = dsp.log_compress(dsp.mel_power(spec, fb))
-    if logmel.shape[1] < DELTA_WIDTH:
-        raise TooShort(f"need >= {DELTA_WIDTH} frames, got {logmel.shape[1]}")
-    mfcc = dsp.dct_ii(logmel, N_MFCC)
+    if a.logmel.shape[1] < DELTA_WIDTH:
+        raise TooShort(f"need >= {DELTA_WIDTH} frames, got {a.logmel.shape[1]}")
+    mfcc = dsp.dct_ii(a.logmel, N_MFCC)
     d1 = delta(mfcc)
     d2 = delta(d1)
     return mfcc, d1, d2
 
 
-def extract_handcrafted(seg: AudioSegment, frames: dsp.FrameSpec = dsp.DEFAULT_FRAMES) -> HandcraftedVector:
+def extract_handcrafted(seg: AudioSegment) -> HandcraftedVector:
     """Assemble the full 477-entry vector for a trimmed segment."""
+    a = analyze(seg)
+    env = onset_envelope(a)
+    series = frame_features(a)
     values = [
         duration(seg),
-        float(onset_count(seg, frames)),
-        tempo(seg, frames),
-        envelope_period(seg, frames),
+        float(onset_count(env, a.frame_rate)),
+        tempo(env, a.frame_rate),
+        envelope_period(series[0], a.frame_rate),
     ]
-    for series in frame_features(seg, frames):
-        values.extend(summarize(series).as_tuple())
-    for matrix in mfcc_features(seg, frames):
+    for s in series:
+        values.extend(summarize(s).as_tuple())
+    for matrix in mfcc_features(a):
         for row in matrix:
             values.extend(summarize(row).as_tuple())
     return HandcraftedVector(np.array(values))

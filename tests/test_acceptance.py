@@ -16,6 +16,7 @@ from respscreen.embeddings import VARIANT_LENGTHS, combine, load_embeddings, poo
 from respscreen.evaluate import RunConfig, build_units, run_nested_cv, sweep
 from respscreen.features import (
     FEATURE_NAMES,
+    analyze,
     envelope_period,
     extract_handcrafted,
     frame_features,
@@ -84,7 +85,8 @@ def test_criterion_02_dsp_oracles():
             rate = rng.uniform(1.0, 4.0)
             x = rng.normal(0, 0.2, n) * (0.6 + 0.4 * np.sin(2 * np.pi * rate * t))
         seg = AudioSegment(x, SR)
-        rms, centroid, rolloff, zcr = frame_features(seg)
+        analysis = analyze(seg)
+        rms, centroid, rolloff, zcr = frame_features(analysis)
 
         # mid-signal frame, recomputed with brute-force oracles
         frame_idx = len(rms) // 2
@@ -99,7 +101,7 @@ def test_criterion_02_dsp_oracles():
         assert abs(rolloff[frame_idx] - ro) <= bin_hz + 1e-9
 
         if kind == 2:
-            period = envelope_period(seg)
+            period = envelope_period(rms, analysis.frame_rate)
             if period > 0:
                 assert period == pytest.approx(rate, rel=0.10)
         checked += 1

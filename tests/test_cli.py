@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from respscreen import features
+from respscreen import cli, features
 from respscreen.cli import (
     CONFIG_ENV_VAR,
     EXIT_CONFIG,
@@ -179,6 +179,36 @@ class TestConfigFile:
         assert main(["evaluate", "--manifest", manifest, "--task", "1",
                      "--seed", "0", "--report", str(r3)]) == EXIT_OK
         assert r1.read_bytes() != r3.read_bytes()
+
+    @staticmethod
+    def _parsed_args(monkeypatch, tmp_path, config, argv):
+        """The namespace a subcommand receives for `argv` under `config`."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(args) or EXIT_OK)
+        assert main(argv) == EXIT_OK
+        return seen[0]
+
+    def test_equals_form_flag_beats_config(self, monkeypatch, tmp_path):
+        args = self._parsed_args(monkeypatch, tmp_path, {"seed": 7},
+                                 ["augment", "--manifest", "m.csv", "--out-dir", "o", "--seed=2"])
+        assert args.seed == 2
+
+    def test_config_values_get_the_flag_type(self, monkeypatch, tmp_path):
+        args = self._parsed_args(monkeypatch, tmp_path, {"jobs": "2"},
+                                 ["extract", "--manifest", "m.csv", "--out", "f.csv"])
+        assert args.jobs == 2
+
+    def test_unknown_key_exits_config(self, cohort_dir, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sede": 3}))
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        out = tmp_path / "f.csv"
+        assert main(["extract", "--manifest", str(cohort_dir / "manifest.csv"),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestSweepCommand:

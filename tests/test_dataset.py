@@ -6,7 +6,6 @@ from respscreen.dataset import (
     SampleRecord,
     apply_task,
     balance,
-    balance_split,
     load_manifest,
     parse_manifest_rows,
     split_users,
@@ -205,12 +204,3 @@ class TestBalance:
     def test_deterministic(self):
         labels = [1] * 10 + [0] * 25
         assert balance(None, labels, seed=5) == balance(None, labels, seed=5)
-
-    def test_balance_split_defers_train(self):
-        train_labels = [1] * 4 + [0] * 12
-        test_labels = [1] * 3 + [0] * 5
-        train_keep, test_keep = balance_split(train_labels, test_labels, seed=0,
-                                              balance_train=False)
-        assert len(train_keep) == 16
-        kept = [test_labels[i] for i in test_keep]
-        assert kept.count(0) == kept.count(1) == 3

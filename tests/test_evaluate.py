@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from respscreen import synth
+from respscreen import evaluate, synth
 from respscreen.dataset import load_manifest
 from respscreen.embeddings import load_embeddings
-from respscreen.errors import ConfigError
+from respscreen.errors import ConfigError, EmptyCohort
 from respscreen.evaluate import (
     FEATURE_TYPES,
     FeatureStore,
@@ -181,6 +181,26 @@ class TestSweep:
                      grid=FAST_GRID, modalities=("cough",), cutoffs=(0.9,))
         assert len(rows) == len(FEATURE_TYPES)
         assert all(r.status == "ok" for r in rows)
+
+    def test_pipeline_errors_become_rows(self, small_cohort, monkeypatch):
+        def fail(*args, **kwargs):
+            raise EmptyCohort("no users")
+
+        d, records, _ = small_cohort
+        monkeypatch.setattr(evaluate, "run_nested_cv", fail)
+        rows = sweep(records, task_id=1, seed=0, base_dir=d, feature_types=("handcrafted",),
+                     modalities=("cough",), cutoffs=(0.9,))
+        assert [r.status for r in rows] == ["error:EmptyCohort"]
+
+    def test_programming_errors_propagate(self, small_cohort, monkeypatch):
+        def fail(*args, **kwargs):
+            raise TypeError("a bug")
+
+        d, records, _ = small_cohort
+        monkeypatch.setattr(evaluate, "run_nested_cv", fail)
+        with pytest.raises(TypeError, match="a bug"):
+            sweep(records, task_id=1, seed=0, base_dir=d, feature_types=("handcrafted",),
+                  modalities=("cough",), cutoffs=(0.9,))
 
     def test_csv_round_trip(self):
         rows = [
