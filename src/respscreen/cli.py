@@ -46,7 +46,13 @@ def _load_config_defaults(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise ConfigError(f"config: {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"config: {path} must hold a JSON object")
+    return config
 
 
 def _extract_one(args):
@@ -179,7 +185,7 @@ def cmd_train(args) -> int:
     users = [u.user_id for u in units]
     params = model.grid_search(X, y, users, config.classifier_kind, model.GridSpec(),
                                config.seed, pca_cutoff=config.pca_cutoff)
-    pipeline = model.fit_pipeline(X, y, config.classifier_kind, params, config.pca_cutoff)
+    [pipeline] = model.fit_pipeline(X, y, config.classifier_kind, [params], config.pca_cutoff)
     model.save_pipeline(pipeline, args.out)
     print(f"wrote {args.out} ({config.classifier_kind}, params {params}, pca_k {pipeline.pca.k})")
     return EXIT_OK

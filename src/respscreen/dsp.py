@@ -8,6 +8,7 @@ mel bands spanning 0 Hz to Nyquist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
@@ -75,14 +76,11 @@ def _pad_centered(x: np.ndarray, frame_length: int) -> np.ndarray:
 
 
 def frame_signal(x: np.ndarray, spec: FrameSpec = DEFAULT_FRAMES) -> np.ndarray:
-    """Centered, reflect-padded frames as a matrix [frame_length x n_frames]."""
+    """Centered, reflect-padded frames as a read-only strided view
+    [frame_length x n_frames] of the padded signal."""
     padded = _pad_centered(np.asarray(x, dtype=np.float64), spec.frame_length)
-    n_frames = 1 + (len(padded) - spec.frame_length) // spec.hop_length
-    idx = (
-        np.arange(spec.frame_length)[:, None]
-        + spec.hop_length * np.arange(n_frames)[None, :]
-    )
-    return padded[idx]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, spec.frame_length)
+    return windows[:: spec.hop_length].T
 
 
 def stft(seg: AudioSegment, spec: FrameSpec = DEFAULT_FRAMES) -> Spectrogram:
@@ -118,9 +116,18 @@ def _mel_to_hz(mel):
 
 
 def mel_filterbank(sr: int, frame_length: int = 2048, n_mels: int = 128) -> MelFilterbank:
-    """Triangular filters equally spaced on the Slaney mel scale, 0..sr/2."""
+    """Triangular filters equally spaced on the Slaney mel scale, 0..sr/2.
+
+    Built once per (sr, frame_length, n_mels) and shared; the weights are
+    read-only.
+    """
     if n_mels < 1:
         raise ValueError("n_mels must be >= 1")
+    return _build_mel_filterbank(sr, frame_length, n_mels)
+
+
+@lru_cache(maxsize=16)
+def _build_mel_filterbank(sr: int, frame_length: int, n_mels: int) -> MelFilterbank:
     n_bins = frame_length // 2 + 1
     fft_freqs = np.fft.rfftfreq(frame_length, d=1.0 / sr)
     mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sr / 2.0), n_mels + 2)
@@ -134,6 +141,7 @@ def mel_filterbank(sr: int, frame_length: int = 2048, n_mels: int = 128) -> MelF
         weights[m] = np.maximum(0.0, np.minimum(up, down))
         # Slaney area normalization keeps response comparable across bands
         weights[m] *= 2.0 / (upper - lower)
+    weights.flags.writeable = False
     return MelFilterbank(weights, n_mels)
 
 

@@ -105,6 +105,7 @@ class FeatureStore:
         self._segments: dict[str, object] = {}
         self._handcrafted: dict[str, feat.HandcraftedVector] = {}
         self._aug_handcrafted: dict[tuple, feat.HandcraftedVector] = {}
+        self._embedding_vectors: dict[tuple[str, str], np.ndarray] = {}
 
     def segment(self, record: SampleRecord):
         key = record.sample_id
@@ -130,10 +131,15 @@ class FeatureStore:
     def vector(self, record: SampleRecord, feature_type: str) -> np.ndarray:
         if feature_type == "handcrafted":
             return self.handcrafted(record).values
-        if feature_type == "vggish":
-            return self.pooled(record).values
-        variant = feature_type.split("-")[1]
-        return combine(self.handcrafted(record), self.pooled(record), variant).values
+        key = (record.sample_id, feature_type)
+        if key not in self._embedding_vectors:
+            if feature_type == "vggish":
+                values = self.pooled(record).values
+            else:
+                variant = feature_type.split("-")[1]
+                values = combine(self.handcrafted(record), self.pooled(record), variant).values
+            self._embedding_vectors[key] = values
+        return self._embedding_vectors[key]
 
     def augmented_vectors(
         self, record: SampleRecord, feature_type: str, cfg: aug.AugmentConfig
@@ -253,7 +259,7 @@ def run_nested_cv(
         kind = config.classifier_kind
         params = grid_search(X_train, y_train, users_train, kind, grid,
                              seed=config.seed + fold_idx, pca_cutoff=config.pca_cutoff)
-        pipeline = fit_pipeline(X_train, y_train, kind, params, config.pca_cutoff)
+        [pipeline] = fit_pipeline(X_train, y_train, kind, [params], config.pca_cutoff)
         scores = pipeline.decision_scores(X_test)
         pr = precision_recall(scores, y_test, pipeline.classifier.threshold)
         folds.append(

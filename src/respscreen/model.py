@@ -111,6 +111,9 @@ class Classifier:
     support_vectors: np.ndarray | None = None  # SVM
     dual_coef: np.ndarray | None = None  # SVM: alpha_i * y_i over SVs
     intercept: float = 0.0
+    # solver status; not serialized, so None on a pipeline loaded from JSON
+    n_iter: int | None = None
+    converged: bool | None = None
 
     @property
     def threshold(self) -> float:
@@ -145,36 +148,54 @@ def lr_loss_grad(w, X, y01, C: float):
 
 def fit_lr(X, y, C: float = 1.0, max_iter: int = 200) -> Classifier:
     """L2-regularized logistic regression via damped Newton from zero init,
-    run until the gradient norm drops below 1e-8."""
+    run until the gradient norm drops below 1e-8.
+
+    An iteration is a deterministic function of the weights, so a step that
+    leaves them bitwise unchanged is a fixed point: every further iteration
+    would repeat it, and the solver stops there with `converged=False`.
+    """
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise NonFiniteFeature("non-finite feature value")
     y01 = _check_labels(y)
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
+    ridge = np.eye(d) / C
+    jitter = 1e-12 * np.eye(d + 1)  # guard against exact singularity
 
     w = np.zeros(d + 1)
-    for _ in range(max_iter):
-        loss, grad = lr_loss_grad(w, X, y01, C)
+    loss, grad = lr_loss_grad(w, X, y01, C)
+    converged = False
+    for n_iter in range(max_iter):
         if np.linalg.norm(grad) < LR_GRADIENT_TOL:
+            converged = True
             break
         z = np.clip(Xb @ w, -500, 500)
         p = 1.0 / (1.0 + np.exp(-z))
         r = p * (1.0 - p)
         H = (Xb * (r / n)[:, None]).T @ Xb
-        H[:d, :d] += np.eye(d) / C
-        H += 1e-12 * np.eye(d + 1)  # guard against exact singularity
+        H[:d, :d] += ridge
+        H += jitter
         step = np.linalg.solve(H, grad)
         # backtracking keeps Newton globally convergent on this convex loss
         t = 1.0
         descent = float(grad @ step)
         for _ls in range(60):
-            new_loss, _ = lr_loss_grad(w - t * step, X, y01, C)
-            if new_loss <= loss - 1e-4 * t * descent:
+            w_next = w - t * step
+            next_loss, next_grad = lr_loss_grad(w_next, X, y01, C)
+            if next_loss <= loss - 1e-4 * t * descent:
                 break
             t *= 0.5
-        w = w - t * step
-    return Classifier(kind="lr", hyperparameters={"C": C}, weights=w)
+        else:  # no sufficient decrease: step by the last, unevaluated halving
+            w_next = w - t * step
+            next_loss, next_grad = lr_loss_grad(w_next, X, y01, C)
+        if np.array_equal(w_next, w):
+            break
+        w, loss, grad = w_next, next_loss, next_grad
+    else:
+        n_iter = max_iter
+    return Classifier(kind="lr", hyperparameters={"C": C}, weights=w,
+                      n_iter=n_iter, converged=converged)
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -197,7 +218,8 @@ def fit_svm_rbf(X, y, C: float = 1.0, gamma="scale", max_iter: int = 200_000) ->
     """RBF-kernel SVM trained by most-violating-pair SMO (KKT tolerance 1e-3).
 
     Solves the standard dual: min 1/2 a'Qa - e'a subject to 0 <= a <= C and
-    y'a = 0, with Q_ij = y_i y_j K_ij.
+    y'a = 0, with Q_ij = y_i y_j K_ij. The model reports `converged=False`
+    when SMO stops at `max_iter` or on an empty clipped step.
     """
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
@@ -212,7 +234,8 @@ def fit_svm_rbf(X, y, C: float = 1.0, gamma="scale", max_iter: int = 200_000) ->
     grad = -np.ones(n)  # gradient of the dual objective, Q alpha - e
     pos = y_pm > 0
 
-    for _ in range(max_iter):
+    converged = False
+    for n_iter in range(max_iter):
         # m_t = -y_t * grad_t; pick the most violating pair
         m = -y_pm * grad
         up = (pos & (alpha < C)) | (~pos & (alpha > 0))
@@ -220,6 +243,7 @@ def fit_svm_rbf(X, y, C: float = 1.0, gamma="scale", max_iter: int = 200_000) ->
         i = int(np.argmax(np.where(up, m, -np.inf)))
         j = int(np.argmin(np.where(low, m, np.inf)))
         if m[i] - m[j] < SVM_KKT_TOL:
+            converged = True
             break
 
         quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
@@ -235,6 +259,8 @@ def fit_svm_rbf(X, y, C: float = 1.0, gamma="scale", max_iter: int = 200_000) ->
         alpha[j] += dj
         # grad_t = y_t * f_t - 1 with f = K (alpha * y); rank-two update
         grad += y_pm * (K[:, i] * (y_pm[i] * di) + K[:, j] * (y_pm[j] * dj))
+    else:
+        n_iter = max_iter
 
     m = -y_pm * grad  # equals y_t - f_t
     free = (alpha > 1e-10) & (alpha < C - 1e-10)
@@ -254,6 +280,8 @@ def fit_svm_rbf(X, y, C: float = 1.0, gamma="scale", max_iter: int = 200_000) ->
         support_vectors=X[sv].copy(),
         dual_coef=(alpha * y_pm)[sv].copy(),
         intercept=b,
+        n_iter=n_iter,
+        converged=converged,
     )
 
 
@@ -295,14 +323,14 @@ def _inner_user_folds(users, seed: int, n_folds: int) -> list[tuple[np.ndarray, 
 
 
 def grid_search(X, y, users, kind: str, grid: GridSpec, seed: int,
-                pca_cutoff: float | None = None) -> dict:
+                pca_cutoff: float) -> dict:
     """Pick hyperparameters maximizing mean inner-fold ROC-AUC.
 
-    Inner folds are user-disjoint. When `pca_cutoff` is given, every inner
-    fit runs the full standardize -> PCA -> classifier pipeline on its own
-    training slice, so selection sees the same preprocessing as the outer
-    fit and never leaks validation rows. Ties break toward smaller C then
-    smaller gamma ('scale' is evaluated on each fold's training slice).
+    Inner folds are user-disjoint. Each inner fold's training slice gets one
+    standardize -> PCA fit, shared by every grid cell, so selection sees the
+    same preprocessing as the outer fit and never leaks validation rows.
+    Ties break toward smaller C then smaller gamma ('scale' is evaluated on
+    each fold's projected training slice).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -315,20 +343,19 @@ def grid_search(X, y, users, kind: str, grid: GridSpec, seed: int,
         gamma = cell.get("gamma", 0.0)
         return (cell["C"], -1.0 if gamma == "scale" else float(gamma))
 
+    cells = sorted(cells, key=sort_key)
+    aucs: list[list[float]] = [[] for _ in cells]
+    for train_idx, val_idx in folds:
+        if len(np.unique(y[train_idx])) < 2 or len(np.unique(y[val_idx])) < 2:
+            continue  # degenerate fold at desk scale; score on the rest
+        pipes = fit_pipeline(X[train_idx], y[train_idx], kind, cells, pca_cutoff)
+        Z_val = pipes[0].transform(X[val_idx])  # every cell shares the basis
+        for cell_aucs, pipe in zip(aucs, pipes):
+            cell_aucs.append(roc_auc(pipe.classifier.decision_scores(Z_val), y[val_idx]))
+
     best_cell, best_auc = None, -np.inf
-    for cell in sorted(cells, key=sort_key):
-        aucs = []
-        for train_idx, val_idx in folds:
-            if len(np.unique(y[train_idx])) < 2 or len(np.unique(y[val_idx])) < 2:
-                continue  # degenerate fold at desk scale; score on the rest
-            if pca_cutoff is None:
-                clf = fit_classifier(kind, X[train_idx], y[train_idx], cell)
-                scores = clf.decision_scores(X[val_idx])
-            else:
-                pipe = fit_pipeline(X[train_idx], y[train_idx], kind, cell, pca_cutoff)
-                scores = pipe.decision_scores(X[val_idx])
-            aucs.append(roc_auc(scores, y[val_idx]))
-        mean_auc = float(np.mean(aucs)) if aucs else -np.inf
+    for cell, cell_aucs in zip(cells, aucs):
+        mean_auc = float(np.mean(cell_aucs)) if cell_aucs else -np.inf
         if mean_auc > best_auc + 1e-12:
             best_auc, best_cell = mean_auc, cell
     if best_cell is None:
@@ -347,16 +374,25 @@ class Pipeline:
     pca: PcaModel
     classifier: Classifier
 
+    def transform(self, X) -> np.ndarray:
+        return self.pca.transform(self.standardizer.transform(X))
+
     def decision_scores(self, X) -> np.ndarray:
-        return self.classifier.decision_scores(self.pca.transform(self.standardizer.transform(X)))
+        return self.classifier.decision_scores(self.transform(X))
 
 
-def fit_pipeline(X, y, kind: str, params: dict, pca_cutoff: float) -> Pipeline:
+def fit_pipeline(X, y, kind: str, cells: list[dict], pca_cutoff: float) -> list[Pipeline]:
+    """One pipeline per hyperparameter cell, all on one preprocessing.
+
+    The standardizer and PCA basis are fit once on `X`, the slice is
+    projected once, and only the classifier is fit per cell; the returned
+    pipelines share the standardizer and PCA objects.
+    """
     std = Standardizer().fit(X)
     Xs = std.transform(X)
     pca = fit_pca(Xs, pca_cutoff)
-    clf = fit_classifier(kind, pca.transform(Xs), y, params)
-    return Pipeline(std, pca, clf)
+    Z = pca.transform(Xs)
+    return [Pipeline(std, pca, fit_classifier(kind, Z, y, params)) for params in cells]
 
 
 def pipeline_to_dict(p: Pipeline) -> dict:

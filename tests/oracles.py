@@ -137,3 +137,51 @@ def svm_dual_qp_oracle(X, y_pm, C, gamma):
         @ (alpha * y_pm)
         + b
     )
+
+
+def newton_lr_oracle(X, y01, C, max_iter=200):
+    """Damped Newton for L2 logistic regression, run for all `max_iter`
+    iterations unless the gradient norm drops below 1e-8.
+
+    This is the solver loop as it was before the fixed-point stop, kept
+    verbatim (loss and gradient recomputed at every iteration, no early
+    exit on a stalled line search) to check that the faster loop takes
+    bitwise the same iterates.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y01 = np.asarray(y01, dtype=np.float64)
+    y_pm = 2.0 * y01 - 1.0
+    n, d = X.shape
+    Xb = np.hstack([X, np.ones((n, 1))])
+
+    def loss_grad(w):
+        z = y_pm * (X @ w[:-1] + w[-1])
+        loss = float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * float(w[:-1] @ w[:-1]) / C
+        sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
+        coef = -y_pm * sig / n
+        grad = np.empty_like(w)
+        grad[:-1] = X.T @ coef + w[:-1] / C
+        grad[-1] = coef.sum()
+        return loss, grad
+
+    w = np.zeros(d + 1)
+    for _ in range(max_iter):
+        loss, grad = loss_grad(w)
+        if np.linalg.norm(grad) < 1e-8:
+            break
+        z = np.clip(Xb @ w, -500, 500)
+        p = 1.0 / (1.0 + np.exp(-z))
+        r = p * (1.0 - p)
+        H = (Xb * (r / n)[:, None]).T @ Xb
+        H[:d, :d] += np.eye(d) / C
+        H += 1e-12 * np.eye(d + 1)
+        step = np.linalg.solve(H, grad)
+        t = 1.0
+        descent = float(grad @ step)
+        for _ls in range(60):
+            new_loss, _ = loss_grad(w - t * step)
+            if new_loss <= loss - 1e-4 * t * descent:
+                break
+            t *= 0.5
+        w = w - t * step
+    return w

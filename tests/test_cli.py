@@ -210,6 +210,15 @@ class TestConfigFile:
                      "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["{not json", "[1]"])
+    def test_malformed_config_exits_config(self, cohort_dir, tmp_path, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        out = tmp_path / "f.csv"
+        assert main(["--config", str(cfg), "extract", "--manifest",
+                     str(cohort_dir / "manifest.csv"), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_sixty_rows(self, cohort_dir, tmp_path):

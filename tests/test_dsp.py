@@ -6,6 +6,7 @@ from respscreen.audio_io import AudioSegment
 from respscreen.dsp import (
     DEFAULT_FRAMES,
     FrameSpec,
+    _pad_centered,
     dct_ii,
     frame_signal,
     mel_filterbank,
@@ -87,6 +88,25 @@ class TestMelFilterbank:
         a = mel_filterbank(SR, 2048, 64)
         b = mel_filterbank(SR, 2048, 64)
         assert np.array_equal(a.weights, b.weights)
+
+    def test_built_once_and_read_only(self):
+        fb = mel_filterbank(16000, 1024, 40)
+        assert mel_filterbank(16000, 1024, 40) is fb
+        assert mel_filterbank(16000, 1024, 41) is not fb
+        with pytest.raises(ValueError):
+            fb.weights[0, 0] = 1.0
+
+
+class TestFrameSignal:
+    @pytest.mark.parametrize("n", [1, 700, 2048, 5001])
+    @pytest.mark.parametrize("spec", [DEFAULT_FRAMES, FrameSpec(256, 100)])
+    def test_matches_explicit_frames(self, n, spec):
+        x = np.random.default_rng(n).normal(size=n)
+        padded = _pad_centered(x, spec.frame_length)
+        n_frames = 1 + n // spec.hop_length  # centered frames, even frame length
+        expected = np.stack([padded[t * spec.hop_length:][:spec.frame_length]
+                             for t in range(n_frames)], axis=1)
+        assert np.array_equal(frame_signal(x, spec), expected)
 
 
 class TestDct:

@@ -228,3 +228,15 @@ class TestFeatureStore:
         d, records, _ = small_cohort
         with pytest.raises(ConfigError):
             FeatureStore(d).vector(records[0], "vggish")
+
+    def test_pools_once_per_recording_and_feature_type(self, small_cohort, monkeypatch):
+        d, records, embeddings = small_cohort
+        pooled = []
+        orig = evaluate.pool
+        monkeypatch.setattr(evaluate, "pool", lambda frames: pooled.append(id(frames)) or orig(frames))
+        store = FeatureStore(d, embeddings)
+        cfg = RunConfig(task_id=1, feature_type="vggish")
+        for _ in range(2):
+            run_nested_cv(records, cfg, base_dir=d, embeddings=embeddings, grid=FAST_GRID,
+                          store=store)
+        assert pooled and len(pooled) == len(set(pooled))

@@ -5,7 +5,9 @@ import pytest
 
 from respscreen.errors import DegenerateData, NonFiniteFeature, SingleClass, TooFewUsers
 from respscreen.metrics import roc_auc
+from respscreen import model
 from respscreen.model import (
+    LR_GRADIENT_TOL,
     PCA_CUTOFFS,
     GridSpec,
     Standardizer,
@@ -13,6 +15,7 @@ from respscreen.model import (
     fit_pca,
     fit_pipeline,
     fit_svm_rbf,
+    _inner_user_folds,
     grid_search,
     load_pipeline,
     lr_loss_grad,
@@ -23,7 +26,7 @@ from respscreen.model import (
     save_pipeline,
 )
 
-from .oracles import svm_dual_qp_oracle
+from .oracles import newton_lr_oracle, svm_dual_qp_oracle
 
 
 def blobs(n_per=20, d=5, sep=3.0, seed=0):
@@ -145,6 +148,53 @@ class TestLogisticRegression:
         with pytest.raises(NonFiniteFeature):
             fit_lr(X, [0, 1, 0, 1])
 
+    # the line search of this input stalls at machine precision short of
+    # the gradient tolerance (final norm 1.27e-8)
+    STALL = dict(n_per=4, d=6, seed=54)
+
+    def random_problems(self):
+        rng = np.random.default_rng(55)
+        for _ in range(8):
+            n, d = int(rng.integers(6, 30)), int(rng.integers(1, 8))
+            X = rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0)
+            y = rng.integers(0, 2, size=n)
+            y[:2] = [0, 1]
+            yield X, y, float(rng.choice([0.01, 0.1, 1.0, 10.0, 100.0]))
+
+    def test_weights_bitwise_equal_newton_oracle(self):
+        X, y = blobs(**self.STALL)
+        problems = [(X, y, 1.0), *self.random_problems()]
+        for X, y, C in problems:
+            w = fit_lr(X, y, C=C).weights
+            assert w.tobytes() == newton_lr_oracle(X, y, C).tobytes()
+
+    def test_stalled_line_search_stops_at_fixed_point(self, monkeypatch):
+        calls = []
+        orig = model.lr_loss_grad
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(model, "lr_loss_grad", counting)
+        X, y = blobs(**self.STALL)
+        fit_lr(X, y, C=1.0)
+        assert len(calls) <= 100  # 5,692 when the stall ran to max_iter
+
+    def test_reports_solver_status(self):
+        X, y = blobs(seed=5)
+        clf = fit_lr(X, y, C=1.0)
+        assert clf.converged is True and 0 < clf.n_iter < 200
+
+        X, y = blobs(**self.STALL)
+        clf = fit_lr(X, y, C=1.0)
+        _, grad = lr_loss_grad(clf.weights, X, y.astype(float), 1.0)
+        assert np.linalg.norm(grad) >= LR_GRADIENT_TOL
+        assert clf.converged is False and clf.n_iter < 200
+
+        clf = fit_lr(*blobs(seed=5), C=1.0, max_iter=1)
+        assert (clf.n_iter, clf.converged) == (1, False)
+
 
 class TestSvm:
     def test_xor_against_qp_oracle(self):
@@ -223,6 +273,13 @@ class TestSvm:
         with pytest.raises(SingleClass):
             fit_svm_rbf(np.ones((4, 2)), [0, 0, 0, 0])
 
+    def test_reports_solver_status(self):
+        X, y = blobs(n_per=15, d=3, sep=2.0, seed=11)
+        clf = fit_svm_rbf(X, y, C=1.0, gamma=0.5)
+        assert clf.converged is True and clf.n_iter > 1
+        capped = fit_svm_rbf(X, y, C=1.0, gamma=0.5, max_iter=1)
+        assert (capped.n_iter, capped.converged) == (1, False)
+
 
 class TestGridSearch:
     def users(self, n):
@@ -238,31 +295,34 @@ class TestGridSearch:
         y = np.array([0] * 30 + [1] * 30)
         users = self.users(len(X))
         grid = GridSpec(svm_c=(1.0,), svm_gamma=(1e-5, 1.0))
-        best = grid_search(X, y, users, "svm-rbf", grid, seed=0)
+        best = grid_search(X, y, users, "svm-rbf", grid, seed=0, pca_cutoff=0.95)
         assert best == {"C": 1.0, "gamma": 1.0}
 
     def test_deterministic(self):
         X, y = blobs(n_per=20, d=3, seed=18)
         users = self.users(len(X))
         grid = GridSpec(svm_c=(0.1, 1.0), svm_gamma=("scale", 0.01))
-        a = grid_search(X, y, users, "svm-rbf", grid, seed=0)
-        b = grid_search(X, y, users, "svm-rbf", grid, seed=0)
+        a = grid_search(X, y, users, "svm-rbf", grid, seed=0, pca_cutoff=0.95)
+        b = grid_search(X, y, users, "svm-rbf", grid, seed=0, pca_cutoff=0.95)
         assert a == b
 
     def test_single_cell_short_circuit(self):
         X, y = blobs(n_per=5, seed=19)
-        best = grid_search(X, y, self.users(len(X)), "lr", GridSpec(lr_c=(0.5,)), seed=0)
+        best = grid_search(X, y, self.users(len(X)), "lr", GridSpec(lr_c=(0.5,)), seed=0,
+                           pca_cutoff=0.95)
         assert best == {"C": 0.5}
 
     def test_too_few_users(self):
         X, y = blobs(n_per=4, seed=20)
         with pytest.raises(TooFewUsers):
-            grid_search(X, y, ["u0"] * 4 + ["u1"] * 4, "lr", GridSpec(), seed=0)
+            grid_search(X, y, ["u0"] * 4 + ["u1"] * 4, "lr", GridSpec(), seed=0,
+                        pca_cutoff=0.95)
 
     def test_tie_breaks_toward_smaller_c(self):
         # perfectly separable data: every C wins, smallest must be chosen
         X, y = blobs(n_per=30, d=2, sep=10.0, seed=21)
-        best = grid_search(X, y, self.users(len(X)), "lr", GridSpec(), seed=0)
+        best = grid_search(X, y, self.users(len(X)), "lr", GridSpec(), seed=0,
+                           pca_cutoff=0.95)
         assert best == {"C": 0.01}
 
     def test_pipeline_mode_runs(self):
@@ -271,12 +331,37 @@ class TestGridSearch:
                            seed=0, pca_cutoff=0.9)
         assert best["C"] in (0.1, 1.0)
 
+    def test_one_basis_per_usable_inner_fold(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "fit_pca", lambda *a, **k: calls.append(1) or fit_pca(*a, **k))
+        X, y = blobs(n_per=20, d=6, seed=24)
+        users = self.users(len(X))
+        grid = GridSpec()
+        assert len(grid.cells("lr")) == 4
+        usable = [f for f in _inner_user_folds(users, 0, grid.inner_folds)
+                  if all(len(np.unique(y[idx])) == 2 for idx in f)]
+        grid_search(X, y, users, "lr", grid, seed=0, pca_cutoff=0.9)
+        assert len(calls) == len(usable) > 0  # 4 per fold, one per C, before
+
+
+class TestFitPipeline:
+    def test_cells_share_one_preprocessing(self):
+        X, y = blobs(n_per=12, d=5, seed=25)
+        cells = [{"C": 0.1, "gamma": "scale"}, {"C": 10.0, "gamma": 0.01}]
+        pipes = fit_pipeline(X, y, "svm-rbf", cells, pca_cutoff=0.9)
+        assert [p.classifier.hyperparameters["C"] for p in pipes] == [0.1, 10.0]
+        assert all(p.pca is pipes[0].pca and p.standardizer is pipes[0].standardizer
+                   for p in pipes)
+        for cell, pipe in zip(cells, pipes):
+            [alone] = fit_pipeline(X, y, "svm-rbf", [cell], pca_cutoff=0.9)
+            assert np.array_equal(alone.decision_scores(X), pipe.decision_scores(X))
+
 
 class TestPipelinePersistence:
     def make(self, kind):
         X, y = blobs(n_per=12, d=5, seed=23)
         params = {"C": 1.0} if kind == "lr" else {"C": 1.0, "gamma": 0.1}
-        return fit_pipeline(X, y, kind, params, pca_cutoff=0.9), X
+        return fit_pipeline(X, y, kind, [params], pca_cutoff=0.9)[0], X
 
     @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
     def test_json_round_trip_exact(self, kind, tmp_path):
