@@ -17,6 +17,7 @@ from scipy.signal import resample_poly
 from .errors import MalformedWav, SilentSample, UnsupportedEncoding
 
 TARGET_SAMPLE_RATE = 22050
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
 # Trim parameters: frame RMS compared against peak frame RMS.
 TRIM_FRAME_LENGTH = 2048
@@ -47,8 +48,9 @@ class AudioSegment:
 def decode_wav(data: bytes) -> AudioSegment:
     """Decode a RIFF/WAVE byte stream (PCM16 or float32, mono or stereo).
 
-    Stereo is downmixed by per-frame channel average; 16-bit integers are
-    scaled by 1/32768.
+    A WAVE_FORMAT_EXTENSIBLE stream is read by its subformat. Stereo is
+    downmixed by per-frame channel average; 16-bit integers are scaled by
+    1/32768. Non-finite float samples are rejected as malformed.
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWav("not a RIFF/WAVE stream")
@@ -64,6 +66,10 @@ def decode_wav(data: bytes) -> AudioSegment:
             if len(body) < 16:
                 raise MalformedWav("fmt chunk truncated")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
+            if fmt[0] == WAVE_FORMAT_EXTENSIBLE and len(body) >= 40:
+                # the subformat GUID at offset 24 leads with the plain format code
+                (subformat,) = struct.unpack_from("<H", body, 24)
+                fmt = (subformat, *fmt[1:])
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise MalformedWav("data chunk truncated")
@@ -85,6 +91,8 @@ def decode_wav(data: bytes) -> AudioSegment:
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
         samples = raw.astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise MalformedWav("non-finite float samples")
     else:
         raise UnsupportedEncoding(f"format={audio_format} bits={bits}")
 

@@ -18,6 +18,7 @@ from .audio_io import AudioSegment, resample
 from .errors import SilentSample
 
 METHODS = ("amplify", "noise", "pitch_speed")
+COPIES_PER_METHOD = 2  # fixed by the protocol
 
 
 @dataclass(frozen=True)
@@ -25,15 +26,12 @@ class AugmentConfig:
     amp_range: tuple[float, float] = (1.15, 2.0)
     rate_range: tuple[float, float] = (0.8, 0.99)
     noise_snr_db_range: tuple[float, float] = (20.0, 40.0)
-    copies_per_method: int = 2
     rng_seed: int = 0
 
     def __post_init__(self):
         for lo, hi in (self.amp_range, self.rate_range, self.noise_snr_db_range):
             if lo > hi:
                 raise ValueError("range bounds out of order")
-        if self.copies_per_method != 2:
-            raise ValueError("the protocol fixes two copies per method")
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ def augment_six(seg: AudioSegment, sample_id: str, cfg: AugmentConfig) -> list[A
     """Two amplified + two noised + two pitch/speed variants of one segment."""
     out: list[Augmented] = []
     for method in METHODS:
-        for copy_index in range(cfg.copies_per_method):
+        for copy_index in range(COPIES_PER_METHOD):
             rng = np.random.default_rng(derive_seed(cfg.rng_seed, sample_id, method, copy_index))
             if method == "amplify":
                 factor = rng.uniform(*cfg.amp_range)

@@ -17,8 +17,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import augment as aug
 from . import dataset, evaluate, features, model, synth
 from .audio_io import TARGET_SAMPLE_RATE, decode_wav, encode_wav, resample, trim_silence
@@ -31,7 +29,7 @@ from .errors import (
     TooFewUsers,
     TooShort,
 )
-from .util import format_float, write_text_atomic
+from .util import format_float, write_bytes_atomic, write_text_atomic
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -125,13 +123,10 @@ def cmd_augment(args) -> int:
     for r in sorted(records, key=lambda r: (r.sample_id, r.modality)):
         if has_split and r.split != "train":
             continue  # augmentation is training-only by protocol
-        seg = decode_wav((base / r.audio_path).read_bytes())
+        seg = evaluate.load_segment(base / r.audio_path)  # the segment evaluation augments
         for variant in aug.augment_six(seg, r.sample_id, cfg):
             aug_id = f"{r.sample_id}_{variant.method}{variant.copy_index}"
-            wav_path = out_dir / f"{aug_id}.wav"
-            from .util import write_bytes_atomic
-
-            write_bytes_atomic(wav_path, encode_wav(variant.segment))
+            write_bytes_atomic(out_dir / f"{aug_id}.wav", encode_wav(variant.segment))
             rows.append(
                 [
                     aug_id,
@@ -173,21 +168,15 @@ def _load_inputs(args):
 def cmd_train(args) -> int:
     config = _run_config_from_args(args)
     records, base, embeddings = _load_inputs(args)
-    spec = dataset.task_spec(
-        config.task_id,
-        ("cough", "breath") if config.modality == "combined" else (config.modality,),
-    )
-    positives, negatives = dataset.apply_task(records, spec)
-    units = evaluate.build_units(positives, negatives, config.modality)
-    store = evaluate.FeatureStore(base, embeddings)
-    X = np.asarray([evaluate.unit_vector(u, store, config.feature_type) for u in units])
-    y = np.asarray([u.label for u in units])
-    users = [u.user_id for u in units]
-    params = model.grid_search(X, y, users, config.classifier_kind, model.GridSpec(),
-                               config.seed, pca_cutoff=config.pca_cutoff)
-    [pipeline] = model.fit_pipeline(X, y, config.classifier_kind, [params], config.pca_cutoff)
+    cohort = evaluate.build_cohort(records, config, evaluate.FeatureStore(base, embeddings))
+    users = [u.user_id for u in cohort.units]
+    kind = config.classifier_kind
+    params = model.grid_search(cohort.X, cohort.y, users, kind, model.GridSpec(), config.seed,
+                               pca_cutoff=config.pca_cutoff)
+    [pipeline] = model.fit_pipeline(cohort.X, cohort.y, kind, [params], config.pca_cutoff)
     model.save_pipeline(pipeline, args.out)
-    print(f"wrote {args.out} ({config.classifier_kind}, params {params}, pca_k {pipeline.pca.k})")
+    print(f"wrote {args.out} ({kind}, params {params}, pca_k {pipeline.pca.k}, "
+          f"{len(cohort.skipped)} skipped)")
     return EXIT_OK
 
 

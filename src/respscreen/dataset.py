@@ -202,9 +202,9 @@ def split_users(
     return SplitPlan(seed, tuple(folds))
 
 
-def balance(samples, labels, seed: int) -> list[int]:
+def balance(labels, seed: int) -> list[int]:
     """Indices of a class-balanced subset (majority downsampled, seeded,
-    without replacement). Returns sorted indices into `samples`."""
+    without replacement). Returns sorted indices into `labels`."""
     labels = np.asarray(labels)
     pos_idx = np.flatnonzero(labels == 1)
     neg_idx = np.flatnonzero(labels == 0)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import augment as aug
 from . import features as feat
-from .audio_io import TARGET_SAMPLE_RATE, decode_wav, resample, trim_silence
+from .audio_io import TARGET_SAMPLE_RATE, AudioSegment, decode_wav, resample, trim_silence
 from .dataset import (
     SampleRecord,
     apply_task,
@@ -28,7 +28,7 @@ from .dataset import (
     task_spec,
 )
 from .embeddings import EmbeddingFrames, combine, pool
-from .errors import ConfigError, RespScreenError, SilentSample, TooShort
+from .errors import ConfigError, EmptyCohort, RespScreenError, SilentSample, TooShort
 from .metrics import precision_recall, roc_auc
 from .model import GridSpec, PCA_CUTOFFS, fit_pipeline, grid_search
 from .util import write_text_atomic
@@ -86,6 +86,7 @@ class EvaluationReport:
     config: RunConfig
     folds: tuple[FoldResult, ...]
     aggregate: dict  # metric -> {"mean": ..., "std": ...}
+    skipped: tuple[tuple[str, str], ...]  # (unit key, "Type: message")
 
 
 def aggregate_folds(folds) -> dict:
@@ -96,6 +97,12 @@ def aggregate_folds(folds) -> dict:
     return out
 
 
+def load_segment(path) -> AudioSegment:
+    """The segment every feature is computed from: the decoded recording,
+    resampled to the target rate and trimmed of leading/trailing silence."""
+    return trim_silence(resample(decode_wav(Path(path).read_bytes()), TARGET_SAMPLE_RATE))
+
+
 class FeatureStore:
     """Caches per-recording features so folds and sweep cells share work."""
 
@@ -104,15 +111,13 @@ class FeatureStore:
         self.embeddings = embeddings
         self._segments: dict[str, object] = {}
         self._handcrafted: dict[str, feat.HandcraftedVector] = {}
-        self._aug_handcrafted: dict[tuple, feat.HandcraftedVector] = {}
+        self._augmented: dict[tuple[str, aug.AugmentConfig], list[np.ndarray]] = {}
         self._embedding_vectors: dict[tuple[str, str], np.ndarray] = {}
 
     def segment(self, record: SampleRecord):
         key = record.sample_id
         if key not in self._segments:
-            data = (self.base_dir / record.audio_path).read_bytes()
-            seg = trim_silence(resample(decode_wav(data), TARGET_SAMPLE_RATE))
-            self._segments[key] = seg
+            self._segments[key] = load_segment(self.base_dir / record.audio_path)
         return self._segments[key]
 
     def handcrafted(self, record: SampleRecord) -> feat.HandcraftedVector:
@@ -151,13 +156,11 @@ class FeatureStore:
         """
         if feature_type != "handcrafted":
             raise ConfigError("augmentation requires feature-type=handcrafted")
-        out = []
-        for variant in aug.augment_six(self.segment(record), record.sample_id, cfg):
-            key = (record.sample_id, variant.method, variant.copy_index, cfg.rng_seed)
-            if key not in self._aug_handcrafted:
-                self._aug_handcrafted[key] = feat.extract_handcrafted(variant.segment)
-            out.append(self._aug_handcrafted[key].values)
-        return out
+        key = (record.sample_id, cfg)
+        if key not in self._augmented:
+            variants = aug.augment_six(self.segment(record), record.sample_id, cfg)
+            self._augmented[key] = [feat.extract_handcrafted(v.segment).values for v in variants]
+        return self._augmented[key]
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,40 @@ def unit_vector(unit: Unit, store: FeatureStore, feature_type: str) -> np.ndarra
     return np.concatenate([store.vector(r, feature_type) for r in unit.records])
 
 
+@dataclass(frozen=True)
+class Cohort:
+    """A run's classification units and their feature rows, `X[i]` and
+    `y[i]` belonging to `units[i]`, plus the units dropped as unusable."""
+
+    units: tuple[Unit, ...]
+    X: np.ndarray
+    y: np.ndarray
+    skipped: tuple[tuple[str, str], ...]  # (unit key, "Type: message")
+
+
+def build_cohort(records: list[SampleRecord], config: RunConfig, store: FeatureStore) -> Cohort:
+    """The task's units for the configured modality and one feature row per unit.
+
+    A unit with a silent or too-short recording is dropped and listed in
+    `skipped`, as `extract` does with such recordings.
+    """
+    modalities = ("cough", "breath") if config.modality == "combined" else (config.modality,)
+    positives, negatives = apply_task(records, task_spec(config.task_id, modalities))
+    units, rows, skipped = [], [], []
+    for unit in build_units(positives, negatives, config.modality):
+        try:
+            rows.append(unit_vector(unit, store, config.feature_type))
+        except (SilentSample, TooShort) as exc:
+            skipped.append((unit.key, f"{type(exc).__name__}: {exc}"))
+            continue
+        units.append(unit)
+    y = np.asarray([u.label for u in units])
+    for label, name in ((1, "positive"), (0, "negative")):
+        if not np.any(y == label):
+            raise EmptyCohort(f"task {config.task_id}: no usable {name} units")
+    return Cohort(tuple(units), np.asarray(rows), y, tuple(skipped))
+
+
 def run_nested_cv(
     records: list[SampleRecord],
     config: RunConfig,
@@ -202,59 +239,40 @@ def run_nested_cv(
     grid: GridSpec = GridSpec(),
     store: FeatureStore | None = None,
 ) -> EvaluationReport:
-    if config.feature_type in EMBEDDING_FEATURE_TYPES and embeddings is None:
-        raise ConfigError(
-            f"feature-type {config.feature_type} requires an embeddings file (--embeddings)"
-        )
-    modalities = ("cough", "breath") if config.modality == "combined" else (config.modality,)
-    spec = task_spec(config.task_id, modalities)
-    positives, negatives = apply_task(records, spec)
-    units = build_units(positives, negatives, config.modality)
-
     if store is None:
         store = FeatureStore(base_dir, embeddings)
-    elif embeddings is not None and store.embeddings is None:
-        store.embeddings = embeddings
-
-    pos_units = [u for u in units if u.label == 1]
-    neg_units = [u for u in units if u.label == 0]
-    plan = split_users(pos_units, neg_units, config.seed)
+    cohort = build_cohort(records, config, store)
+    units, X, y = cohort.units, cohort.X, cohort.y
+    users = np.asarray([u.user_id for u in units])
+    plan = split_users([u for u in units if u.label == 1], [u for u in units if u.label == 0],
+                       config.seed)
 
     aug_cfg = aug.AugmentConfig(rng_seed=config.seed)
     folds = []
     for fold_idx, (train_users, test_users) in enumerate(plan.folds):
         assert not train_users & test_users
-        train = [u for u in units if u.user_id in train_users]
-        test = [u for u in units if u.user_id in test_users]
-        for u in test:
-            assert u.user_id not in train_users
+        train = np.flatnonzero(np.isin(users, list(train_users)))
+        test = np.flatnonzero(np.isin(users, list(test_users)))
+        assert not set(users[test]) & train_users
 
-        test_keep = balance(None, [u.label for u in test], seed=hash((config.seed, fold_idx)) % 2**32)
-        test = [test[i] for i in test_keep]
+        test = test[balance(y[test], seed=hash((config.seed, fold_idx)) % 2**32)]
         if not config.augment:
-            train_keep = balance(None, [u.label for u in train], seed=hash((config.seed, fold_idx, 1)) % 2**32)
-            train = [train[i] for i in train_keep]
+            train = train[balance(y[train], seed=hash((config.seed, fold_idx, 1)) % 2**32)]
 
-        X_train = [unit_vector(u, store, config.feature_type) for u in train]
-        y_train = [u.label for u in train]
-        users_train = [u.user_id for u in train]
+        X_train, y_train, users_train = X[train], y[train], users[train]
         if config.augment:
             # negatives only, training only; originals are retained
-            for u in train:
-                if u.label != 0:
-                    continue
-                per_record = [
-                    store.augmented_vectors(r, config.feature_type, aug_cfg) for r in u.records
-                ]
-                for variant_idx in range(len(per_record[0])):
-                    X_train.append(np.concatenate([vecs[variant_idx] for vecs in per_record]))
-                    y_train.append(0)
-                    users_train.append(u.user_id)
-
-        X_train = np.asarray(X_train)
-        y_train = np.asarray(y_train)
-        X_test = np.asarray([unit_vector(u, store, config.feature_type) for u in test])
-        y_test = np.asarray([u.label for u in test])
+            negatives = [units[i] for i in train if y[i] == 0]
+            variants = [
+                (u.user_id, np.concatenate(per_record))
+                for u in negatives
+                for per_record in zip(*(store.augmented_vectors(r, config.feature_type, aug_cfg)
+                                        for r in u.records))
+            ]
+            X_train = np.vstack([X_train, *(row for _, row in variants)])
+            y_train = np.concatenate([y_train, np.zeros(len(variants), dtype=y.dtype)])
+            users_train = [*users_train, *(user for user, _ in variants)]
+        X_test, y_test = X[test], y[test]
 
         kind = config.classifier_kind
         params = grid_search(X_train, y_train, users_train, kind, grid,
@@ -271,10 +289,10 @@ def run_nested_cv(
                 pca_k=pipeline.pca.k,
                 n_train=len(y_train),
                 n_test=len(y_test),
-                n_test_users=len({u.user_id for u in test}),
+                n_test_users=len(set(users[test])),
             )
         )
-    return EvaluationReport(config, tuple(folds), aggregate_folds(folds))
+    return EvaluationReport(config, tuple(folds), aggregate_folds(folds), cohort.skipped)
 
 
 # --- report and sweep serialization ----------------------------------------
@@ -285,6 +303,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "config": asdict(report.config),
         "folds": [asdict(f) for f in report.folds],
         "aggregate": report.aggregate,
+        "skipped": [list(entry) for entry in report.skipped],
     }
 
 

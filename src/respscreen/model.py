@@ -16,6 +16,7 @@ import numpy as np
 from .dataset import TooFewUsers
 from .errors import DegenerateData, NonFiniteFeature, SingleClass
 from .metrics import roc_auc
+from .util import write_text_atomic
 
 MODEL_FORMAT_VERSION = 1
 
@@ -445,8 +446,6 @@ def pipeline_from_dict(d: dict) -> Pipeline:
 
 
 def save_pipeline(p: Pipeline, path) -> None:
-    from .util import write_text_atomic
-
     write_text_atomic(path, json.dumps(pipeline_to_dict(p)))
 
 

@@ -7,23 +7,9 @@ import tempfile
 from pathlib import Path
 
 
-def write_text_atomic(path, text: str) -> None:
+def write_bytes_atomic(path, data: bytes) -> None:
     """Write via a temp file in the same directory plus rename, so a
     crashed run never leaves a partial artifact at the target path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_bytes_atomic(path, data: bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
@@ -35,6 +21,11 @@ def write_bytes_atomic(path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    """`write_bytes_atomic` of the UTF-8 text, newlines untranslated."""
+    write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def format_float(x: float) -> str:

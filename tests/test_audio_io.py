@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from respscreen.audio_io import (
     AudioSegment,
@@ -34,6 +36,34 @@ def make_wav(samples_i16, sample_rate=SR, channels=1, fmt=1, bits=16):
     )
 
 
+def make_extensible_wav(samples, fmt=1, bits=16, sample_rate=SR):
+    """A mono WAVE_FORMAT_EXTENSIBLE stream whose subformat GUID leads with `fmt`."""
+    dtype = "<i2" if fmt == 1 else "<f4"
+    body = np.asarray(samples, dtype=dtype).tobytes()
+    guid_tail = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    fmt_chunk = struct.pack("<HHIIHHHHI", 0xFFFE, 1, sample_rate, sample_rate * bits // 8,
+                            bits // 8, bits, 22, bits, 0x4) + struct.pack("<H", fmt) + guid_tail
+    chunks = b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
+    chunks += b"data" + struct.pack("<I", len(body)) + body
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+FUZZ_SEEDS = (
+    make_wav([0, 1000, -1000, 32767, -32768, 5]),
+    make_wav(np.array([0.1, -0.2, 0.3, 0.4], dtype="<f4"), channels=2, fmt=3, bits=32),
+    make_extensible_wav([0, 1000, -1000, 32767]),
+    make_extensible_wav(np.array([0.1, -0.2, 0.3], dtype="<f4"), fmt=3, bits=32),
+)
+
+
+def decodes_finite_or_rejects(data: bytes) -> None:
+    try:
+        seg = decode_wav(data)
+    except (MalformedWav, UnsupportedEncoding):
+        return
+    assert len(seg) > 0 and np.all(np.isfinite(seg.samples))
+
+
 class TestDecode:
     def test_pcm16_scaling(self):
         seg = decode_wav(make_wav([0, 16384, -32768]))
@@ -60,6 +90,43 @@ class TestDecode:
     def test_float32(self):
         seg = decode_wav(make_wav(np.array([0.25, -0.75], dtype="<f4"), fmt=3, bits=32))
         assert np.allclose(seg.samples, [0.25, -0.75])
+
+    @pytest.mark.parametrize("fmt, bits, values", [
+        (1, 16, [0, 16384, -32768]),
+        (3, 32, np.array([0.25, -0.75], dtype="<f4")),
+    ])
+    def test_extensible_read_by_subformat(self, fmt, bits, values):
+        plain = decode_wav(make_wav(values, fmt=fmt, bits=bits))
+        seg = decode_wav(make_extensible_wav(values, fmt=fmt, bits=bits))
+        assert np.array_equal(seg.samples, plain.samples)
+        assert seg.sample_rate == SR
+
+    def test_extensible_needs_full_fmt_chunk(self):
+        data = bytearray(make_wav([0, 1, 2]))
+        struct.pack_into("<H", data, 20, 0xFFFE)  # format tag of a 16-byte fmt chunk
+        with pytest.raises(UnsupportedEncoding):
+            decode_wav(bytes(data))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_rejected(self, bad):
+        with pytest.raises(MalformedWav):
+            decode_wav(make_wav(np.array([0.1, bad, 0.2], dtype="<f4"), fmt=3, bits=32))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=120))
+    @example(make_wav(np.array([0.1, np.nan, 0.2], dtype="<f4"), fmt=3, bits=32)[12:])
+    def test_fuzz_arbitrary_chunks(self, tail):
+        decodes_finite_or_rejects(b"RIFF" + struct.pack("<I", 4 + len(tail)) + b"WAVE" + tail)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FUZZ_SEEDS),
+           st.lists(st.tuples(st.integers(0, 80), st.integers(0, 255)), min_size=1, max_size=6),
+           st.integers(0, 80))
+    def test_fuzz_mutated_wavs(self, wav, edits, cut):
+        data = bytearray(wav)
+        for pos, value in edits:
+            data[pos % len(data)] = value
+        decodes_finite_or_rejects(bytes(data[: len(data) - cut]))
 
     def test_roundtrip_within_one_lsb(self):
         rng = np.random.default_rng(0)

@@ -110,10 +110,6 @@ class TestAugmentSix:
             assert np.all(np.isfinite(o.segment.samples))
             assert np.max(np.abs(o.segment.samples)) <= 1.0
 
-    def test_copies_fixed_by_protocol(self):
-        with pytest.raises(ValueError):
-            AugmentConfig(copies_per_method=3)
-
 
 def test_derived_seed_is_stable():
     assert derive_seed(1, "a", "noise", 0) == derive_seed(1, "a", "noise", 0)

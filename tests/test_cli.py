@@ -2,9 +2,13 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from respscreen import cli, features
+from respscreen import cli, evaluate, features, model
+from respscreen.audio_io import AudioSegment, encode_wav
+from respscreen.augment import AugmentConfig, augment_six
+from respscreen.dataset import load_manifest
 from respscreen.cli import (
     CONFIG_ENV_VAR,
     EXIT_CONFIG,
@@ -14,6 +18,9 @@ from respscreen.cli import (
     main,
 )
 from respscreen.model import load_pipeline
+
+MANIFEST_HEADER = ("sample_id,user_id,modality,audio_path,covid_tested_positive,"
+                   "symptoms,medical_history,smoker,country,collected_at\n")
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +97,25 @@ class TestAugment:
         assert {r["method"] for r in rows} == {"amplify", "noise", "pitch_speed"}
         assert len(list(out_dir.glob("*.wav"))) == len(rows)
 
+    def test_augments_the_evaluated_segment(self, tmp_path):
+        # 44.1 kHz with 0.5 s of leading digital silence: evaluation resamples
+        # and trims it, so augmenting the raw recording would differ
+        rng = np.random.default_rng(3)
+        sr = 44100
+        burst = 0.5 * np.sin(2 * np.pi * 440 * np.arange(sr) / sr) * rng.uniform(0.5, 1, sr)
+        clip = AudioSegment(np.concatenate([np.zeros(sr // 2), burst]), sr)
+        (tmp_path / "s1.wav").write_bytes(encode_wav(clip))
+        (tmp_path / "manifest.csv").write_text(MANIFEST_HEADER + "s1,u1,cough,s1.wav,false,,,never,GR,t0\n")
+        out_dir = tmp_path / "aug"
+        assert main(["augment", "--manifest", str(tmp_path / "manifest.csv"),
+                     "--out-dir", str(out_dir), "--seed", "1"]) == EXIT_OK
+        [record] = load_manifest(tmp_path / "manifest.csv")
+        seg = evaluate.FeatureStore(tmp_path).segment(record)
+        assert seg.sample_rate == 22050 and seg.duration < 1.5
+        for variant in augment_six(seg, "s1", AugmentConfig(rng_seed=1)):
+            wav = out_dir / f"s1_{variant.method}{variant.copy_index}.wav"
+            assert wav.read_bytes() == encode_wav(variant.segment)
+
     def test_deterministic(self, cohort_dir, tmp_path):
         digests = []
         for sub in ("x", "y"):
@@ -108,6 +134,18 @@ class TestTrain:
         pipeline = load_pipeline(out)
         assert pipeline.classifier.kind == "lr"
         assert pipeline.pca.k >= 1
+
+    def test_fits_on_the_cohort_matrix(self, cohort_dir, tmp_path, monkeypatch):
+        cohorts, fitted = [], []
+        build, fit = evaluate.build_cohort, model.fit_pipeline
+        monkeypatch.setattr(evaluate, "build_cohort",
+                            lambda *args: cohorts.append(build(*args)) or cohorts[-1])
+        monkeypatch.setattr(model, "fit_pipeline",
+                            lambda X, y, *args: fitted.append((X, y)) or fit(X, y, *args))
+        assert main(["train", "--manifest", str(cohort_dir / "manifest.csv"),
+                     "--task", "2", "--out", str(tmp_path / "m.json")]) == EXIT_OK
+        [cohort] = cohorts
+        assert fitted[-1][0] is cohort.X and fitted[-1][1] is cohort.y
 
     def test_embedding_features_without_file(self, cohort_dir, tmp_path):
         code = main(["train", "--manifest", str(cohort_dir / "manifest.csv"),
@@ -159,6 +197,46 @@ class TestEvaluate:
         code = main(["evaluate", "--manifest", str(d / "manifest.csv"),
                      "--task", "3", "--report", str(tmp_path / "r.json")])
         assert code == EXIT_EMPTY_COHORT
+
+
+class TestUnusableRecordings:
+    """A silent or too-short recording drops its unit, as `extract` drops it."""
+
+    @pytest.fixture(scope="class")
+    def damaged(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("damaged")
+        assert main(["synth-manifest", "--out", str(d), "--seed", "1",
+                     "--covid-users", "6", "--healthy-users", "6",
+                     "--cough-users", "0", "--asthma-users", "0",
+                     "--clip-seconds", "0.5"]) == EXIT_OK
+        coughs = sorted((r for r in load_manifest(d / "manifest.csv") if r.modality == "cough"),
+                        key=lambda r: r.sample_id)
+        silent = next(r for r in coughs if r.covid_tested_positive)
+        short = next(r for r in coughs if not r.covid_tested_positive)
+        (d / silent.audio_path).write_bytes(encode_wav(AudioSegment(np.zeros(11025), 22050)))
+        noise = np.random.default_rng(0).uniform(-0.5, 0.5, 2000)
+        (d / short.audio_path).write_bytes(encode_wav(AudioSegment(noise, 22050)))
+        extracted = d / "features.csv"
+        assert main(["extract", "--manifest", str(d / "manifest.csv"),
+                     "--out", str(extracted)]) == EXIT_OK
+        with open(extracted.with_suffix(".skipped.csv")) as fh:
+            extract_skips = list(csv.reader(fh))[1:]
+        assert sorted(reason.split(":")[0] for _, reason in extract_skips) == [
+            "SilentSample", "TooShort"]
+        return d, extract_skips
+
+    def test_evaluate_reports_skipped_units(self, damaged, tmp_path):
+        d, extract_skips = damaged
+        report = tmp_path / "r.json"
+        assert main(["evaluate", "--manifest", str(d / "manifest.csv"), "--task", "1",
+                     "--report", str(report)]) == EXIT_OK
+        assert sorted(json.loads(report.read_text())["skipped"]) == sorted(extract_skips)
+
+    def test_train_counts_skipped_units(self, damaged, tmp_path, capsys):
+        d, _ = damaged
+        assert main(["train", "--manifest", str(d / "manifest.csv"), "--task", "1",
+                     "--out", str(tmp_path / "m.json")]) == EXIT_OK
+        assert "2 skipped" in capsys.readouterr().out
 
 
 class TestConfigFile:

@@ -192,15 +192,15 @@ class TestSplitUsers:
 class TestBalance:
     def test_downsamples_majority(self):
         labels = [1] * 30 + [0] * 50
-        keep = balance(None, labels, seed=0)
+        keep = balance(labels, seed=0)
         kept_labels = [labels[i] for i in keep]
         assert kept_labels.count(1) == 30
         assert kept_labels.count(0) == 30
 
     def test_balanced_unchanged(self):
         labels = [1, 0, 1, 0]
-        assert balance(None, labels, seed=0) == [0, 1, 2, 3]
+        assert balance(labels, seed=0) == [0, 1, 2, 3]
 
     def test_deterministic(self):
         labels = [1] * 10 + [0] * 25
-        assert balance(None, labels, seed=5) == balance(None, labels, seed=5)
+        assert balance(labels, seed=5) == balance(labels, seed=5)

@@ -11,6 +11,7 @@ from respscreen.evaluate import (
     RunConfig,
     SweepRow,
     aggregate_folds,
+    build_cohort,
     build_units,
     report_to_dict,
     run_nested_cv,
@@ -142,6 +143,21 @@ class TestNestedCv:
         report = run_nested_cv(records, RunConfig(task_id=1, feature_type="vggish"),
                                base_dir=d, embeddings=embeddings, grid=FAST_GRID)
         assert report.aggregate["auc"]["mean"] >= 0.9
+
+    def test_one_row_and_one_augmentation_per_unit(self, small_cohort, monkeypatch):
+        d, records, _ = small_cohort
+        cfg = RunConfig(task_id=2, seed=0, augment=True)
+        n_units = len(build_cohort(records, cfg, FeatureStore(d)).units)
+        rows, augmented = [], []
+        unit_vector, augment_six = evaluate.unit_vector, evaluate.aug.augment_six
+        monkeypatch.setattr(evaluate, "unit_vector",
+                            lambda unit, *args: rows.append(unit.key) or unit_vector(unit, *args))
+        monkeypatch.setattr(evaluate.aug, "augment_six",
+                            lambda seg, sample_id, cfg: augmented.append(sample_id)
+                            or augment_six(seg, sample_id, cfg))
+        run_nested_cv(records, cfg, base_dir=d, grid=FAST_GRID)
+        assert len(rows) == len(set(rows)) == n_units
+        assert augmented and len(augmented) == len(set(augmented))
 
     def test_aggregate_recomputation(self, small_cohort):
         d, records, _ = small_cohort
