@@ -102,14 +102,19 @@ def cmd_extract(args) -> int:
             writer.writerow([sample_id, *[format_float(v) for v in values]])
     write_text_atomic(args.out, buf.getvalue())
 
-    skip_path = Path(args.out).with_suffix(".skipped.csv")
-    skip_buf = io.StringIO()
-    skip_writer = csv.writer(skip_buf)
-    skip_writer.writerow(["sample_id", "reason"])
-    skip_writer.writerows(skipped)
-    write_text_atomic(skip_path, skip_buf.getvalue())
+    _write_skips(Path(args.out).with_suffix(".skipped.csv"), skipped)
     print(f"wrote {args.out} ({len(results) - len(skipped)} rows, {len(skipped)} skipped)")
     return EXIT_OK
+
+
+def _write_skips(path: Path, skipped: list[tuple[str, str]]) -> None:
+    """The skip CSV beside an output: one (sample_id, "Type: message") row
+    per recording left out as silent or too short."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["sample_id", "reason"])
+    writer.writerows(skipped)
+    write_text_atomic(path, buf.getvalue())
 
 
 def cmd_augment(args) -> int:
@@ -119,11 +124,15 @@ def cmd_augment(args) -> int:
     out_dir = Path(args.out_dir)
     cfg = aug.AugmentConfig(rng_seed=args.seed)
 
-    rows = []
+    rows, skipped = [], []
     for r in sorted(records, key=lambda r: (r.sample_id, r.modality)):
         if has_split and r.split != "train":
             continue  # augmentation is training-only by protocol
-        seg = evaluate.load_segment(base / r.audio_path)  # the segment evaluation augments
+        try:
+            seg = evaluate.load_segment(base / r.audio_path)  # the segment evaluation augments
+        except (SilentSample, TooShort) as exc:
+            skipped.append((r.sample_id, f"{type(exc).__name__}: {exc}"))
+            continue
         for variant in aug.augment_six(seg, r.sample_id, cfg):
             aug_id = f"{r.sample_id}_{variant.method}{variant.copy_index}"
             write_bytes_atomic(out_dir / f"{aug_id}.wav", encode_wav(variant.segment))
@@ -141,8 +150,10 @@ def cmd_augment(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(["sample_id", "parent_id", "method", "parameter", "seed"])
     writer.writerows(rows)
-    write_text_atomic(out_dir / "provenance.csv", buf.getvalue())
-    print(f"wrote {len(rows)} augmented recordings under {out_dir}")
+    provenance = out_dir / "provenance.csv"
+    write_text_atomic(provenance, buf.getvalue())
+    _write_skips(provenance.with_suffix(".skipped.csv"), skipped)
+    print(f"wrote {len(rows)} augmented recordings under {out_dir} ({len(skipped)} skipped)")
     return EXIT_OK
 
 
@@ -171,9 +182,9 @@ def cmd_train(args) -> int:
     cohort = evaluate.build_cohort(records, config, evaluate.FeatureStore(base, embeddings))
     users = [u.user_id for u in cohort.units]
     kind = config.classifier_kind
-    params = model.grid_search(cohort.X, cohort.y, users, kind, model.GridSpec(), config.seed,
-                               pca_cutoff=config.pca_cutoff)
-    [pipeline] = model.fit_pipeline(cohort.X, cohort.y, kind, [params], config.pca_cutoff)
+    [params] = model.grid_search(cohort.X, cohort.y, users, kind, model.GridSpec(), config.seed,
+                                 pca_cutoffs=[config.pca_cutoff])
+    [pipeline] = model.fit_pipeline(cohort.X, cohort.y, kind, [(config.pca_cutoff, params)])
     model.save_pipeline(pipeline, args.out)
     print(f"wrote {args.out} ({kind}, params {params}, pca_k {pipeline.pca.k}, "
           f"{len(cohort.skipped)} skipped)")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,16 +109,24 @@ class FeatureStore:
     def __init__(self, base_dir, embeddings: dict[str, EmbeddingFrames] | None = None):
         self.base_dir = Path(base_dir)
         self.embeddings = embeddings
-        self._segments: dict[str, object] = {}
+        self._segments: dict[str, AudioSegment | SilentSample | TooShort] = {}
         self._handcrafted: dict[str, feat.HandcraftedVector] = {}
         self._augmented: dict[tuple[str, aug.AugmentConfig], list[np.ndarray]] = {}
         self._embedding_vectors: dict[tuple[str, str], np.ndarray] = {}
 
     def segment(self, record: SampleRecord):
+        """The recording's segment; a silent or too-short recording raises its
+        `SilentSample`/`TooShort` again on every request without reloading."""
         key = record.sample_id
         if key not in self._segments:
-            self._segments[key] = load_segment(self.base_dir / record.audio_path)
-        return self._segments[key]
+            try:
+                self._segments[key] = load_segment(self.base_dir / record.audio_path)
+            except (SilentSample, TooShort) as exc:
+                self._segments[key] = exc
+        segment = self._segments[key]
+        if isinstance(segment, Exception):
+            raise segment.with_traceback(None)
+        return segment
 
     def handcrafted(self, record: SampleRecord) -> feat.HandcraftedVector:
         key = record.sample_id
@@ -238,7 +246,17 @@ def run_nested_cv(
     embeddings: dict[str, EmbeddingFrames] | None = None,
     grid: GridSpec = GridSpec(),
     store: FeatureStore | None = None,
-) -> EvaluationReport:
+    cutoffs: tuple[float, ...] | None = None,
+) -> EvaluationReport | tuple[EvaluationReport, ...]:
+    """User-disjoint nested CV of `config`, reported at `config.pca_cutoff`.
+
+    Given `cutoffs`, the run reports each of them instead and returns one
+    report per cutoff, in order. The cutoffs share the cohort, the splits
+    and, in every training slice, one standardizer and SVD; each cutoff
+    selects its own hyperparameters.
+    """
+    configs = [config] if cutoffs is None else [replace(config, pca_cutoff=c) for c in cutoffs]
+    pca_cutoffs = [c.pca_cutoff for c in configs]
     if store is None:
         store = FeatureStore(base_dir, embeddings)
     cohort = build_cohort(records, config, store)
@@ -248,7 +266,7 @@ def run_nested_cv(
                        config.seed)
 
     aug_cfg = aug.AugmentConfig(rng_seed=config.seed)
-    folds = []
+    folds: list[list[FoldResult]] = [[] for _ in configs]  # per cutoff
     for fold_idx, (train_users, test_users) in enumerate(plan.folds):
         assert not train_users & test_users
         train = np.flatnonzero(np.isin(users, list(train_users)))
@@ -276,23 +294,26 @@ def run_nested_cv(
 
         kind = config.classifier_kind
         params = grid_search(X_train, y_train, users_train, kind, grid,
-                             seed=config.seed + fold_idx, pca_cutoff=config.pca_cutoff)
-        [pipeline] = fit_pipeline(X_train, y_train, kind, [params], config.pca_cutoff)
-        scores = pipeline.decision_scores(X_test)
-        pr = precision_recall(scores, y_test, pipeline.classifier.threshold)
-        folds.append(
-            FoldResult(
-                auc=roc_auc(scores, y_test),
-                precision=pr.precision,
-                recall=pr.recall,
-                hyperparameters=params,
-                pca_k=pipeline.pca.k,
-                n_train=len(y_train),
-                n_test=len(y_test),
-                n_test_users=len(set(users[test])),
+                             seed=config.seed + fold_idx, pca_cutoffs=pca_cutoffs)
+        pipelines = fit_pipeline(X_train, y_train, kind, list(zip(pca_cutoffs, params)))
+        for cutoff_folds, pipeline, cell in zip(folds, pipelines, params, strict=True):
+            scores = pipeline.decision_scores(X_test)
+            pr = precision_recall(scores, y_test, pipeline.classifier.threshold)
+            cutoff_folds.append(
+                FoldResult(
+                    auc=roc_auc(scores, y_test),
+                    precision=pr.precision,
+                    recall=pr.recall,
+                    hyperparameters=cell,
+                    pca_k=pipeline.pca.k,
+                    n_train=len(y_train),
+                    n_test=len(y_test),
+                    n_test_users=len(set(users[test])),
+                )
             )
-        )
-    return EvaluationReport(config, tuple(folds), aggregate_folds(folds), cohort.skipped)
+    reports = tuple(EvaluationReport(c, tuple(f), aggregate_folds(f), cohort.skipped)
+                    for c, f in zip(configs, folds))
+    return reports[0] if cutoffs is None else reports
 
 
 # --- report and sweep serialization ----------------------------------------
@@ -354,33 +375,40 @@ def sweep(
 ) -> list[SweepRow]:
     """Cross product over modalities x cutoffs x feature types.
 
-    Cells needing embeddings are marked `skipped` when none are loaded;
-    a cell that fails with a `RespScreenError` is recorded as `error:<type>`
-    and the sweep continues. Other exceptions are bugs and propagate.
+    Each (modality, feature type) is one nested CV that reports all the
+    cutoffs. Cells needing embeddings are marked `skipped` when none are
+    loaded; a (modality, feature type) that fails with a `RespScreenError`
+    is recorded as `error:<type>` in each of its cutoffs and the sweep
+    continues. Other exceptions are bugs and propagate.
     """
+    for cutoff in cutoffs:  # an unknown cutoff is the caller's error, not a row
+        RunConfig(task_id=task_id, pca_cutoff=cutoff)
     store = FeatureStore(base_dir, embeddings)
     rows = []
     for modality in modalities:
-        for cutoff in cutoffs:
+        outcomes = {}  # feature type -> one report per cutoff, or a status
+        for feature_type in feature_types:
+            if feature_type in EMBEDDING_FEATURE_TYPES and embeddings is None:
+                outcomes[feature_type] = "skipped"
+                continue
+            config = RunConfig(task_id=task_id, modality=modality, feature_type=feature_type,
+                               seed=seed)
+            try:
+                outcomes[feature_type] = run_nested_cv(
+                    records, config, base_dir=base_dir, embeddings=embeddings,
+                    grid=grid, store=store, cutoffs=tuple(cutoffs),
+                )
+            except RespScreenError as exc:  # record and continue
+                outcomes[feature_type] = f"error:{type(exc).__name__}"
+        for i, cutoff in enumerate(cutoffs):
             for feature_type in feature_types:
                 base = dict(task=task_id, modality=modality, feature_type=feature_type,
                             pca_cutoff=cutoff)
-                if feature_type in EMBEDDING_FEATURE_TYPES and embeddings is None:
-                    rows.append(SweepRow(**base, status="skipped"))
+                outcome = outcomes[feature_type]
+                if isinstance(outcome, str):
+                    rows.append(SweepRow(**base, status=outcome))
                     continue
-                config = RunConfig(
-                    task_id=task_id, modality=modality, feature_type=feature_type,
-                    pca_cutoff=cutoff, seed=seed,
-                )
-                try:
-                    report = run_nested_cv(
-                        records, config, base_dir=base_dir, embeddings=embeddings,
-                        grid=grid, store=store,
-                    )
-                except RespScreenError as exc:  # record and continue
-                    rows.append(SweepRow(**base, status=f"error:{type(exc).__name__}"))
-                    continue
-                agg = report.aggregate
+                agg = outcome[i].aggregate
                 rows.append(
                     SweepRow(
                         **base,

@@ -9,6 +9,7 @@ versioned JSON and round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,9 @@ class PcaModel:
         return (np.asarray(X, dtype=np.float64) - self.mean) @ self.components.T
 
 
-def fit_pca(X: np.ndarray, cutoff: float) -> PcaModel:
-    """PCA by SVD of the (already standardized) data matrix."""
+def fit_pca(X: np.ndarray, cutoffs) -> list[PcaModel]:
+    """PCA by SVD of the (already standardized) data matrix, one model per
+    cutoff: each truncates the same SVD to its own minimal k."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 rows")
@@ -83,9 +85,11 @@ def fit_pca(X: np.ndarray, cutoff: float) -> PcaModel:
         raise DegenerateData("zero total variance")
     ratio = variances / total
     cumulative = np.cumsum(ratio)
-    k = int(np.searchsorted(cumulative, cutoff - 1e-12) + 1)
-    k = min(k, len(ratio))
-    return PcaModel(vt[:k].copy(), ratio[:k].copy(), cutoff, mean)
+    models = []
+    for cutoff in cutoffs:
+        k = min(int(np.searchsorted(cumulative, cutoff - 1e-12) + 1), len(ratio))
+        models.append(PcaModel(vt[:k].copy(), ratio[:k].copy(), cutoff, mean))
+    return models
 
 
 def _check_labels(y) -> np.ndarray:
@@ -129,6 +133,23 @@ class Classifier:
         return K @ self.dual_coef + self.intercept
 
 
+def _lr_loss(w, X, y_pm, C: float):
+    """(loss, margins z = y_pm * f(X)) of `lr_loss_grad`, without the gradient."""
+    z = y_pm * (X @ w[:-1] + w[-1])
+    loss = float(np.logaddexp(0.0, -z).sum() / len(z)) + 0.5 * float(w[:-1] @ w[:-1]) / C
+    return loss, z
+
+
+def _lr_grad(w, z, XT, neg_y_pm, C: float):
+    """Gradient of `lr_loss_grad` at `w` from its margins `z`; XT is X.T."""
+    sig = 1.0 / (1.0 + np.exp(np.minimum(np.maximum(z, -500.0), 500.0)))  # sigmoid(-z)
+    coef = neg_y_pm * sig / len(z)
+    grad = np.empty_like(w)
+    grad[:-1] = XT @ coef + w[:-1] / C
+    grad[-1] = coef.sum()
+    return grad
+
+
 def lr_loss_grad(w, X, y01, C: float):
     """Mean logistic loss plus ||w||^2 / (2C); intercept unpenalized.
 
@@ -136,43 +157,40 @@ def lr_loss_grad(w, X, y01, C: float):
     """
     X = np.asarray(X, dtype=np.float64)
     y_pm = 2.0 * np.asarray(y01, dtype=np.float64) - 1.0
-    n = X.shape[0]
-    z = y_pm * (X @ w[:-1] + w[-1])
-    loss = float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * float(w[:-1] @ w[:-1]) / C
-    sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))  # sigmoid(-z)
-    coef = -y_pm * sig / n
-    grad = np.empty_like(w)
-    grad[:-1] = X.T @ coef + w[:-1] / C
-    grad[-1] = coef.sum()
-    return loss, grad
+    loss, z = _lr_loss(w, X, y_pm, C)
+    return loss, _lr_grad(w, z, X.T, -y_pm, C)
 
 
 def fit_lr(X, y, C: float = 1.0, max_iter: int = 200) -> Classifier:
     """L2-regularized logistic regression via damped Newton from zero init,
     run until the gradient norm drops below 1e-8.
 
-    An iteration is a deterministic function of the weights, so a step that
-    leaves them bitwise unchanged is a fixed point: every further iteration
-    would repeat it, and the solver stops there with `converged=False`.
+    Line-search trials evaluate the loss only; the gradient is computed at
+    the accepted point. An iteration is a deterministic function of the
+    weights, so a step that leaves them bitwise unchanged is a fixed point:
+    every further iteration would repeat it, and the solver stops there
+    with `converged=False`.
     """
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise NonFiniteFeature("non-finite feature value")
-    y01 = _check_labels(y)
+    y_pm = 2.0 * _check_labels(y) - 1.0
+    neg_y_pm = -y_pm
+    XT = X.T
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
     ridge = np.eye(d) / C
     jitter = 1e-12 * np.eye(d + 1)  # guard against exact singularity
 
     w = np.zeros(d + 1)
-    loss, grad = lr_loss_grad(w, X, y01, C)
+    loss, z = _lr_loss(w, X, y_pm, C)
+    grad = _lr_grad(w, z, XT, neg_y_pm, C)
     converged = False
     for n_iter in range(max_iter):
-        if np.linalg.norm(grad) < LR_GRADIENT_TOL:
+        if math.sqrt(grad @ grad) < LR_GRADIENT_TOL:
             converged = True
             break
-        z = np.clip(Xb @ w, -500, 500)
-        p = 1.0 / (1.0 + np.exp(-z))
+        p = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(Xb @ w, -500.0), 500.0)))
         r = p * (1.0 - p)
         H = (Xb * (r / n)[:, None]).T @ Xb
         H[:d, :d] += ridge
@@ -183,16 +201,16 @@ def fit_lr(X, y, C: float = 1.0, max_iter: int = 200) -> Classifier:
         descent = float(grad @ step)
         for _ls in range(60):
             w_next = w - t * step
-            next_loss, next_grad = lr_loss_grad(w_next, X, y01, C)
+            next_loss, z = _lr_loss(w_next, X, y_pm, C)
             if next_loss <= loss - 1e-4 * t * descent:
                 break
             t *= 0.5
         else:  # no sufficient decrease: step by the last, unevaluated halving
             w_next = w - t * step
-            next_loss, next_grad = lr_loss_grad(w_next, X, y01, C)
-        if np.array_equal(w_next, w):
+            next_loss, z = _lr_loss(w_next, X, y_pm, C)
+        if (w_next == w).all():
             break
-        w, loss, grad = w_next, next_loss, next_grad
+        w, loss, grad = w_next, next_loss, _lr_grad(w_next, z, XT, neg_y_pm, C)
     else:
         n_iter = max_iter
     return Classifier(kind="lr", hyperparameters={"C": C}, weights=w,
@@ -324,44 +342,56 @@ def _inner_user_folds(users, seed: int, n_folds: int) -> list[tuple[np.ndarray, 
 
 
 def grid_search(X, y, users, kind: str, grid: GridSpec, seed: int,
-                pca_cutoff: float) -> dict:
-    """Pick hyperparameters maximizing mean inner-fold ROC-AUC.
+                pca_cutoffs) -> list[dict]:
+    """Pick, for each PCA cutoff, the hyperparameters maximizing mean
+    inner-fold ROC-AUC.
 
     Inner folds are user-disjoint. Each inner fold's training slice gets one
-    standardize -> PCA fit, shared by every grid cell, so selection sees the
-    same preprocessing as the outer fit and never leaks validation rows.
-    Ties break toward smaller C then smaller gamma ('scale' is evaluated on
-    each fold's projected training slice).
+    standardize -> SVD fit, shared by every cutoff and grid cell, so
+    selection sees the same preprocessing as the outer fit and never leaks
+    validation rows. Ties break toward smaller C then smaller gamma
+    ('scale' is evaluated on each fold's projected training slice).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     folds = _inner_user_folds(users, seed, grid.inner_folds)
     cells = grid.cells(kind)
     if len(cells) == 1:
-        return cells[0]
+        return [cells[0] for _ in pca_cutoffs]
 
     def sort_key(cell):
         gamma = cell.get("gamma", 0.0)
         return (cell["C"], -1.0 if gamma == "scale" else float(gamma))
 
     cells = sorted(cells, key=sort_key)
-    aucs: list[list[float]] = [[] for _ in cells]
+    fits = [(cutoff, cell) for cutoff in pca_cutoffs for cell in cells]
+    aucs: list[list[float]] = [[] for _ in fits]
     for train_idx, val_idx in folds:
         if len(np.unique(y[train_idx])) < 2 or len(np.unique(y[val_idx])) < 2:
             continue  # degenerate fold at desk scale; score on the rest
-        pipes = fit_pipeline(X[train_idx], y[train_idx], kind, cells, pca_cutoff)
-        Z_val = pipes[0].transform(X[val_idx])  # every cell shares the basis
-        for cell_aucs, pipe in zip(aucs, pipes):
-            cell_aucs.append(roc_auc(pipe.classifier.decision_scores(Z_val), y[val_idx]))
+        pipes = fit_pipeline(X[train_idx], y[train_idx], kind, fits)
+        X_val = pipes[0].standardizer.transform(X[val_idx])  # every fit shares it
+        Z_val: dict[int, np.ndarray] = {}  # pca.k -> projected validation slice
+        scores: dict[int, float] = {}  # id(classifier) -> validation AUC
+        for fit_aucs, pipe in zip(aucs, pipes):
+            if id(pipe.classifier) not in scores:
+                if pipe.pca.k not in Z_val:
+                    Z_val[pipe.pca.k] = pipe.pca.transform(X_val)
+                scores[id(pipe.classifier)] = roc_auc(
+                    pipe.classifier.decision_scores(Z_val[pipe.pca.k]), y[val_idx])
+            fit_aucs.append(scores[id(pipe.classifier)])
 
-    best_cell, best_auc = None, -np.inf
-    for cell, cell_aucs in zip(cells, aucs):
-        mean_auc = float(np.mean(cell_aucs)) if cell_aucs else -np.inf
-        if mean_auc > best_auc + 1e-12:
-            best_auc, best_cell = mean_auc, cell
-    if best_cell is None:
-        raise SingleClass("no inner fold had both classes")
-    return best_cell
+    best = []
+    for i in range(len(pca_cutoffs)):
+        best_cell, best_auc = None, -np.inf
+        for cell, cell_aucs in zip(cells, aucs[i * len(cells):(i + 1) * len(cells)]):
+            mean_auc = float(np.mean(cell_aucs)) if cell_aucs else -np.inf
+            if mean_auc > best_auc + 1e-12:
+                best_auc, best_cell = mean_auc, cell
+        if best_cell is None:
+            raise SingleClass("no inner fold had both classes")
+        best.append(best_cell)
+    return best
 
 
 # --- JSON persistence ------------------------------------------------------
@@ -382,18 +412,32 @@ class Pipeline:
         return self.classifier.decision_scores(self.transform(X))
 
 
-def fit_pipeline(X, y, kind: str, cells: list[dict], pca_cutoff: float) -> list[Pipeline]:
-    """One pipeline per hyperparameter cell, all on one preprocessing.
+def fit_pipeline(X, y, kind: str, fits) -> list[Pipeline]:
+    """One pipeline per (PCA cutoff, hyperparameter cell) in `fits`, all on
+    one preprocessing.
 
-    The standardizer and PCA basis are fit once on `X`, the slice is
-    projected once, and only the classifier is fit per cell; the returned
-    pipelines share the standardizer and PCA objects.
+    The standardizer and the SVD are fit once on `X`, and each cutoff
+    truncates that SVD. The slice is projected once per distinct k, and a
+    classifier is fit once per distinct (k, cell): cutoffs that keep the
+    same k share their classifier objects. All pipelines share the
+    standardizer, and those of one cutoff share its PCA model.
     """
     std = Standardizer().fit(X)
     Xs = std.transform(X)
-    pca = fit_pca(Xs, pca_cutoff)
-    Z = pca.transform(Xs)
-    return [Pipeline(std, pca, fit_classifier(kind, Z, y, params)) for params in cells]
+    cutoffs = list(dict.fromkeys(cutoff for cutoff, _ in fits))
+    pcas = dict(zip(cutoffs, fit_pca(Xs, cutoffs)))
+    projected: dict[int, np.ndarray] = {}  # pca.k -> projected slice
+    classifiers: dict[tuple, Classifier] = {}  # (pca.k, cell) -> classifier
+    pipelines = []
+    for cutoff, params in fits:
+        pca = pcas[cutoff]
+        key = (pca.k, *sorted(params.items()))
+        if key not in classifiers:
+            if pca.k not in projected:
+                projected[pca.k] = pca.transform(Xs)
+            classifiers[key] = fit_classifier(kind, projected[pca.k], y, params)
+        pipelines.append(Pipeline(std, pca, classifiers[key]))
+    return pipelines
 
 
 def pipeline_to_dict(p: Pipeline) -> dict:

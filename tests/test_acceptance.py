@@ -192,7 +192,7 @@ def test_criterion_06_pca_contract():
     _, s, _ = np.linalg.svd(X - mean, full_matrices=False)
     cumulative = np.cumsum(s**2 / np.sum(s**2))
     for cutoff in PCA_CUTOFFS:
-        pca = fit_pca(X, cutoff)
+        [pca] = fit_pca(X, [cutoff])
         G = pca.components @ pca.components.T
         assert np.allclose(G, np.eye(pca.k), atol=1e-8)
         assert cumulative[pca.k - 1] >= cutoff - 1e-12

@@ -238,6 +238,21 @@ class TestUnusableRecordings:
                      "--out", str(tmp_path / "m.json")]) == EXIT_OK
         assert "2 skipped" in capsys.readouterr().out
 
+    def test_augment_skips_silent_recordings(self, damaged, tmp_path, capsys):
+        d, extract_skips = damaged
+        out_dir = tmp_path / "aug"
+        assert main(["augment", "--manifest", str(d / "manifest.csv"),
+                     "--out-dir", str(out_dir)]) == EXIT_OK
+        assert "1 skipped" in capsys.readouterr().out
+        with open(out_dir / "provenance.skipped.csv") as fh:
+            skips = list(csv.reader(fh))
+        silent = [row for row in extract_skips if row[1].startswith("SilentSample")]
+        assert skips == [["sample_id", "reason"], *silent]
+        with open(out_dir / "provenance.csv") as fh:
+            parents = {row["parent_id"] for row in csv.DictReader(fh)}
+        ids = {r.sample_id for r in load_manifest(d / "manifest.csv")}
+        assert parents == ids - {silent[0][0]}
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_but_flags_win(self, cohort_dir, tmp_path,

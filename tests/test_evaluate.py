@@ -1,8 +1,12 @@
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from respscreen import evaluate, synth
-from respscreen.dataset import load_manifest
+from respscreen import evaluate, model, synth
+from respscreen.audio_io import AudioSegment, encode_wav
+from respscreen.dataset import N_OUTER_FOLDS, load_manifest
 from respscreen.embeddings import load_embeddings
 from respscreen.errors import ConfigError, EmptyCohort
 from respscreen.evaluate import (
@@ -19,7 +23,7 @@ from respscreen.evaluate import (
     sweep_rows_from_csv,
     sweep_rows_to_csv,
 )
-from respscreen.model import GridSpec, Standardizer
+from respscreen.model import PCA_CUTOFFS, GridSpec, Standardizer, _inner_user_folds
 
 FAST_GRID = GridSpec(lr_c=(1.0,), svm_c=(1.0,), svm_gamma=("scale",))
 
@@ -218,6 +222,73 @@ class TestSweep:
             sweep(records, task_id=1, seed=0, base_dir=d, feature_types=("handcrafted",),
                   modalities=("cough",), cutoffs=(0.9,))
 
+    def test_rows_equal_single_cutoff_runs(self, small_cohort, monkeypatch):
+        d, records, embeddings = small_cohort
+        store = FeatureStore(d, embeddings)
+        run, fit_pca, reports, slice_ks = evaluate.run_nested_cv, model.fit_pca, {}, []
+
+        def spy_run(records, config, **kw):
+            reports[(config.modality, config.feature_type)] = run(records, config, **kw)
+            return reports[(config.modality, config.feature_type)]
+
+        def spy_pca(X, cutoffs):
+            pcas = fit_pca(X, cutoffs)
+            slice_ks.append([p.k for p in pcas])
+            return pcas
+
+        monkeypatch.setattr(evaluate, "run_nested_cv", spy_run)
+        monkeypatch.setattr(model, "fit_pca", spy_pca)
+        rows = sweep(records, task_id=1, seed=0, base_dir=d, embeddings=embeddings,
+                     modalities=("cough", "combined"),
+                     feature_types=("handcrafted", "vggish", "combined-B"))
+        assert any(len(set(ks)) < len(ks) for ks in slice_ks)  # two cutoffs share k
+        monkeypatch.setattr(evaluate, "run_nested_cv", run)
+        assert len(rows) == 2 * 4 * 3
+        for row in rows:
+            cfg = RunConfig(task_id=1, modality=row.modality, feature_type=row.feature_type,
+                            pca_cutoff=row.pca_cutoff)
+            alone = run_nested_cv(records, cfg, store=store)
+            agg = alone.aggregate
+            assert row.status == "ok"
+            assert (row.auc_mean, row.auc_std, row.precision_mean, row.precision_std,
+                    row.recall_mean, row.recall_std) == (
+                agg["auc"]["mean"], agg["auc"]["std"], agg["precision"]["mean"],
+                agg["precision"]["std"], agg["recall"]["mean"], agg["recall"]["std"])
+            shared = reports[(row.modality, row.feature_type)][PCA_CUTOFFS.index(row.pca_cutoff)]
+            assert shared.config == cfg
+            assert [asdict(f) for f in shared.folds] == [asdict(f) for f in alone.folds]
+
+    def test_one_nested_cv_and_one_basis_per_slice(self, small_cohort, monkeypatch):
+        d, records, embeddings = small_cohort
+        runs, bases, usable_inner = [], [], []
+        run, fit_pca, grid_search = (evaluate.run_nested_cv, model.fit_pca,
+                                     evaluate.grid_search)
+        monkeypatch.setattr(evaluate, "run_nested_cv", lambda records, config, **kw: runs
+                            .append((config.modality, config.feature_type, kw["cutoffs"]))
+                            or run(records, config, **kw))
+        monkeypatch.setattr(model, "fit_pca", lambda X, cutoffs: bases.append(tuple(cutoffs))
+                            or fit_pca(X, cutoffs))
+
+        def spy(X, y, users, kind, grid, seed, pca_cutoffs):
+            usable_inner.extend(f for f in _inner_user_folds(users, seed, grid.inner_folds)
+                                if all(len(np.unique(y[idx])) == 2 for idx in f))
+            return grid_search(X, y, users, kind, grid, seed, pca_cutoffs=pca_cutoffs)
+
+        monkeypatch.setattr(evaluate, "grid_search", spy)
+        sweep(records, task_id=1, seed=0, base_dir=d, embeddings=embeddings,
+              grid=GridSpec(lr_c=(0.1, 1.0)), modalities=("cough", "breath"),
+              feature_types=("handcrafted", "vggish"))
+        assert sorted(runs) == [(m, f, PCA_CUTOFFS) for m in ("breath", "cough")
+                                for f in ("handcrafted", "vggish")]
+        n_outer = N_OUTER_FOLDS * len(runs)
+        assert len(bases) == n_outer + len(usable_inner)  # 4 per slice, one per cutoff, before
+        assert set(bases) == {PCA_CUTOFFS}
+
+    def test_unknown_cutoff_raises(self, small_cohort):
+        d, records, _ = small_cohort
+        with pytest.raises(ConfigError):
+            sweep(records, task_id=1, seed=0, base_dir=d, cutoffs=(0.9, 0.5))
+
     def test_csv_round_trip(self):
         rows = [
             SweepRow(1, "cough", "handcrafted", 0.9, 0.123456789012345, 0.01,
@@ -233,6 +304,25 @@ class TestSweep:
 
 
 class TestFeatureStore:
+    def test_loads_an_unusable_recording_once(self, tmp_path, monkeypatch):
+        spec = synth.CohortSpec(n_covid=6, n_healthy=6, n_cough=0, n_asthma=0,
+                                clip_seconds=0.5)
+        records = load_manifest(synth.generate_cohort(tmp_path, seed=1, spec=spec))
+        synth.generate_embeddings(records, tmp_path / "embeddings.csv", seed=1)
+        silent = min((r for r in records if r.modality == "cough"), key=lambda r: r.sample_id)
+        (tmp_path / silent.audio_path).write_bytes(
+            encode_wav(AudioSegment(np.zeros(11025), 22050)))
+        loads = []
+        load_segment = evaluate.load_segment
+        monkeypatch.setattr(evaluate, "load_segment",
+                            lambda path: loads.append(path.name) or load_segment(path))
+        rows = sweep(records, task_id=1, seed=0, base_dir=tmp_path,
+                     embeddings=load_embeddings(tmp_path / "embeddings.csv"), grid=FAST_GRID,
+                     modalities=("cough", "combined"), feature_types=("handcrafted", "combined-A"))
+        assert {r.status for r in rows} == {"ok"}
+        assert loads.count(Path(silent.audio_path).name) == 1
+        assert len(loads) == len(set(loads))
+
     def test_caches_by_sample(self, small_cohort):
         d, records, _ = small_cohort
         store = FeatureStore(d)

@@ -7,6 +7,7 @@ from respscreen.errors import DegenerateData, NonFiniteFeature, SingleClass, Too
 from respscreen.metrics import roc_auc
 from respscreen import model
 from respscreen.model import (
+    LR_C_GRID,
     LR_GRADIENT_TOL,
     PCA_CUTOFFS,
     GridSpec,
@@ -55,7 +56,7 @@ class TestStandardizer:
 class TestPca:
     def test_components_orthonormal(self):
         X = np.random.default_rng(1).normal(size=(40, 12))
-        pca = fit_pca(X, 0.95)
+        [pca] = fit_pca(X, [0.95])
         G = pca.components @ pca.components.T
         assert np.allclose(G, np.eye(pca.k), atol=1e-8)
 
@@ -68,26 +69,26 @@ class TestPca:
         ratio = s**2 / np.sum(s**2)
         cumulative = np.cumsum(ratio)
         for cutoff in PCA_CUTOFFS:
-            pca = fit_pca(X, cutoff)
+            [pca] = fit_pca(X, [cutoff])
             assert cumulative[pca.k - 1] >= cutoff - 1e-12
             if pca.k > 1:
                 assert cumulative[pca.k - 2] < cutoff
 
     def test_monotone_in_cutoff(self):
         X = np.random.default_rng(3).normal(size=(60, 10))
-        ks = [fit_pca(X, c).k for c in PCA_CUTOFFS]
+        ks = [fit_pca(X, [c])[0].k for c in PCA_CUTOFFS]
         assert ks == sorted(ks)
 
     def test_exact_two_dim_example(self):
         # all the variance lies along one axis, so one component suffices
         X = np.array([[t, 0.0] for t in np.linspace(-1, 1, 9)])
-        pca = fit_pca(X, 0.95)
+        [pca] = fit_pca(X, [0.95])
         assert pca.k == 1
         assert abs(pca.components[0, 0]) == pytest.approx(1.0)
 
     def test_reconstruction_captures_variance(self):
         X = np.random.default_rng(4).normal(size=(100, 20))
-        pca = fit_pca(X, 0.9)
+        [pca] = fit_pca(X, [0.9])
         Z = pca.transform(X)
         Xr = Z @ pca.components + pca.mean
         resid = np.sum((X - Xr) ** 2)
@@ -96,7 +97,7 @@ class TestPca:
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateData):
-            fit_pca(np.ones((5, 3)), 0.9)
+            fit_pca(np.ones((5, 3)), [0.9])
 
 
 class TestLogisticRegression:
@@ -161,25 +162,38 @@ class TestLogisticRegression:
             y[:2] = [0, 1]
             yield X, y, float(rng.choice([0.01, 0.1, 1.0, 10.0, 100.0]))
 
+    def sweep_shaped_problems(self):
+        """The sweep's inner fits: 8 or 10 rows of separable PCA scores with
+        d = 3..9, at every C of the LR grid (2-10 Newton steps each, as in
+        the sweep)."""
+        rng = np.random.default_rng(56)
+        for d in range(3, 10):
+            for C in LR_C_GRID:
+                n = int(rng.choice([8, 10]))
+                y = np.arange(n) % 2
+                X = (rng.normal(size=(n, d)) * np.linspace(12.0, 3.0, d)
+                     + y[:, None] * rng.uniform(0.0, 20.0, size=d))
+                yield X, y, C
+
     def test_weights_bitwise_equal_newton_oracle(self):
         X, y = blobs(**self.STALL)
-        problems = [(X, y, 1.0), *self.random_problems()]
+        problems = [(X, y, 1.0), *self.random_problems(), *self.sweep_shaped_problems()]
         for X, y, C in problems:
             w = fit_lr(X, y, C=C).weights
             assert w.tobytes() == newton_lr_oracle(X, y, C).tobytes()
 
     def test_stalled_line_search_stops_at_fixed_point(self, monkeypatch):
         calls = []
-        orig = model.lr_loss_grad
+        orig = model._lr_loss  # every loss evaluation of the solver
 
         def counting(*args, **kwargs):
             calls.append(1)
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(model, "lr_loss_grad", counting)
+        monkeypatch.setattr(model, "_lr_loss", counting)
         X, y = blobs(**self.STALL)
         fit_lr(X, y, C=1.0)
-        assert len(calls) <= 100  # 5,692 when the stall ran to max_iter
+        assert 0 < len(calls) <= 100  # 5,692 when the stall ran to max_iter
 
     def test_reports_solver_status(self):
         X, y = blobs(seed=5)
@@ -295,40 +309,40 @@ class TestGridSearch:
         y = np.array([0] * 30 + [1] * 30)
         users = self.users(len(X))
         grid = GridSpec(svm_c=(1.0,), svm_gamma=(1e-5, 1.0))
-        best = grid_search(X, y, users, "svm-rbf", grid, seed=0, pca_cutoff=0.95)
+        [best] = grid_search(X, y, users, "svm-rbf", grid, seed=0, pca_cutoffs=[0.95])
         assert best == {"C": 1.0, "gamma": 1.0}
 
     def test_deterministic(self):
         X, y = blobs(n_per=20, d=3, seed=18)
         users = self.users(len(X))
         grid = GridSpec(svm_c=(0.1, 1.0), svm_gamma=("scale", 0.01))
-        a = grid_search(X, y, users, "svm-rbf", grid, seed=0, pca_cutoff=0.95)
-        b = grid_search(X, y, users, "svm-rbf", grid, seed=0, pca_cutoff=0.95)
+        [a] = grid_search(X, y, users, "svm-rbf", grid, seed=0, pca_cutoffs=[0.95])
+        [b] = grid_search(X, y, users, "svm-rbf", grid, seed=0, pca_cutoffs=[0.95])
         assert a == b
 
     def test_single_cell_short_circuit(self):
         X, y = blobs(n_per=5, seed=19)
-        best = grid_search(X, y, self.users(len(X)), "lr", GridSpec(lr_c=(0.5,)), seed=0,
-                           pca_cutoff=0.95)
+        [best] = grid_search(X, y, self.users(len(X)), "lr", GridSpec(lr_c=(0.5,)), seed=0,
+                             pca_cutoffs=[0.95])
         assert best == {"C": 0.5}
 
     def test_too_few_users(self):
         X, y = blobs(n_per=4, seed=20)
         with pytest.raises(TooFewUsers):
             grid_search(X, y, ["u0"] * 4 + ["u1"] * 4, "lr", GridSpec(), seed=0,
-                        pca_cutoff=0.95)
+                        pca_cutoffs=[0.95])
 
     def test_tie_breaks_toward_smaller_c(self):
         # perfectly separable data: every C wins, smallest must be chosen
         X, y = blobs(n_per=30, d=2, sep=10.0, seed=21)
-        best = grid_search(X, y, self.users(len(X)), "lr", GridSpec(), seed=0,
-                           pca_cutoff=0.95)
+        [best] = grid_search(X, y, self.users(len(X)), "lr", GridSpec(), seed=0,
+                             pca_cutoffs=[0.95])
         assert best == {"C": 0.01}
 
     def test_pipeline_mode_runs(self):
         X, y = blobs(n_per=30, d=6, sep=3.0, seed=22)
-        best = grid_search(X, y, self.users(len(X)), "lr", GridSpec(lr_c=(0.1, 1.0)),
-                           seed=0, pca_cutoff=0.9)
+        [best] = grid_search(X, y, self.users(len(X)), "lr", GridSpec(lr_c=(0.1, 1.0)),
+                             seed=0, pca_cutoffs=[0.9])
         assert best["C"] in (0.1, 1.0)
 
     def test_one_basis_per_usable_inner_fold(self, monkeypatch):
@@ -340,20 +354,53 @@ class TestGridSearch:
         assert len(grid.cells("lr")) == 4
         usable = [f for f in _inner_user_folds(users, 0, grid.inner_folds)
                   if all(len(np.unique(y[idx])) == 2 for idx in f)]
-        grid_search(X, y, users, "lr", grid, seed=0, pca_cutoff=0.9)
+        grid_search(X, y, users, "lr", grid, seed=0, pca_cutoffs=[0.9])
         assert len(calls) == len(usable) > 0  # 4 per fold, one per C, before
 
 
+    def test_each_cutoff_selects_as_if_alone(self):
+        rng = np.random.default_rng(40)
+        X = rng.normal(size=(40, 8))
+        y = (X[:, 5] + X[:, 6] + rng.normal(0, 1.0, 40) > 0).astype(int)
+        users = self.users(len(X))
+        best = grid_search(X, y, users, "lr", GridSpec(), seed=0, pca_cutoffs=PCA_CUTOFFS)
+        assert len({cell["C"] for cell in best}) == 3  # the cutoffs disagree
+        for cutoff, cell in zip(PCA_CUTOFFS, best):
+            assert grid_search(X, y, users, "lr", GridSpec(), seed=0,
+                               pca_cutoffs=[cutoff]) == [cell]
+
+
 class TestFitPipeline:
+    def test_cutoffs_with_one_k_share_a_classifier(self, monkeypatch):
+        # one strong common factor: cutoffs 0.7 and 0.8 both keep k = 1
+        rng = np.random.default_rng(26)
+        z = rng.normal(size=(24, 1))
+        X = z * np.ones(5) + rng.normal(size=(24, 5)) * np.array([0.2, 0.3, 0.5, 0.8, 1.0])
+        y = (z[:, 0] + rng.normal(0, 0.5, 24) > 0).astype(int)
+        lr_fits = []
+        fit_lr = model.fit_lr
+        monkeypatch.setattr(model, "fit_lr", lambda *a, **k: lr_fits.append(1) or fit_lr(*a, **k))
+        fits = [(cutoff, {"C": c}) for cutoff in PCA_CUTOFFS for c in (0.1, 1.0)]
+        pipes = fit_pipeline(X, y, "lr", fits)
+        assert [p.pca.k for p in pipes] == [1, 1, 1, 1, 2, 2, 3, 3]
+        assert [p.pca.cutoff for p in pipes] == [cutoff for cutoff, _ in fits]
+        assert len(lr_fits) == 3 * 2  # one per distinct (k, cell)
+        assert pipes[0].classifier is pipes[2].classifier
+        assert pipes[1].classifier is pipes[3].classifier
+        assert len({id(p.classifier) for p in pipes}) == 6
+        for fit, pipe in zip(fits, pipes):
+            [alone] = fit_pipeline(X, y, "lr", [fit])
+            assert json.dumps(pipeline_to_dict(alone)) == json.dumps(pipeline_to_dict(pipe))
+
     def test_cells_share_one_preprocessing(self):
         X, y = blobs(n_per=12, d=5, seed=25)
         cells = [{"C": 0.1, "gamma": "scale"}, {"C": 10.0, "gamma": 0.01}]
-        pipes = fit_pipeline(X, y, "svm-rbf", cells, pca_cutoff=0.9)
+        pipes = fit_pipeline(X, y, "svm-rbf", [(0.9, cell) for cell in cells])
         assert [p.classifier.hyperparameters["C"] for p in pipes] == [0.1, 10.0]
         assert all(p.pca is pipes[0].pca and p.standardizer is pipes[0].standardizer
                    for p in pipes)
         for cell, pipe in zip(cells, pipes):
-            [alone] = fit_pipeline(X, y, "svm-rbf", [cell], pca_cutoff=0.9)
+            [alone] = fit_pipeline(X, y, "svm-rbf", [(0.9, cell)])
             assert np.array_equal(alone.decision_scores(X), pipe.decision_scores(X))
 
 
@@ -361,7 +408,7 @@ class TestPipelinePersistence:
     def make(self, kind):
         X, y = blobs(n_per=12, d=5, seed=23)
         params = {"C": 1.0} if kind == "lr" else {"C": 1.0, "gamma": 0.1}
-        return fit_pipeline(X, y, kind, [params], pca_cutoff=0.9)[0], X
+        return fit_pipeline(X, y, kind, [(0.9, params)])[0], X
 
     @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
     def test_json_round_trip_exact(self, kind, tmp_path):
