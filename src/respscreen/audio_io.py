@@ -158,18 +158,16 @@ def _frame_rms(x: np.ndarray, frame_length: int, hop_length: int) -> np.ndarray:
     return out
 
 
-def trim_silence(seg: AudioSegment, threshold_db: float = TRIM_THRESHOLD_DB) -> AudioSegment:
-    """Drop leading/trailing frames more than `threshold_db` below peak RMS.
+def trim_silence(seg: AudioSegment) -> AudioSegment:
+    """Drop leading/trailing frames more than TRIM_THRESHOLD_DB below peak RMS.
 
     Raises SilentSample when nothing remains.
     """
-    if threshold_db <= 0:
-        raise ValueError("threshold_db must be positive")
     rms = _frame_rms(seg.samples, TRIM_FRAME_LENGTH, TRIM_HOP_LENGTH)
     peak = rms.max()
     if peak <= 0:
         raise SilentSample("all-zero signal")
-    keep = rms > peak * 10.0 ** (-threshold_db / 20.0)
+    keep = rms > peak * 10.0 ** (-TRIM_THRESHOLD_DB / 20.0)
     idx = np.flatnonzero(keep)
     if len(idx) == 0:
         raise SilentSample("nothing above the trim threshold")

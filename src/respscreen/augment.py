@@ -1,7 +1,7 @@
 """Training-set audio augmentation: amplify, white noise, pitch/speed.
 
 Each original expands into six variants (two per method). Parameters are
-drawn from the configured ranges with a per-sample seed derived from
+drawn from the fixed ranges below with a per-sample seed derived from
 (global seed, sample id, method, copy index), so parallel processing
 order never changes results. The operators are class-agnostic; the
 evaluation pipeline enforces the negatives-only, training-only policy.
@@ -20,18 +20,10 @@ from .errors import SilentSample
 METHODS = ("amplify", "noise", "pitch_speed")
 COPIES_PER_METHOD = 2  # fixed by the protocol
 
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    amp_range: tuple[float, float] = (1.15, 2.0)
-    rate_range: tuple[float, float] = (0.8, 0.99)
-    noise_snr_db_range: tuple[float, float] = (20.0, 40.0)
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        for lo, hi in (self.amp_range, self.rate_range, self.noise_snr_db_range):
-            if lo > hi:
-                raise ValueError("range bounds out of order")
+# Parameter ranges, drawn uniformly
+AMP_RANGE = (1.15, 2.0)  # amplification factor
+RATE_RANGE = (0.8, 0.99)  # playback rate
+NOISE_SNR_DB_RANGE = (20.0, 40.0)
 
 
 @dataclass(frozen=True)
@@ -73,19 +65,19 @@ def derive_seed(global_seed: int, sample_id: str, method: str, copy_index: int) 
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
-def augment_six(seg: AudioSegment, sample_id: str, cfg: AugmentConfig) -> list[Augmented]:
+def augment_six(seg: AudioSegment, sample_id: str, seed: int) -> list[Augmented]:
     """Two amplified + two noised + two pitch/speed variants of one segment."""
     out: list[Augmented] = []
     for method in METHODS:
         for copy_index in range(COPIES_PER_METHOD):
-            rng = np.random.default_rng(derive_seed(cfg.rng_seed, sample_id, method, copy_index))
+            rng = np.random.default_rng(derive_seed(seed, sample_id, method, copy_index))
             if method == "amplify":
-                factor = rng.uniform(*cfg.amp_range)
+                factor = rng.uniform(*AMP_RANGE)
                 out.append(Augmented(amplify(seg, factor), method, factor, copy_index))
             elif method == "noise":
-                snr = rng.uniform(*cfg.noise_snr_db_range)
+                snr = rng.uniform(*NOISE_SNR_DB_RANGE)
                 out.append(Augmented(add_white_noise(seg, snr, rng), method, snr, copy_index))
             else:
-                rate = rng.uniform(*cfg.rate_range)
+                rate = rng.uniform(*RATE_RANGE)
                 out.append(Augmented(pitch_speed(seg, rate), method, rate, copy_index))
     return out

@@ -38,6 +38,10 @@ EXIT_CONFIG = 4
 
 CONFIG_ENV_VAR = "RESPSCREEN_CONFIG"
 
+# Header of the skip CSV written beside an output: one (sample_id,
+# "Type: message") row per recording left out as silent or too short.
+SKIP_HEADER = ("sample_id", "reason")
+
 
 def _load_config_defaults(path: str | None) -> dict:
     path = path or os.environ.get(CONFIG_ENV_VAR)
@@ -51,6 +55,14 @@ def _load_config_defaults(path: str | None) -> dict:
     if not isinstance(config, dict):
         raise ConfigError(f"config: {path} must hold a JSON object")
     return config
+
+
+def _write_csv(path, header, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text_atomic(path, buf.getvalue())
 
 
 def _extract_one(args):
@@ -91,30 +103,16 @@ def cmd_extract(args) -> int:
     else:
         results = [_extract_one(j) for j in jobs]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["sample_id", *features.FEATURE_NAMES])
-    skipped = []
+    rows, skipped = [], []
     for sample_id, values, reason in results:
         if values is None:
             skipped.append((sample_id, reason))
         else:
-            writer.writerow([sample_id, *[format_float(v) for v in values]])
-    write_text_atomic(args.out, buf.getvalue())
-
-    _write_skips(Path(args.out).with_suffix(".skipped.csv"), skipped)
-    print(f"wrote {args.out} ({len(results) - len(skipped)} rows, {len(skipped)} skipped)")
+            rows.append([sample_id, *[format_float(v) for v in values]])
+    _write_csv(args.out, ["sample_id", *features.FEATURE_NAMES], rows)
+    _write_csv(Path(args.out).with_suffix(".skipped.csv"), SKIP_HEADER, skipped)
+    print(f"wrote {args.out} ({len(rows)} rows, {len(skipped)} skipped)")
     return EXIT_OK
-
-
-def _write_skips(path: Path, skipped: list[tuple[str, str]]) -> None:
-    """The skip CSV beside an output: one (sample_id, "Type: message") row
-    per recording left out as silent or too short."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["sample_id", "reason"])
-    writer.writerows(skipped)
-    write_text_atomic(path, buf.getvalue())
 
 
 def cmd_augment(args) -> int:
@@ -122,7 +120,6 @@ def cmd_augment(args) -> int:
     has_split = any(r.split for r in records)
     base = Path(args.manifest).parent
     out_dir = Path(args.out_dir)
-    cfg = aug.AugmentConfig(rng_seed=args.seed)
 
     rows, skipped = [], []
     for r in sorted(records, key=lambda r: (r.sample_id, r.modality)):
@@ -133,7 +130,7 @@ def cmd_augment(args) -> int:
         except (SilentSample, TooShort) as exc:
             skipped.append((r.sample_id, f"{type(exc).__name__}: {exc}"))
             continue
-        for variant in aug.augment_six(seg, r.sample_id, cfg):
+        for variant in aug.augment_six(seg, r.sample_id, args.seed):
             aug_id = f"{r.sample_id}_{variant.method}{variant.copy_index}"
             write_bytes_atomic(out_dir / f"{aug_id}.wav", encode_wav(variant.segment))
             rows.append(
@@ -146,13 +143,9 @@ def cmd_augment(args) -> int:
                 ]
             )
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["sample_id", "parent_id", "method", "parameter", "seed"])
-    writer.writerows(rows)
     provenance = out_dir / "provenance.csv"
-    write_text_atomic(provenance, buf.getvalue())
-    _write_skips(provenance.with_suffix(".skipped.csv"), skipped)
+    _write_csv(provenance, ["sample_id", "parent_id", "method", "parameter", "seed"], rows)
+    _write_csv(provenance.with_suffix(".skipped.csv"), SKIP_HEADER, skipped)
     print(f"wrote {len(rows)} augmented recordings under {out_dir} ({len(skipped)} skipped)")
     return EXIT_OK
 
@@ -200,7 +193,7 @@ def cmd_evaluate(args) -> int:
     print(f"task {config.task_id}  modality {config.modality}  features {config.feature_type}  "
           f"pca {config.pca_cutoff}")
     print("metric     mean (std)")
-    for metric in ("auc", "precision", "recall"):
+    for metric in evaluate.METRICS:
         m = agg[metric]
         print(f"{metric:<10} {m['mean']:.2f} ({m['std']:.2f})")
     return EXIT_OK

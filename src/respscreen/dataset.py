@@ -22,7 +22,7 @@ SMOKER_VALUES = ("never", "ex", "current", "unknown")
 
 # Countries where the disease was not prevalent during collection; the
 # negative-class filter for all tasks requires membership here.
-DEFAULT_COUNTRY_ALLOWLIST = frozenset(
+COUNTRY_ALLOWLIST = frozenset(
     {"AL", "BG", "CY", "GR", "JO", "LB", "LK", "TN", "VN"}
 )
 
@@ -65,7 +65,6 @@ class TaskSpec:
 
     task_id: int
     modalities: tuple[str, ...]
-    country_allowlist: frozenset[str] = DEFAULT_COUNTRY_ALLOWLIST
 
     def positive_filter(self, r: SampleRecord) -> bool:
         if not r.covid_tested_positive:
@@ -77,7 +76,7 @@ class TaskSpec:
     def negative_filter(self, r: SampleRecord) -> bool:
         if r.covid_tested_positive:
             return False
-        if r.country not in self.country_allowlist:
+        if r.country not in COUNTRY_ALLOWLIST:
             return False
         if self.task_id == 1:
             return not r.symptoms and not r.medical_history and r.smoker == "never"
@@ -99,7 +98,6 @@ def task_spec(task_id: int, modalities: tuple[str, ...] = MODALITIES) -> TaskSpe
 
 @dataclass(frozen=True)
 class SplitPlan:
-    seed: int
     folds: tuple[tuple[frozenset[str], frozenset[str]], ...]  # (train_users, test_users)
 
 
@@ -177,9 +175,7 @@ def apply_task(records, spec: TaskSpec) -> tuple[list[SampleRecord], list[Sample
     return positives, negatives
 
 
-def split_users(
-    positives, negatives, seed: int, n_folds: int = N_OUTER_FOLDS
-) -> SplitPlan:
+def split_users(positives, negatives, seed: int) -> SplitPlan:
     """Ten independent seeded 80/20 user partitions, stratified per class."""
     pos_users = sorted({r.user_id for r in positives})
     neg_users = sorted({r.user_id for r in negatives})
@@ -187,7 +183,7 @@ def split_users(
         raise TooFewUsers("need at least 2 users per class")
 
     folds = []
-    for fold in range(n_folds):
+    for fold in range(N_OUTER_FOLDS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, fold]))
         test: set[str] = set()
         train: set[str] = set()
@@ -199,7 +195,7 @@ def split_users(
             train.update(perm[n_test:])
         assert not train & test
         folds.append((frozenset(train), frozenset(test)))
-    return SplitPlan(seed, tuple(folds))
+    return SplitPlan(tuple(folds))
 
 
 def balance(labels, seed: int) -> list[int]:

@@ -18,21 +18,10 @@ from .audio_io import AudioSegment
 
 LOG_FLOOR = 1e-10  # added to power before taking log
 
-
-@dataclass(frozen=True)
-class FrameSpec:
-    """Framing parameters for all short-time analysis."""
-
-    frame_length: int = 2048
-    hop_length: int = 512
-    window: str = "hann"
-
-    def __post_init__(self):
-        if not 0 < self.hop_length <= self.frame_length:
-            raise ValueError("need 0 < hop_length <= frame_length")
-
-
-DEFAULT_FRAMES = FrameSpec()
+# Framing of all short-time analysis
+FRAME_LENGTH = 2048
+HOP_LENGTH = 512
+WINDOW = "hann"
 
 
 @dataclass(frozen=True)
@@ -75,20 +64,20 @@ def _pad_centered(x: np.ndarray, frame_length: int) -> np.ndarray:
     return np.pad(x, (pad, pad), mode="constant")
 
 
-def frame_signal(x: np.ndarray, spec: FrameSpec = DEFAULT_FRAMES) -> np.ndarray:
+def frame_signal(x: np.ndarray) -> np.ndarray:
     """Centered, reflect-padded frames as a read-only strided view
-    [frame_length x n_frames] of the padded signal."""
-    padded = _pad_centered(np.asarray(x, dtype=np.float64), spec.frame_length)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, spec.frame_length)
-    return windows[:: spec.hop_length].T
+    [FRAME_LENGTH x n_frames] of the padded signal."""
+    padded = _pad_centered(np.asarray(x, dtype=np.float64), FRAME_LENGTH)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, FRAME_LENGTH)
+    return windows[::HOP_LENGTH].T
 
 
-def stft(seg: AudioSegment, spec: FrameSpec = DEFAULT_FRAMES) -> Spectrogram:
+def stft(seg: AudioSegment) -> Spectrogram:
     """Magnitude STFT of a segment."""
-    frames = frame_signal(seg.samples, spec)
-    window = get_window(spec.window, spec.frame_length, fftbins=True)
+    frames = frame_signal(seg.samples)
+    window = get_window(WINDOW, FRAME_LENGTH, fftbins=True)
     mags = np.abs(np.fft.rfft(frames * window[:, None], axis=0))
-    freqs = np.fft.rfftfreq(spec.frame_length, d=1.0 / seg.sample_rate)
+    freqs = np.fft.rfftfreq(FRAME_LENGTH, d=1.0 / seg.sample_rate)
     return Spectrogram(mags, freqs)
 
 

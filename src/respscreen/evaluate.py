@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from .util import write_text_atomic
 MODALITY_CHOICES = ("cough", "breath", "combined")
 FEATURE_TYPES = ("handcrafted", "vggish", "combined-A", "combined-B", "combined-C")
 EMBEDDING_FEATURE_TYPES = ("vggish", "combined-A", "combined-B", "combined-C")
+METRICS = ("auc", "precision", "recall")
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class EvaluationReport:
 
 def aggregate_folds(folds) -> dict:
     out = {}
-    for metric in ("auc", "precision", "recall"):
+    for metric in METRICS:
         vals = np.array([getattr(f, metric) for f in folds])
         out[metric] = {"mean": float(vals.mean()), "std": float(vals.std())}
     return out
@@ -99,8 +100,11 @@ def aggregate_folds(folds) -> dict:
 
 def load_segment(path) -> AudioSegment:
     """The segment every feature is computed from: the decoded recording,
-    resampled to the target rate and trimmed of leading/trailing silence."""
-    return trim_silence(resample(decode_wav(Path(path).read_bytes()), TARGET_SAMPLE_RATE))
+    resampled to the target rate and trimmed of leading/trailing silence.
+    Raises `TooShort` for a segment too short for the handcrafted features."""
+    seg = trim_silence(resample(decode_wav(Path(path).read_bytes()), TARGET_SAMPLE_RATE))
+    feat.check_length(seg)
+    return seg
 
 
 class FeatureStore:
@@ -111,7 +115,7 @@ class FeatureStore:
         self.embeddings = embeddings
         self._segments: dict[str, AudioSegment | SilentSample | TooShort] = {}
         self._handcrafted: dict[str, feat.HandcraftedVector] = {}
-        self._augmented: dict[tuple[str, aug.AugmentConfig], list[np.ndarray]] = {}
+        self._augmented: dict[tuple[str, int], list[np.ndarray]] = {}
         self._embedding_vectors: dict[tuple[str, str], np.ndarray] = {}
 
     def segment(self, record: SampleRecord):
@@ -155,7 +159,7 @@ class FeatureStore:
         return self._embedding_vectors[key]
 
     def augmented_vectors(
-        self, record: SampleRecord, feature_type: str, cfg: aug.AugmentConfig
+        self, record: SampleRecord, feature_type: str, seed: int
     ) -> list[np.ndarray]:
         """Handcrafted vectors of the six augmented variants of a recording.
 
@@ -164,9 +168,9 @@ class FeatureStore:
         """
         if feature_type != "handcrafted":
             raise ConfigError("augmentation requires feature-type=handcrafted")
-        key = (record.sample_id, cfg)
+        key = (record.sample_id, seed)
         if key not in self._augmented:
-            variants = aug.augment_six(self.segment(record), record.sample_id, cfg)
+            variants = aug.augment_six(self.segment(record), record.sample_id, seed)
             self._augmented[key] = [feat.extract_handcrafted(v.segment).values for v in variants]
         return self._augmented[key]
 
@@ -265,7 +269,6 @@ def run_nested_cv(
     plan = split_users([u for u in units if u.label == 1], [u for u in units if u.label == 0],
                        config.seed)
 
-    aug_cfg = aug.AugmentConfig(rng_seed=config.seed)
     folds: list[list[FoldResult]] = [[] for _ in configs]  # per cutoff
     for fold_idx, (train_users, test_users) in enumerate(plan.folds):
         assert not train_users & test_users
@@ -284,7 +287,7 @@ def run_nested_cv(
             variants = [
                 (u.user_id, np.concatenate(per_record))
                 for u in negatives
-                for per_record in zip(*(store.augmented_vectors(r, config.feature_type, aug_cfg)
+                for per_record in zip(*(store.augmented_vectors(r, config.feature_type, config.seed)
                                         for r in u.records))
             ]
             X_train = np.vstack([X_train, *(row for _, row in variants)])
@@ -332,19 +335,8 @@ def save_report(report: EvaluationReport, path) -> None:
     write_text_atomic(path, json.dumps(report_to_dict(report), indent=2))
 
 
-SWEEP_COLUMNS = (
-    "task",
-    "modality",
-    "feature_type",
-    "pca_cutoff",
-    "auc_mean",
-    "auc_std",
-    "precision_mean",
-    "precision_std",
-    "recall_mean",
-    "recall_std",
-    "status",
-)
+# A sweep row's metric columns: column name -> (metric, aggregate statistic)
+METRIC_COLUMNS = {f"{m}_{stat}": (m, stat) for m in METRICS for stat in ("mean", "std")}
 
 
 @dataclass(frozen=True)
@@ -360,6 +352,9 @@ class SweepRow:
     recall_mean: float | None = None
     recall_std: float | None = None
     status: str = "ok"
+
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def sweep(
@@ -409,17 +404,8 @@ def sweep(
                     rows.append(SweepRow(**base, status=outcome))
                     continue
                 agg = outcome[i].aggregate
-                rows.append(
-                    SweepRow(
-                        **base,
-                        auc_mean=agg["auc"]["mean"],
-                        auc_std=agg["auc"]["std"],
-                        precision_mean=agg["precision"]["mean"],
-                        precision_std=agg["precision"]["std"],
-                        recall_mean=agg["recall"]["mean"],
-                        recall_std=agg["recall"]["std"],
-                    )
-                )
+                metrics = {col: agg[m][stat] for col, (m, stat) in METRIC_COLUMNS.items()}
+                rows.append(SweepRow(**base, **metrics))
     return rows
 
 
@@ -427,20 +413,7 @@ def sweep_rows_to_csv(rows: list[SweepRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(SWEEP_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [
-                r.task,
-                r.modality,
-                r.feature_type,
-                repr(r.pca_cutoff),
-                *["" if v is None else repr(v) for v in (
-                    r.auc_mean, r.auc_std, r.precision_mean, r.precision_std,
-                    r.recall_mean, r.recall_std,
-                )],
-                r.status,
-            ]
-        )
+    writer.writerows(astuple(r) for r in rows)  # csv writes floats by repr, None as ""
     return buf.getvalue()
 
 
@@ -451,20 +424,16 @@ def sweep_rows_from_csv(text: str) -> list[SweepRow]:
         raise ValueError(f"unexpected sweep header {header}")
     rows = []
     for row in reader:
-        metrics = [None if v == "" else float(v) for v in row[4:10]]
+        cell = dict(zip(SWEEP_COLUMNS, row))
+        metrics = {col: None if cell[col] == "" else float(cell[col]) for col in METRIC_COLUMNS}
         rows.append(
             SweepRow(
-                task=int(row[0]),
-                modality=row[1],
-                feature_type=row[2],
-                pca_cutoff=float(row[3]),
-                auc_mean=metrics[0],
-                auc_std=metrics[1],
-                precision_mean=metrics[2],
-                precision_std=metrics[3],
-                recall_mean=metrics[4],
-                recall_std=metrics[5],
-                status=row[10],
+                task=int(cell["task"]),
+                modality=cell["modality"],
+                feature_type=cell["feature_type"],
+                pca_cutoff=float(cell["pca_cutoff"]),
+                status=cell["status"],
+                **metrics,
             )
         )
     return rows

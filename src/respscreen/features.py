@@ -137,7 +137,7 @@ def summarize(series) -> StatSummary:
 
 @dataclass(frozen=True)
 class Analysis:
-    """One recording's short-time analysis at `dsp.DEFAULT_FRAMES`."""
+    """One recording's short-time analysis at the `dsp` framing."""
 
     segment: AudioSegment
     spectrogram: dsp.Spectrogram
@@ -147,16 +147,18 @@ class Analysis:
 
 def analyze(seg: AudioSegment) -> Analysis:
     """One STFT and one log-mel of a trimmed segment."""
-    frames = dsp.DEFAULT_FRAMES
-    spec = dsp.stft(seg, frames)
-    fb = dsp.mel_filterbank(seg.sample_rate, frames.frame_length, N_MELS)
+    spec = dsp.stft(seg)
+    fb = dsp.mel_filterbank(seg.sample_rate, dsp.FRAME_LENGTH, N_MELS)
     logmel = dsp.log_compress(dsp.mel_power(spec, fb))
-    return Analysis(seg, spec, logmel, seg.sample_rate / frames.hop_length)
+    return Analysis(seg, spec, logmel, seg.sample_rate / dsp.HOP_LENGTH)
 
 
-def duration(seg: AudioSegment) -> float:
-    """Length in seconds (the segment is assumed already trimmed)."""
-    return len(seg) / seg.sample_rate
+def check_length(seg: AudioSegment) -> None:
+    """Raise `TooShort` unless the segment spans the DELTA_WIDTH analysis
+    frames that the MFCC deltas need (centered framing: 1 + len // hop)."""
+    n_frames = 1 + len(seg) // dsp.HOP_LENGTH
+    if n_frames < DELTA_WIDTH:
+        raise TooShort(f"need >= {DELTA_WIDTH} frames, got {n_frames}")
 
 
 def onset_envelope(a: Analysis) -> np.ndarray:
@@ -246,15 +248,15 @@ def frame_features(a: Analysis) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     cum = np.cumsum(energy, axis=0)
     rolloff = freqs[np.argmax(cum >= ROLLOFF_FRACTION * cum[-1], axis=0)]
 
-    signs = np.signbit(dsp.frame_signal(a.segment.samples, dsp.DEFAULT_FRAMES))
-    zcr = np.count_nonzero(signs[1:] != signs[:-1], axis=0) / dsp.DEFAULT_FRAMES.frame_length
+    signs = np.signbit(dsp.frame_signal(a.segment.samples))
+    zcr = np.count_nonzero(signs[1:] != signs[:-1], axis=0) / dsp.FRAME_LENGTH
 
     return rms, centroid, rolloff, zcr
 
 
-def delta(matrix: np.ndarray, width: int = DELTA_WIDTH) -> np.ndarray:
-    """Local linear-regression slope over a `width`-frame window, edge-replicated."""
-    half = width // 2
+def delta(matrix: np.ndarray) -> np.ndarray:
+    """Local linear-regression slope over a DELTA_WIDTH-frame window, edge-replicated."""
+    half = DELTA_WIDTH // 2
     taps = np.arange(-half, half + 1, dtype=np.float64)
     denom = np.sum(taps**2)
     padded = np.pad(matrix, ((0, 0), (half, half)), mode="edge")
@@ -266,8 +268,7 @@ def delta(matrix: np.ndarray, width: int = DELTA_WIDTH) -> np.ndarray:
 
 def mfcc_features(a: Analysis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """MFCC, delta-MFCC and delta2-MFCC matrices, each [13 x n_frames]."""
-    if a.logmel.shape[1] < DELTA_WIDTH:
-        raise TooShort(f"need >= {DELTA_WIDTH} frames, got {a.logmel.shape[1]}")
+    check_length(a.segment)
     mfcc = dsp.dct_ii(a.logmel, N_MFCC)
     d1 = delta(mfcc)
     d2 = delta(d1)
@@ -280,7 +281,7 @@ def extract_handcrafted(seg: AudioSegment) -> HandcraftedVector:
     env = onset_envelope(a)
     series = frame_features(a)
     values = [
-        duration(seg),
+        seg.duration,
         float(onset_count(env, a.frame_rate)),
         tempo(env, a.frame_rate),
         envelope_period(series[0], a.frame_rate),

@@ -306,12 +306,11 @@ def fit_svm_rbf(X, y, C: float = 1.0, gamma="scale", max_iter: int = 200_000) ->
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Hyperparameter grids and the inner-fold count for model selection."""
+    """Hyperparameter grids for model selection."""
 
     lr_c: tuple[float, ...] = LR_C_GRID
     svm_c: tuple[float, ...] = SVM_C_GRID
     svm_gamma: tuple = SVM_GAMMA_GRID
-    inner_folds: int = N_INNER_FOLDS
 
     def cells(self, kind: str) -> list[dict]:
         if kind == "lr":
@@ -325,14 +324,14 @@ def fit_classifier(kind: str, X, y, params: dict) -> Classifier:
     return fit_svm_rbf(X, y, **params)
 
 
-def _inner_user_folds(users, seed: int, n_folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _inner_user_folds(users, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """User-disjoint inner folds as (train_mask, val_mask) index arrays."""
     unique_users = sorted(set(users))
-    if len(unique_users) < n_folds:
-        raise TooFewUsers(f"need >= {n_folds} users for inner CV, got {len(unique_users)}")
+    if len(unique_users) < N_INNER_FOLDS:
+        raise TooFewUsers(f"need >= {N_INNER_FOLDS} users for inner CV, got {len(unique_users)}")
     rng = np.random.default_rng(seed)
     order = list(rng.permutation(unique_users))
-    chunks = [order[k::n_folds] for k in range(n_folds)]
+    chunks = [order[k::N_INNER_FOLDS] for k in range(N_INNER_FOLDS)]
     users = np.asarray(users)
     folds = []
     for chunk in chunks:
@@ -354,7 +353,7 @@ def grid_search(X, y, users, kind: str, grid: GridSpec, seed: int,
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    folds = _inner_user_folds(users, seed, grid.inner_folds)
+    folds = _inner_user_folds(users, seed)
     cells = grid.cells(kind)
     if len(cells) == 1:
         return [cells[0] for _ in pca_cutoffs]

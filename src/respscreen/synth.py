@@ -25,7 +25,7 @@ POSITIVE_FREQ_HZ = 400.0
 NEGATIVE_FREQ_HZ = 1600.0
 SAMPLE_RATE = 22050
 
-# Countries in the default non-prevalent allow-list vs outside it
+# Countries in the non-prevalent allow-list vs outside it
 ALLOWLIST_COUNTRY = "GR"
 OTHER_COUNTRY = "GB"
 
@@ -110,12 +110,11 @@ def generate_cohort(out_dir, seed: int, spec: CohortSpec = CohortSpec()) -> Path
     return manifest_path
 
 
-def generate_embeddings(records: list[SampleRecord], out_path, seed: int,
-                        informative: bool = True) -> Path:
+def generate_embeddings(records: list[SampleRecord], out_path, seed: int) -> Path:
     """Synthetic 128-d frame embeddings for every manifest record.
 
-    Mildly class-informative when requested (mean shift on the first
-    dimensions for positive users), so embedding-based runs have signal.
+    Mildly class-informative (mean shift on the first dimensions for
+    positive users), so embedding-based runs have signal.
     """
     out_path = Path(out_path)
     buf = io.StringIO()
@@ -124,7 +123,7 @@ def generate_embeddings(records: list[SampleRecord], out_path, seed: int,
     rng = np.random.default_rng(seed)
     for r in sorted(records, key=lambda r: (r.sample_id, r.modality)):
         n_sub = 2 + int(rng.integers(0, 3))
-        shift = 1.5 if (informative and r.covid_tested_positive) else 0.0
+        shift = 1.5 if r.covid_tested_positive else 0.0
         for idx in range(n_sub):
             vec = rng.normal(0.0, 1.0, size=128)
             vec[:16] += shift

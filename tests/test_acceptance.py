@@ -23,7 +23,7 @@ from respscreen.features import (
     summarize,
 )
 from respscreen.model import PCA_CUTOFFS, GridSpec, fit_lr, fit_pca, fit_svm_rbf, lr_loss_grad
-from respscreen.augment import AugmentConfig, augment_six
+from respscreen.augment import augment_six
 from respscreen.cli import EXIT_OK, main
 
 from . import oracles
@@ -135,8 +135,7 @@ def test_criterion_03_statistics_oracle():
 def test_criterion_04_augmentation_protocol(cohort):
     d, records, _ = cohort
     seg = sine(500, seconds=1.0)
-    cfg = AugmentConfig(rng_seed=0)
-    variants = augment_six(seg, "sample_x", cfg)
+    variants = augment_six(seg, "sample_x", 0)
     assert len(variants) == 6
     methods = sorted(v.method for v in variants)
     assert methods == ["amplify", "amplify", "noise", "noise",

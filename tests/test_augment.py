@@ -3,7 +3,9 @@ import pytest
 
 from respscreen.audio_io import AudioSegment
 from respscreen.augment import (
-    AugmentConfig,
+    AMP_RANGE,
+    NOISE_SNR_DB_RANGE,
+    RATE_RANGE,
     add_white_noise,
     amplify,
     augment_six,
@@ -75,38 +77,37 @@ class TestPitchSpeed:
 
 class TestAugmentSix:
     def test_exactly_six_outputs(self):
-        outs = augment_six(sine(700), "s1", AugmentConfig(rng_seed=3))
+        outs = augment_six(sine(700), "s1", 3)
         assert len(outs) == 6
         assert sorted(o.method for o in outs) == sorted(
             ["amplify", "amplify", "noise", "noise", "pitch_speed", "pitch_speed"]
         )
 
     def test_deterministic_given_seed(self):
-        a = augment_six(sine(700), "s1", AugmentConfig(rng_seed=3))
-        b = augment_six(sine(700), "s1", AugmentConfig(rng_seed=3))
+        a = augment_six(sine(700), "s1", 3)
+        b = augment_six(sine(700), "s1", 3)
         for va, vb in zip(a, b):
             assert va.parameter == vb.parameter
             assert np.array_equal(va.segment.samples, vb.segment.samples)
 
     def test_distinct_seeds_differ(self):
-        a = augment_six(sine(700), "s1", AugmentConfig(rng_seed=3))
-        b = augment_six(sine(700), "s1", AugmentConfig(rng_seed=4))
+        a = augment_six(sine(700), "s1", 3)
+        b = augment_six(sine(700), "s1", 4)
         noise_a = next(o for o in a if o.method == "noise")
         noise_b = next(o for o in b if o.method == "noise")
         assert np.max(np.abs(noise_a.segment.samples - noise_b.segment.samples)) > 0
 
     def test_parameters_in_ranges(self):
-        cfg = AugmentConfig(rng_seed=5)
-        for o in augment_six(sine(700), "sX", cfg):
+        for o in augment_six(sine(700), "sX", 5):
             if o.method == "amplify":
-                assert cfg.amp_range[0] <= o.parameter <= cfg.amp_range[1]
+                assert AMP_RANGE[0] <= o.parameter <= AMP_RANGE[1]
             elif o.method == "pitch_speed":
-                assert cfg.rate_range[0] <= o.parameter <= cfg.rate_range[1]
+                assert RATE_RANGE[0] <= o.parameter <= RATE_RANGE[1]
             else:
-                assert cfg.noise_snr_db_range[0] <= o.parameter <= cfg.noise_snr_db_range[1]
+                assert NOISE_SNR_DB_RANGE[0] <= o.parameter <= NOISE_SNR_DB_RANGE[1]
 
     def test_outputs_bounded_and_finite(self):
-        for o in augment_six(sine(400, amplitude=0.95), "sY", AugmentConfig(rng_seed=6)):
+        for o in augment_six(sine(400, amplitude=0.95), "sY", 6):
             assert np.all(np.isfinite(o.segment.samples))
             assert np.max(np.abs(o.segment.samples)) <= 1.0
 

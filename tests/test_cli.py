@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from respscreen import cli, evaluate, features, model
 from respscreen.audio_io import AudioSegment, encode_wav
-from respscreen.augment import AugmentConfig, augment_six
+from respscreen.augment import augment_six
 from respscreen.dataset import load_manifest
 from respscreen.cli import (
     CONFIG_ENV_VAR,
@@ -19,6 +21,7 @@ from respscreen.cli import (
 )
 from respscreen.model import load_pipeline
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 MANIFEST_HEADER = ("sample_id,user_id,modality,audio_path,covid_tested_positive,"
                    "symptoms,medical_history,smoker,country,collected_at\n")
 
@@ -112,7 +115,7 @@ class TestAugment:
         [record] = load_manifest(tmp_path / "manifest.csv")
         seg = evaluate.FeatureStore(tmp_path).segment(record)
         assert seg.sample_rate == 22050 and seg.duration < 1.5
-        for variant in augment_six(seg, "s1", AugmentConfig(rng_seed=1)):
+        for variant in augment_six(seg, "s1", 1):
             wav = out_dir / f"s1_{variant.method}{variant.copy_index}.wav"
             assert wav.read_bytes() == encode_wav(variant.segment)
 
@@ -243,15 +246,24 @@ class TestUnusableRecordings:
         out_dir = tmp_path / "aug"
         assert main(["augment", "--manifest", str(d / "manifest.csv"),
                      "--out-dir", str(out_dir)]) == EXIT_OK
-        assert "1 skipped" in capsys.readouterr().out
+        assert "2 skipped" in capsys.readouterr().out
         with open(out_dir / "provenance.skipped.csv") as fh:
             skips = list(csv.reader(fh))
-        silent = [row for row in extract_skips if row[1].startswith("SilentSample")]
-        assert skips == [["sample_id", "reason"], *silent]
+        assert skips == [["sample_id", "reason"], *extract_skips]
         with open(out_dir / "provenance.csv") as fh:
             parents = {row["parent_id"] for row in csv.DictReader(fh)}
         ids = {r.sample_id for r in load_manifest(d / "manifest.csv")}
-        assert parents == ids - {silent[0][0]}
+        assert parents == ids - {sample_id for sample_id, _ in extract_skips}
+
+    def test_augment_skips_too_short_recordings(self, damaged, tmp_path):
+        d, extract_skips = damaged
+        [(short, reason)] = [row for row in extract_skips if row[1].startswith("TooShort")]
+        out_dir = tmp_path / "aug"
+        assert main(["augment", "--manifest", str(d / "manifest.csv"),
+                     "--out-dir", str(out_dir)]) == EXIT_OK
+        assert not list(out_dir.glob(f"{short}_*.wav"))
+        with open(out_dir / "provenance.skipped.csv") as fh:
+            assert [short, reason] in list(csv.reader(fh))
 
 
 class TestConfigFile:
@@ -322,3 +334,29 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 60
         assert sum(1 for r in rows if r["status"] == "skipped") == 48
+
+
+class TestReadme:
+    @staticmethod
+    def commands() -> list[list[str]]:
+        """argv of every `respscreen ...` line in the README's shell blocks,
+        with backslash continuations joined."""
+        text = README.read_text(encoding="utf-8")
+        lines = "\n".join(re.findall(r"```sh\n(.*?)```", text, re.S)).replace("\\\n", " ")
+        return [shlex.split(line, comments=True)[1:]
+                for line in lines.splitlines() if line.startswith("respscreen ")]
+
+    def test_every_command_parses(self):
+        parser = cli.build_parser()
+        parsed = []
+        for argv in self.commands():
+            try:
+                parsed.append(parser.parse_args(argv))
+            except SystemExit:
+                pytest.fail(f"README command does not parse: respscreen {shlex.join(argv)}")
+        assert {args.command for args in parsed} == {
+            "synth-manifest", "extract", "augment", "train", "evaluate", "sweep"}
+        # the recipes: a sweep cohort with embeddings, an augmented run, a null cohort
+        assert any(args.command == "synth-manifest" and args.embeddings_out for args in parsed)
+        assert any(args.command == "evaluate" and args.augment for args in parsed)
+        assert any(args.command == "synth-manifest" and args.scramble for args in parsed)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from respscreen.dataset import (
-    DEFAULT_COUNTRY_ALLOWLIST,
+    COUNTRY_ALLOWLIST,
     SampleRecord,
     apply_task,
     balance,
@@ -97,7 +97,7 @@ class TestApplyTask:
         pos, neg = apply_task(self.cohort(), task_spec(1))
         assert {r.user_id[:3] for r in pos} == {"pos"}
         assert all(not r.symptoms and not r.medical_history and r.smoker == "never"
-                   and not r.covid_tested_positive and r.country in DEFAULT_COUNTRY_ALLOWLIST
+                   and not r.covid_tested_positive and r.country in COUNTRY_ALLOWLIST
                    for r in neg)
         assert len(neg) == 6
 

@@ -4,8 +4,8 @@ from scipy.signal import get_window
 
 from respscreen.audio_io import AudioSegment
 from respscreen.dsp import (
-    DEFAULT_FRAMES,
-    FrameSpec,
+    FRAME_LENGTH,
+    HOP_LENGTH,
     _pad_centered,
     dct_ii,
     frame_signal,
@@ -99,14 +99,13 @@ class TestMelFilterbank:
 
 class TestFrameSignal:
     @pytest.mark.parametrize("n", [1, 700, 2048, 5001])
-    @pytest.mark.parametrize("spec", [DEFAULT_FRAMES, FrameSpec(256, 100)])
-    def test_matches_explicit_frames(self, n, spec):
+    def test_matches_explicit_frames(self, n):
         x = np.random.default_rng(n).normal(size=n)
-        padded = _pad_centered(x, spec.frame_length)
-        n_frames = 1 + n // spec.hop_length  # centered frames, even frame length
-        expected = np.stack([padded[t * spec.hop_length:][:spec.frame_length]
+        padded = _pad_centered(x, FRAME_LENGTH)
+        n_frames = 1 + n // HOP_LENGTH  # centered frames, even frame length
+        expected = np.stack([padded[t * HOP_LENGTH:][:FRAME_LENGTH]
                              for t in range(n_frames)], axis=1)
-        assert np.array_equal(frame_signal(x, spec), expected)
+        assert np.array_equal(frame_signal(x), expected)
 
 
 class TestDct:
@@ -147,8 +146,3 @@ class TestDct:
         col = np.random.default_rng(6).normal(size=(128, 2))
         assert dct_ii(col, 13).shape == (13, 2)
 
-
-def test_frame_spec_validation():
-    with pytest.raises(ValueError):
-        FrameSpec(frame_length=512, hop_length=1024)
-    assert DEFAULT_FRAMES.frame_length == 2048

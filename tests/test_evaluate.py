@@ -270,7 +270,7 @@ class TestSweep:
                             or fit_pca(X, cutoffs))
 
         def spy(X, y, users, kind, grid, seed, pca_cutoffs):
-            usable_inner.extend(f for f in _inner_user_folds(users, seed, grid.inner_folds)
+            usable_inner.extend(f for f in _inner_user_folds(users, seed)
                                 if all(len(np.unique(y[idx])) == 2 for idx in f))
             return grid_search(X, y, users, kind, grid, seed, pca_cutoffs=pca_cutoffs)
 

@@ -13,7 +13,6 @@ from respscreen.features import (
     N_FEATURES,
     analyze,
     delta,
-    duration,
     envelope_period,
     extract_handcrafted,
     frame_features,
@@ -95,13 +94,13 @@ class TestSummarize:
 
 class TestDuration:
     def test_one_second(self):
-        assert duration(AudioSegment(np.ones(22050), SR)) == 1.0
+        assert AudioSegment(np.ones(22050), SR).duration == 1.0
 
     def test_half_second(self):
-        assert duration(AudioSegment(np.ones(11025), SR)) == 0.5
+        assert AudioSegment(np.ones(11025), SR).duration == 0.5
 
     def test_single_sample(self):
-        assert duration(AudioSegment(np.ones(1), SR)) == pytest.approx(1 / 22050)
+        assert AudioSegment(np.ones(1), SR).duration == pytest.approx(1 / 22050)
 
 
 class TestOnsets:

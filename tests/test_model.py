@@ -352,7 +352,7 @@ class TestGridSearch:
         users = self.users(len(X))
         grid = GridSpec()
         assert len(grid.cells("lr")) == 4
-        usable = [f for f in _inner_user_folds(users, 0, grid.inner_folds)
+        usable = [f for f in _inner_user_folds(users, 0)
                   if all(len(np.unique(y[idx])) == 2 for idx in f)]
         grid_search(X, y, users, "lr", grid, seed=0, pca_cutoffs=[0.9])
         assert len(calls) == len(usable) > 0  # 4 per fold, one per C, before
