@@ -6,13 +6,11 @@ with a CLI (`respscreen`) driving the whole pipeline.
 """
 
 from .audio_io import AudioSegment, decode_wav, encode_wav, resample, trim_silence
-from .features import HandcraftedVector, StatSummary, extract_handcrafted, summarize
+from .features import extract_handcrafted, summarize
 from .metrics import precision_recall, roc_auc
 
 __all__ = [
     "AudioSegment",
-    "HandcraftedVector",
-    "StatSummary",
     "decode_wav",
     "encode_wav",
     "extract_handcrafted",

@@ -28,6 +28,7 @@ from .errors import (
     SilentSample,
     TooFewUsers,
     TooShort,
+    skip_reason,
 )
 from .util import format_float, write_bytes_atomic, write_text_atomic
 
@@ -69,10 +70,9 @@ def _extract_one(args):
     sample_id, wav_path = args
     try:
         seg = trim_silence(resample(decode_wav(Path(wav_path).read_bytes()), TARGET_SAMPLE_RATE))
-        vec = features.extract_handcrafted(seg)
-        return sample_id, vec.values, None
+        return sample_id, features.extract_handcrafted(seg), None
     except (SilentSample, TooShort) as exc:
-        return sample_id, None, f"{type(exc).__name__}: {exc}"
+        return sample_id, None, skip_reason(exc)
 
 
 def cmd_synth_manifest(args) -> int:
@@ -128,7 +128,7 @@ def cmd_augment(args) -> int:
         try:
             seg = evaluate.load_segment(base / r.audio_path)  # the segment evaluation augments
         except (SilentSample, TooShort) as exc:
-            skipped.append((r.sample_id, f"{type(exc).__name__}: {exc}"))
+            skipped.append((r.sample_id, skip_reason(exc)))
             continue
         for variant in aug.augment_six(seg, r.sample_id, args.seed):
             aug_id = f"{r.sample_id}_{variant.method}{variant.copy_index}"
@@ -209,12 +209,14 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="respscreen")
+    # no prefix matching: a flag is spelled out in full, as a config key is
+    parser = argparse.ArgumentParser(prog="respscreen", allow_abbrev=False)
     parser.add_argument("--config", help="JSON file with flag defaults "
                         f"(or ${CONFIG_ENV_VAR}); explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth-manifest", help="generate a synthetic cohort")
+    p = sub.add_parser("synth-manifest", help="generate a synthetic cohort",
+                       allow_abbrev=False)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--covid-users", type=int, default=12)
@@ -227,13 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings-out", help="also write synthetic embedding frames")
     p.set_defaults(func=cmd_synth_manifest)
 
-    p = sub.add_parser("extract", help="handcrafted feature CSV from a manifest")
+    p = sub.add_parser("extract", help="handcrafted feature CSV from a manifest",
+                       allow_abbrev=False)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("augment", help="write six augmented WAVs per recording")
+    p = sub.add_parser("augment", help="write six augmented WAVs per recording",
+                       allow_abbrev=False)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -251,17 +255,20 @@ def build_parser() -> argparse.ArgumentParser:
         if with_augment:
             p.add_argument("--augment", action="store_true")
 
-    p = sub.add_parser("train", help="fit one pipeline on the whole cohort")
+    p = sub.add_parser("train", help="fit one pipeline on the whole cohort",
+                       allow_abbrev=False)
     add_run_flags(p, with_augment=False)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train, augment=False)
 
-    p = sub.add_parser("evaluate", help="nested cross-validation report")
+    p = sub.add_parser("evaluate", help="nested cross-validation report",
+                       allow_abbrev=False)
     add_run_flags(p)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="modality x cutoff x feature-type sweep CSV")
+    p = sub.add_parser("sweep", help="modality x cutoff x feature-type sweep CSV",
+                       allow_abbrev=False)
     p.add_argument("--manifest", required=True)
     p.add_argument("--task", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--seed", type=int, default=0)

@@ -96,11 +96,6 @@ def task_spec(task_id: int, modalities: tuple[str, ...] = MODALITIES) -> TaskSpe
     return TaskSpec(task_id, modalities)
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    folds: tuple[tuple[frozenset[str], frozenset[str]], ...]  # (train_users, test_users)
-
-
 def _parse_bool(value: str, line_no: int) -> bool:
     v = value.strip().lower()
     if v in ("true", "1", "yes"):
@@ -175,8 +170,11 @@ def apply_task(records, spec: TaskSpec) -> tuple[list[SampleRecord], list[Sample
     return positives, negatives
 
 
-def split_users(positives, negatives, seed: int) -> SplitPlan:
-    """Ten independent seeded 80/20 user partitions, stratified per class."""
+def split_users(
+    positives, negatives, seed: int
+) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
+    """Ten independent seeded 80/20 user partitions, stratified per class,
+    as (train_users, test_users) pairs."""
     pos_users = sorted({r.user_id for r in positives})
     neg_users = sorted({r.user_id for r in negatives})
     if len(pos_users) < 2 or len(neg_users) < 2:
@@ -195,7 +193,7 @@ def split_users(positives, negatives, seed: int) -> SplitPlan:
             train.update(perm[n_test:])
         assert not train & test
         folds.append((frozenset(train), frozenset(test)))
-    return SplitPlan(tuple(folds))
+    return tuple(folds)
 
 
 def balance(labels, seed: int) -> list[int]:

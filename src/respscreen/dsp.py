@@ -31,37 +31,11 @@ class Spectrogram:
     magnitudes: np.ndarray
     bin_frequencies: np.ndarray
 
-    @property
-    def n_bins(self) -> int:
-        return self.magnitudes.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.magnitudes.shape[1]
-
-
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular mel filters as a weight matrix [n_mels x n_bins]."""
-
-    weights: np.ndarray
-    n_mels: int
-
 
 def _pad_centered(x: np.ndarray, frame_length: int) -> np.ndarray:
-    pad = frame_length // 2
-    if len(x) > 1:
-        # np.pad reflect cannot exceed len-1 per side; chain until done
-        out = x
-        left = right = pad
-        while left > 0 or right > 0:
-            l = min(left, len(out) - 1)
-            r = min(right, len(out) - 1)
-            out = np.pad(out, (l, r), mode="reflect")
-            left -= l
-            right -= r
-        return out
-    return np.pad(x, (pad, pad), mode="constant")
+    # reflect mirrors again where the pad exceeds len(x) - 1
+    mode = "reflect" if len(x) > 1 else "constant"
+    return np.pad(x, frame_length // 2, mode=mode)
 
 
 def frame_signal(x: np.ndarray) -> np.ndarray:
@@ -104,19 +78,15 @@ def _mel_to_hz(mel):
     return hz
 
 
-def mel_filterbank(sr: int, frame_length: int = 2048, n_mels: int = 128) -> MelFilterbank:
-    """Triangular filters equally spaced on the Slaney mel scale, 0..sr/2.
+@lru_cache(maxsize=16)
+def mel_filterbank(sr: int, frame_length: int, n_mels: int) -> np.ndarray:
+    """Triangular filters equally spaced on the Slaney mel scale, 0..sr/2,
+    as read-only weights [n_mels x (frame_length // 2 + 1)].
 
-    Built once per (sr, frame_length, n_mels) and shared; the weights are
-    read-only.
+    Built once per (sr, frame_length, n_mels) and shared.
     """
     if n_mels < 1:
         raise ValueError("n_mels must be >= 1")
-    return _build_mel_filterbank(sr, frame_length, n_mels)
-
-
-@lru_cache(maxsize=16)
-def _build_mel_filterbank(sr: int, frame_length: int, n_mels: int) -> MelFilterbank:
     n_bins = frame_length // 2 + 1
     fft_freqs = np.fft.rfftfreq(frame_length, d=1.0 / sr)
     mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sr / 2.0), n_mels + 2)
@@ -131,12 +101,12 @@ def _build_mel_filterbank(sr: int, frame_length: int, n_mels: int) -> MelFilterb
         # Slaney area normalization keeps response comparable across bands
         weights[m] *= 2.0 / (upper - lower)
     weights.flags.writeable = False
-    return MelFilterbank(weights, n_mels)
+    return weights
 
 
-def mel_power(spec: Spectrogram, fb: MelFilterbank) -> np.ndarray:
-    """Mel-band power [n_mels x n_frames]."""
-    return fb.weights @ (spec.magnitudes**2)
+def mel_power(spec: Spectrogram, fb: np.ndarray) -> np.ndarray:
+    """Mel-band power [n_mels x n_frames] under filterbank weights `fb`."""
+    return fb @ (spec.magnitudes**2)
 
 
 def log_compress(power: np.ndarray) -> np.ndarray:

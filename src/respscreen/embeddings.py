@@ -9,59 +9,44 @@ into a 256-d vector (per-dimension mean, then per-dimension std).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedEmbeddingFile
-from .features import HandcraftedVector
+from .features import FEATURE_NAMES
 
 EMBED_DIM = 128
-POOLED_DIM = 2 * EMBED_DIM
+
+# Pooled layout: per-dimension mean (0..127), then population std (128..255)
+POOLED_NAMES = (
+    *(f"vgg.e{i:03d}_mean" for i in range(EMBED_DIM)),
+    *(f"vgg.e{i:03d}_std" for i in range(EMBED_DIM)),
+)
 
 # Combined-variant lengths (256 embedding dims plus handcrafted blocks)
 VARIANT_LENGTHS = {"A": 260, "B": 447, "C": 733}
 
+# Handcrafted columns each variant appends to the pooled embedding:
+# A the four segment-level features, B all but the delta/delta2 MFCC blocks,
+# C the full vector.
+VARIANT_COLUMNS = {
+    "A": np.array([FEATURE_NAMES.index(n) for n in ("duration", "tempo", "onsets", "period")]),
+    "B": np.array([i for i, n in enumerate(FEATURE_NAMES)
+                   if not n.startswith(("dmfcc", "d2mfcc"))]),
+    "C": np.arange(len(FEATURE_NAMES)),
+}
+VARIANT_NAMES = {
+    variant: POOLED_NAMES + tuple(f"hc.{FEATURE_NAMES[i]}" for i in columns)
+    for variant, columns in VARIANT_COLUMNS.items()
+}
+
 _EXPECTED_COLUMNS = ["sample_id", "frame_index"] + [f"e{i}" for i in range(EMBED_DIM)]
 
 
-@dataclass(frozen=True)
-class EmbeddingFrames:
-    """Per-sub-sample embedding rows for one recording, [n_sub x 128]."""
-
-    sample_id: str
-    frames: np.ndarray
-
-
-@dataclass(frozen=True)
-class PooledEmbedding:
-    """256 values: per-dimension mean (0..127) then population std (128..255)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) != POOLED_DIM:
-            raise ValueError(f"expected {POOLED_DIM} values")
-
-
-@dataclass(frozen=True)
-class CombinedVector:
-    """Embedding + handcrafted concatenation, one of variants A/B/C."""
-
-    variant: str
-    values: np.ndarray
-    names: tuple[str, ...]
-
-
-def pooled_names() -> list[str]:
-    return [f"vgg.e{i:03d}_mean" for i in range(EMBED_DIM)] + [
-        f"vgg.e{i:03d}_std" for i in range(EMBED_DIM)
-    ]
-
-
-def load_embeddings(path) -> dict[str, EmbeddingFrames]:
-    """Load and group frame embeddings by sample, ordered by frame_index."""
+def load_embeddings(path) -> dict[str, np.ndarray]:
+    """Load and group frame embeddings by sample: sample_id -> [n_sub x 128]
+    rows ordered by frame_index."""
     rows: dict[str, list[tuple[int, np.ndarray]]] = {}
     try:
         with open(Path(path), newline="", encoding="utf-8") as fh:
@@ -92,36 +77,18 @@ def load_embeddings(path) -> dict[str, EmbeddingFrames]:
     out = {}
     for sample_id, entries in rows.items():
         entries.sort(key=lambda e: e[0])
-        out[sample_id] = EmbeddingFrames(sample_id, np.stack([v for _, v in entries]))
+        out[sample_id] = np.stack([v for _, v in entries])
     return out
 
 
-def pool(frames: EmbeddingFrames) -> PooledEmbedding:
-    """Per-dimension mean then per-dimension population std."""
-    mean = frames.frames.mean(axis=0)
-    std = frames.frames.std(axis=0)  # population (N)
-    return PooledEmbedding(np.concatenate([mean, std]))
+def pool(frames: np.ndarray) -> np.ndarray:
+    """Per-dimension mean then per-dimension population std, laid out as `POOLED_NAMES`."""
+    return np.concatenate([frames.mean(axis=0), frames.std(axis=0)])
 
 
-def combine(hand: HandcraftedVector, emb: PooledEmbedding, variant: str) -> CombinedVector:
-    """Concatenate pooled embedding with a handcrafted block.
-
-    A: the four segment-level features only (260 dims).
-    B: everything except the delta/delta2 MFCC blocks (447 dims).
-    C: the full handcrafted vector (733 dims).
-    """
-    if variant not in VARIANT_LENGTHS:
+def combine(hand: np.ndarray, pooled: np.ndarray, variant: str) -> np.ndarray:
+    """The pooled embedding followed by variant A's, B's or C's handcrafted
+    columns, laid out as `VARIANT_NAMES[variant]`."""
+    if variant not in VARIANT_COLUMNS:
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "A":
-        keep = [hand.names.index(n) for n in ("duration", "tempo", "onsets", "period")]
-    elif variant == "B":
-        keep = [
-            i for i, n in enumerate(hand.names)
-            if not (n.startswith("dmfcc") or n.startswith("d2mfcc"))
-        ]
-    else:
-        keep = list(range(len(hand.names)))
-    values = np.concatenate([emb.values, hand.values[keep]])
-    names = tuple(pooled_names()) + tuple(f"hc.{hand.names[i]}" for i in keep)
-    assert len(values) == VARIANT_LENGTHS[variant]
-    return CombinedVector(variant, values, names)
+    return np.concatenate([pooled, hand[VARIANT_COLUMNS[variant]]])

@@ -63,3 +63,8 @@ class DegenerateData(RespScreenError):
 
 class ConfigError(RespScreenError):
     """Invalid run configuration (bad flag combination, missing input)."""
+
+
+def skip_reason(exc: RespScreenError) -> str:
+    """Why a recording was left out, as skip CSVs and reports write it."""
+    return f"{type(exc).__name__}: {exc}"

@@ -27,8 +27,8 @@ from .dataset import (
     split_users,
     task_spec,
 )
-from .embeddings import EmbeddingFrames, combine, pool
-from .errors import ConfigError, EmptyCohort, RespScreenError, SilentSample, TooShort
+from .embeddings import combine, pool
+from .errors import ConfigError, EmptyCohort, RespScreenError, SilentSample, TooShort, skip_reason
 from .metrics import precision_recall, roc_auc
 from .model import GridSpec, PCA_CUTOFFS, fit_pipeline, grid_search
 from .util import write_text_atomic
@@ -60,6 +60,9 @@ class RunConfig:
             raise ConfigError(f"pca_cutoff must be one of {PCA_CUTOFFS}")
         if self.augment and self.task_id == 1:
             raise ConfigError("augmentation is restricted to tasks 2 and 3")
+        if self.augment and self.feature_type != "handcrafted":
+            # embedding halves cannot be recomputed without the external network
+            raise ConfigError("augmentation requires feature-type=handcrafted")
         if self.classifier not in (None, "lr", "svm-rbf"):
             raise ConfigError(f"unknown classifier {self.classifier!r}")
 
@@ -110,11 +113,11 @@ def load_segment(path) -> AudioSegment:
 class FeatureStore:
     """Caches per-recording features so folds and sweep cells share work."""
 
-    def __init__(self, base_dir, embeddings: dict[str, EmbeddingFrames] | None = None):
+    def __init__(self, base_dir, embeddings: dict[str, np.ndarray] | None = None):
         self.base_dir = Path(base_dir)
         self.embeddings = embeddings
         self._segments: dict[str, AudioSegment | SilentSample | TooShort] = {}
-        self._handcrafted: dict[str, feat.HandcraftedVector] = {}
+        self._handcrafted: dict[str, np.ndarray] = {}
         self._augmented: dict[tuple[str, int], list[np.ndarray]] = {}
         self._embedding_vectors: dict[tuple[str, str], np.ndarray] = {}
 
@@ -132,13 +135,13 @@ class FeatureStore:
             raise segment.with_traceback(None)
         return segment
 
-    def handcrafted(self, record: SampleRecord) -> feat.HandcraftedVector:
+    def handcrafted(self, record: SampleRecord) -> np.ndarray:
         key = record.sample_id
         if key not in self._handcrafted:
             self._handcrafted[key] = feat.extract_handcrafted(self.segment(record))
         return self._handcrafted[key]
 
-    def pooled(self, record: SampleRecord):
+    def pooled(self, record: SampleRecord) -> np.ndarray:
         if self.embeddings is None:
             raise ConfigError("this feature type needs --embeddings")
         if record.sample_id not in self.embeddings:
@@ -147,31 +150,23 @@ class FeatureStore:
 
     def vector(self, record: SampleRecord, feature_type: str) -> np.ndarray:
         if feature_type == "handcrafted":
-            return self.handcrafted(record).values
+            return self.handcrafted(record)
         key = (record.sample_id, feature_type)
         if key not in self._embedding_vectors:
             if feature_type == "vggish":
-                values = self.pooled(record).values
+                values = self.pooled(record)
             else:
                 variant = feature_type.split("-")[1]
-                values = combine(self.handcrafted(record), self.pooled(record), variant).values
+                values = combine(self.handcrafted(record), self.pooled(record), variant)
             self._embedding_vectors[key] = values
         return self._embedding_vectors[key]
 
-    def augmented_vectors(
-        self, record: SampleRecord, feature_type: str, seed: int
-    ) -> list[np.ndarray]:
-        """Handcrafted vectors of the six augmented variants of a recording.
-
-        Embedding halves cannot be recomputed without the external network,
-        so augmentation supports the handcrafted feature type only.
-        """
-        if feature_type != "handcrafted":
-            raise ConfigError("augmentation requires feature-type=handcrafted")
+    def augmented_vectors(self, record: SampleRecord, seed: int) -> list[np.ndarray]:
+        """Handcrafted vectors of the six augmented variants of a recording."""
         key = (record.sample_id, seed)
         if key not in self._augmented:
             variants = aug.augment_six(self.segment(record), record.sample_id, seed)
-            self._augmented[key] = [feat.extract_handcrafted(v.segment).values for v in variants]
+            self._augmented[key] = [feat.extract_handcrafted(v.segment) for v in variants]
         return self._augmented[key]
 
 
@@ -233,7 +228,7 @@ def build_cohort(records: list[SampleRecord], config: RunConfig, store: FeatureS
         try:
             rows.append(unit_vector(unit, store, config.feature_type))
         except (SilentSample, TooShort) as exc:
-            skipped.append((unit.key, f"{type(exc).__name__}: {exc}"))
+            skipped.append((unit.key, skip_reason(exc)))
             continue
         units.append(unit)
     y = np.asarray([u.label for u in units])
@@ -247,7 +242,7 @@ def run_nested_cv(
     records: list[SampleRecord],
     config: RunConfig,
     base_dir=".",
-    embeddings: dict[str, EmbeddingFrames] | None = None,
+    embeddings: dict[str, np.ndarray] | None = None,
     grid: GridSpec = GridSpec(),
     store: FeatureStore | None = None,
     cutoffs: tuple[float, ...] | None = None,
@@ -266,11 +261,11 @@ def run_nested_cv(
     cohort = build_cohort(records, config, store)
     units, X, y = cohort.units, cohort.X, cohort.y
     users = np.asarray([u.user_id for u in units])
-    plan = split_users([u for u in units if u.label == 1], [u for u in units if u.label == 0],
-                       config.seed)
+    splits = split_users([u for u in units if u.label == 1], [u for u in units if u.label == 0],
+                         config.seed)
 
     folds: list[list[FoldResult]] = [[] for _ in configs]  # per cutoff
-    for fold_idx, (train_users, test_users) in enumerate(plan.folds):
+    for fold_idx, (train_users, test_users) in enumerate(splits):
         assert not train_users & test_users
         train = np.flatnonzero(np.isin(users, list(train_users)))
         test = np.flatnonzero(np.isin(users, list(test_users)))
@@ -287,7 +282,7 @@ def run_nested_cv(
             variants = [
                 (u.user_id, np.concatenate(per_record))
                 for u in negatives
-                for per_record in zip(*(store.augmented_vectors(r, config.feature_type, config.seed)
+                for per_record in zip(*(store.augmented_vectors(r, config.seed)
                                         for r in u.records))
             ]
             X_train = np.vstack([X_train, *(row for _, row in variants)])
@@ -362,7 +357,7 @@ def sweep(
     task_id: int,
     seed: int,
     base_dir=".",
-    embeddings: dict[str, EmbeddingFrames] | None = None,
+    embeddings: dict[str, np.ndarray] | None = None,
     grid: GridSpec = GridSpec(),
     feature_types=FEATURE_TYPES,
     modalities=MODALITY_CHOICES,

@@ -47,60 +47,18 @@ PERIOD_MIN_MODE = 4  # DFT modes below this are dominated by the nonzero mean
 PERIOD_MIN_FRAMES = 8
 
 
-def feature_names() -> list[str]:
-    """Canonical 477 feature names, order-stable across runs."""
-    names = list(SEGMENT_FEATURES)
-    for fam in FRAME_FAMILIES:
-        names += [f"{fam}_{s}" for s in STAT_NAMES]
-    for fam in ("mfcc", "dmfcc", "d2mfcc"):
-        for i in range(N_MFCC):
-            names += [f"{fam}{i:02d}_{s}" for s in STAT_NAMES]
-    return names
-
-FEATURE_NAMES = tuple(feature_names())
+# Canonical 477 feature names, order-stable across runs
+FEATURE_NAMES = (
+    *SEGMENT_FEATURES,
+    *(f"{fam}_{s}" for fam in FRAME_FAMILIES for s in STAT_NAMES),
+    *(f"{fam}{i:02d}_{s}" for fam in ("mfcc", "dmfcc", "d2mfcc")
+      for i in range(N_MFCC) for s in STAT_NAMES),
+)
 N_FEATURES = len(FEATURE_NAMES)  # 477
 
 
-@dataclass(frozen=True)
-class StatSummary:
-    """11 distribution statistics of a frame-level time series."""
-
-    mean: float
-    median: float
-    rms: float
-    max: float
-    min: float
-    q1: float
-    q3: float
-    iqr: float
-    std: float
-    skewness: float
-    kurtosis: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.mean, self.median, self.rms, self.max, self.min,
-            self.q1, self.q3, self.iqr, self.std, self.skewness, self.kurtosis,
-        )
-
-
-@dataclass(frozen=True)
-class HandcraftedVector:
-    """Named, ordered handcrafted feature vector of length 477."""
-
-    values: np.ndarray
-    names: tuple[str, ...] = FEATURE_NAMES
-
-    def __post_init__(self):
-        if len(self.values) != len(self.names):
-            raise ValueError("value/name length mismatch")
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.values[self.names.index(name)])
-
-
-def summarize(series) -> StatSummary:
-    """The 11 statistics of a series.
+def summarize(series) -> np.ndarray:
+    """The 11 statistics of a series, as float64 values in `STAT_NAMES` order.
 
     Quartiles use linear interpolation; std is population (N); skewness is
     the biased Fisher-Pearson coefficient and kurtosis the biased excess.
@@ -120,19 +78,8 @@ def summarize(series) -> StatSummary:
     else:
         skew = kurt = 0.0
     q1, med, q3 = (float(v) for v in np.percentile(x, [25, 50, 75]))
-    return StatSummary(
-        mean=mean,
-        median=med,
-        rms=float(np.sqrt(np.mean(x**2))),
-        max=float(np.max(x)),
-        min=float(np.min(x)),
-        q1=q1,
-        q3=q3,
-        iqr=q3 - q1,
-        std=std,
-        skewness=skew,
-        kurtosis=kurt,
-    )
+    rms = float(np.sqrt(np.mean(x**2)))
+    return np.array([mean, med, rms, np.max(x), np.min(x), q1, q3, q3 - q1, std, skew, kurt])
 
 
 @dataclass(frozen=True)
@@ -275,20 +222,17 @@ def mfcc_features(a: Analysis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mfcc, d1, d2
 
 
-def extract_handcrafted(seg: AudioSegment) -> HandcraftedVector:
-    """Assemble the full 477-entry vector for a trimmed segment."""
+def extract_handcrafted(seg: AudioSegment) -> np.ndarray:
+    """The (477,) float64 vector of a trimmed segment, laid out as `FEATURE_NAMES`."""
     a = analyze(seg)
     env = onset_envelope(a)
     series = frame_features(a)
-    values = [
+    segment_features = [
         seg.duration,
         float(onset_count(env, a.frame_rate)),
         tempo(env, a.frame_rate),
         envelope_period(series[0], a.frame_rate),
     ]
-    for s in series:
-        values.extend(summarize(s).as_tuple())
-    for matrix in mfcc_features(a):
-        for row in matrix:
-            values.extend(summarize(row).as_tuple())
-    return HandcraftedVector(np.array(values))
+    stats = [summarize(s) for s in series]
+    stats += [summarize(row) for matrix in mfcc_features(a) for row in matrix]
+    return np.concatenate([segment_features, *stats])

@@ -38,6 +38,21 @@ def naive_dct_ii(x):
     return out
 
 
+def reflect_pad_oracle(x, pad):
+    """`x` with `pad` samples added on each side by mirroring about the end
+    samples (period 2(n - 1)), or zeros for a single sample."""
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    if n == 1:
+        return np.concatenate([np.zeros(pad), x, np.zeros(pad)])
+    period = 2 * (n - 1)
+    out = []
+    for i in range(-pad, n + pad):
+        j = i % period
+        out.append(x[j] if j < n else x[period - j])
+    return np.array(out)
+
+
 def stats_oracle(x):
     """The 11 summary statistics via direct formula evaluation."""
     x = np.asarray(x, dtype=np.float64)
@@ -68,8 +83,8 @@ def stats_oracle(x):
         "q3": quantile(0.75),
         "iqr": quantile(0.75) - quantile(0.25),
         "std": std,
-        "skewness": skew,
-        "kurtosis": kurt,
+        "skew": skew,
+        "kurt": kurt,
     }
 
 

@@ -306,6 +306,19 @@ class TestConfigFile:
                                  ["extract", "--manifest", "m.csv", "--out", "f.csv"])
         assert args.jobs == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--manifest", "m.csv", "--out", "f.csv", "--job", "2"],
+        ["evaluate", "--manifest", "m.csv", "--task", "1", "--report", "r.json",
+         "--feat", "vggish"],
+        ["--conf", "c.json", "extract", "--manifest", "m.csv", "--out", "f.csv"],
+    ], ids=["job", "feat", "conf"])
+    def test_flag_prefixes_are_rejected(self, argv):
+        """A flag is spelled out in full, as a config key must be: `--job`
+        is not `--jobs`, just as {"job": 2} is an unknown key."""
+        with pytest.raises(SystemExit) as exc:  # argparse's usage error
+            main(argv)
+        assert exc.value.code == 2
+
     def test_unknown_key_exits_config(self, cohort_dir, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sede": 3}))

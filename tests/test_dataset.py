@@ -162,15 +162,15 @@ class TestSplitUsers:
 
     def test_fold_sizes(self):
         pos, neg = self.users(20, 80)
-        plan = split_users(pos, neg, seed=0)
-        assert len(plan.folds) == 10
-        for train, test in plan.folds:
+        splits = split_users(pos, neg, seed=0)
+        assert len(splits) == 10
+        for train, test in splits:
             assert len(test) == pytest.approx(20, abs=1)
             assert len(train) + len(test) == 100
 
     def test_disjoint(self):
         pos, neg = self.users()
-        for train, test in split_users(pos, neg, seed=1).folds:
+        for train, test in split_users(pos, neg, seed=1):
             assert not train & test
 
     def test_deterministic(self):
@@ -184,7 +184,7 @@ class TestSplitUsers:
 
     def test_stratified_by_class(self):
         pos, neg = self.users(10, 40)
-        for train, test in split_users(pos, neg, seed=4).folds:
+        for train, test in split_users(pos, neg, seed=4):
             test_pos = sum(1 for u in test if u.startswith("p"))
             assert test_pos == 2  # 20% of 10 positive users
 

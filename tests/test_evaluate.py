@@ -10,6 +10,7 @@ from respscreen.dataset import N_OUTER_FOLDS, load_manifest
 from respscreen.embeddings import load_embeddings
 from respscreen.errors import ConfigError, EmptyCohort
 from respscreen.evaluate import (
+    EMBEDDING_FEATURE_TYPES,
     FEATURE_TYPES,
     FeatureStore,
     RunConfig,
@@ -44,6 +45,11 @@ class TestRunConfig:
     def test_augment_rejected_for_task1(self):
         with pytest.raises(ConfigError):
             RunConfig(task_id=1, augment=True)
+
+    @pytest.mark.parametrize("feature_type", EMBEDDING_FEATURE_TYPES)
+    def test_augment_rejected_for_embedding_features(self, feature_type):
+        with pytest.raises(ConfigError, match="handcrafted"):
+            RunConfig(task_id=2, augment=True, feature_type=feature_type)
 
     def test_bad_cutoff(self):
         with pytest.raises(ConfigError):
@@ -131,8 +137,8 @@ class TestNestedCv:
 
     def test_augment_requires_handcrafted(self, small_cohort):
         d, records, embeddings = small_cohort
-        cfg = RunConfig(task_id=2, augment=True, feature_type="vggish")
         with pytest.raises(ConfigError):
+            cfg = RunConfig(task_id=2, augment=True, feature_type="vggish")
             run_nested_cv(records, cfg, base_dir=d, embeddings=embeddings,
                           grid=FAST_GRID)
 
