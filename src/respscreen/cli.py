@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -122,7 +123,7 @@ def cmd_augment(args) -> int:
     out_dir = Path(args.out_dir)
 
     rows, skipped = [], []
-    for r in sorted(records, key=lambda r: (r.sample_id, r.modality)):
+    for r in sorted(records, key=lambda r: r.sample_id):
         if has_split and r.split != "train":
             continue  # augmentation is training-only by protocol
         try:
@@ -210,13 +211,13 @@ def cmd_sweep(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: a flag is spelled out in full, as a config key is
-    parser = argparse.ArgumentParser(prog="respscreen", allow_abbrev=False)
+    make_parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = make_parser(prog="respscreen")
     parser.add_argument("--config", help="JSON file with flag defaults "
                         f"(or ${CONFIG_ENV_VAR}); explicit flags win")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=make_parser)
 
-    p = sub.add_parser("synth-manifest", help="generate a synthetic cohort",
-                       allow_abbrev=False)
+    p = sub.add_parser("synth-manifest", help="generate a synthetic cohort")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--covid-users", type=int, default=12)
@@ -229,15 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings-out", help="also write synthetic embedding frames")
     p.set_defaults(func=cmd_synth_manifest)
 
-    p = sub.add_parser("extract", help="handcrafted feature CSV from a manifest",
-                       allow_abbrev=False)
+    p = sub.add_parser("extract", help="handcrafted feature CSV from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("augment", help="write six augmented WAVs per recording",
-                       allow_abbrev=False)
+    p = sub.add_parser("augment", help="write six augmented WAVs per recording")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -255,20 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
         if with_augment:
             p.add_argument("--augment", action="store_true")
 
-    p = sub.add_parser("train", help="fit one pipeline on the whole cohort",
-                       allow_abbrev=False)
+    p = sub.add_parser("train", help="fit one pipeline on the whole cohort")
     add_run_flags(p, with_augment=False)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train, augment=False)
 
-    p = sub.add_parser("evaluate", help="nested cross-validation report",
-                       allow_abbrev=False)
+    p = sub.add_parser("evaluate", help="nested cross-validation report")
     add_run_flags(p)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="modality x cutoff x feature-type sweep CSV",
-                       allow_abbrev=False)
+    p = sub.add_parser("sweep", help="modality x cutoff x feature-type sweep CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--task", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--seed", type=int, default=0)

@@ -58,42 +58,24 @@ class SampleRecord:
     split: str | None = None
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    """A binary cohort definition. Filters are disjoint by construction:
-    positives always require a declared positive test, negatives its absence."""
-
-    task_id: int
-    modalities: tuple[str, ...]
-
-    def positive_filter(self, r: SampleRecord) -> bool:
-        if not r.covid_tested_positive:
-            return False
-        if self.task_id == 1:
-            return True
-        return "cough" in r.symptoms  # tasks 2 and 3
-
-    def negative_filter(self, r: SampleRecord) -> bool:
-        if r.covid_tested_positive:
-            return False
-        if r.country not in COUNTRY_ALLOWLIST:
-            return False
-        if self.task_id == 1:
-            return not r.symptoms and not r.medical_history and r.smoker == "never"
-        if self.task_id == 2:
-            return (
-                "cough" in r.symptoms
-                and not (r.symptoms - {"cough"})
-                and not r.medical_history
-                and r.smoker == "never"
-            )
-        return "cough" in r.symptoms and "asthma" in r.medical_history
+# Task cohort rules. The two predicates are disjoint by construction:
+# positives always require a declared positive test, negatives its absence.
 
 
-def task_spec(task_id: int, modalities: tuple[str, ...] = MODALITIES) -> TaskSpec:
-    if task_id not in (1, 2, 3):
-        raise ValueError(f"unknown task {task_id}")
-    return TaskSpec(task_id, modalities)
+def is_positive(r: SampleRecord, task_id: int) -> bool:
+    if not r.covid_tested_positive:
+        return False
+    return task_id == 1 or "cough" in r.symptoms  # tasks 2 and 3: with cough
+
+
+def is_negative(r: SampleRecord, task_id: int) -> bool:
+    if r.covid_tested_positive or r.country not in COUNTRY_ALLOWLIST:
+        return False
+    if task_id == 1:
+        return not r.symptoms and not r.medical_history and r.smoker == "never"
+    if task_id == 2:  # cough as the only symptom
+        return r.symptoms == {"cough"} and not r.medical_history and r.smoker == "never"
+    return "cough" in r.symptoms and "asthma" in r.medical_history
 
 
 def _parse_bool(value: str, line_no: int) -> bool:
@@ -117,7 +99,7 @@ def parse_manifest_rows(rows, columns) -> list[SampleRecord]:
         raise SchemaError(f"missing columns: {missing}")
 
     records: list[SampleRecord] = []
-    seen: set[tuple[str, str]] = set()
+    seen: set[str] = set()
     for line_no, row in enumerate(rows, start=2):
         modality = row["modality"].strip()
         if modality not in MODALITIES:
@@ -128,13 +110,15 @@ def parse_manifest_rows(rows, columns) -> list[SampleRecord]:
         user_id = row["user_id"].strip()
         if not user_id:
             raise SchemaError(f"row {line_no}: empty user_id")
-        key = (row["sample_id"].strip(), modality)
-        if key in seen:
-            raise DuplicateSample(f"row {line_no}: duplicate {key}")
-        seen.add(key)
+        sample_id = row["sample_id"].strip()
+        if not sample_id:
+            raise SchemaError(f"row {line_no}: empty sample_id")
+        if sample_id in seen:
+            raise DuplicateSample(f"row {line_no}: duplicate sample_id {sample_id!r}")
+        seen.add(sample_id)
         records.append(
             SampleRecord(
-                sample_id=key[0],
+                sample_id=sample_id,
                 user_id=user_id,
                 modality=modality,
                 audio_path=row["audio_path"].strip(),
@@ -158,15 +142,20 @@ def load_manifest(path) -> list[SampleRecord]:
         return parse_manifest_rows(reader, reader.fieldnames)
 
 
-def apply_task(records, spec: TaskSpec) -> tuple[list[SampleRecord], list[SampleRecord]]:
-    """Partition records into (positives, negatives); non-matching rows drop out."""
-    in_modality = [r for r in records if r.modality in spec.modalities]
-    positives = [r for r in in_modality if spec.positive_filter(r)]
-    negatives = [r for r in in_modality if spec.negative_filter(r)]
-    if not {r.user_id for r in positives}:
-        raise EmptyCohort(f"task {spec.task_id}: no positive users")
-    if not {r.user_id for r in negatives}:
-        raise EmptyCohort(f"task {spec.task_id}: no negative users")
+def apply_task(
+    records, task_id: int, modalities: tuple[str, ...] = MODALITIES
+) -> tuple[list[SampleRecord], list[SampleRecord]]:
+    """Partition the records of `modalities` into (positives, negatives) by
+    the task's rules; non-matching rows drop out."""
+    if task_id not in (1, 2, 3):
+        raise ValueError(f"unknown task {task_id}")
+    in_modality = [r for r in records if r.modality in modalities]
+    positives = [r for r in in_modality if is_positive(r, task_id)]
+    negatives = [r for r in in_modality if is_negative(r, task_id)]
+    if not positives:
+        raise EmptyCohort(f"task {task_id}: no positive users")
+    if not negatives:
+        raise EmptyCohort(f"task {task_id}: no negative users")
     return positives, negatives
 
 

@@ -46,8 +46,8 @@ _EXPECTED_COLUMNS = ["sample_id", "frame_index"] + [f"e{i}" for i in range(EMBED
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
     """Load and group frame embeddings by sample: sample_id -> [n_sub x 128]
-    rows ordered by frame_index."""
-    rows: dict[str, list[tuple[int, np.ndarray]]] = {}
+    rows ordered by frame_index. A frame index appears once per sample."""
+    rows: dict[str, dict[int, np.ndarray]] = {}  # sample_id -> frame_index -> vector
     try:
         with open(Path(path), newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -70,15 +70,16 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
                     raise MalformedEmbeddingFile(f"row {line_no}: {exc}") from exc
                 if not np.all(np.isfinite(vec)):
                     raise MalformedEmbeddingFile(f"row {line_no}: non-finite value")
-                rows.setdefault(row[0], []).append((idx, vec))
+                frames = rows.setdefault(row[0], {})
+                if idx in frames:
+                    raise MalformedEmbeddingFile(
+                        f"row {line_no}: repeated frame {idx} of sample {row[0]!r}")
+                frames[idx] = vec
     except OSError as exc:
         raise MalformedEmbeddingFile(str(exc)) from exc
 
-    out = {}
-    for sample_id, entries in rows.items():
-        entries.sort(key=lambda e: e[0])
-        out[sample_id] = np.stack([v for _, v in entries])
-    return out
+    return {sample_id: np.stack([frames[i] for i in sorted(frames)])
+            for sample_id, frames in rows.items()}
 
 
 def pool(frames: np.ndarray) -> np.ndarray:

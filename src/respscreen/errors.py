@@ -38,7 +38,7 @@ class SchemaError(RespScreenError):
 
 
 class DuplicateSample(RespScreenError):
-    """Two manifest rows share the same (sample_id, modality)."""
+    """Two manifest rows share a sample_id; each id names one recording."""
 
 
 class EmptyCohort(RespScreenError):

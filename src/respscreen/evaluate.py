@@ -20,13 +20,7 @@ import numpy as np
 from . import augment as aug
 from . import features as feat
 from .audio_io import TARGET_SAMPLE_RATE, AudioSegment, decode_wav, resample, trim_silence
-from .dataset import (
-    SampleRecord,
-    apply_task,
-    balance,
-    split_users,
-    task_spec,
-)
+from .dataset import SampleRecord, apply_task, balance, split_users
 from .embeddings import combine, pool
 from .errors import ConfigError, EmptyCohort, RespScreenError, SilentSample, TooShort, skip_reason
 from .metrics import precision_recall, roc_auc
@@ -111,15 +105,15 @@ def load_segment(path) -> AudioSegment:
 
 
 class FeatureStore:
-    """Caches per-recording features so folds and sweep cells share work."""
+    """Caches each recording's segment, handcrafted vector and pooled
+    embedding, by sample id, so folds and sweep cells share work."""
 
     def __init__(self, base_dir, embeddings: dict[str, np.ndarray] | None = None):
         self.base_dir = Path(base_dir)
         self.embeddings = embeddings
         self._segments: dict[str, AudioSegment | SilentSample | TooShort] = {}
         self._handcrafted: dict[str, np.ndarray] = {}
-        self._augmented: dict[tuple[str, int], list[np.ndarray]] = {}
-        self._embedding_vectors: dict[tuple[str, str], np.ndarray] = {}
+        self._pooled: dict[str, np.ndarray] = {}
 
     def segment(self, record: SampleRecord):
         """The recording's segment; a silent or too-short recording raises its
@@ -144,30 +138,20 @@ class FeatureStore:
     def pooled(self, record: SampleRecord) -> np.ndarray:
         if self.embeddings is None:
             raise ConfigError("this feature type needs --embeddings")
-        if record.sample_id not in self.embeddings:
-            raise ConfigError(f"no embedding frames for sample {record.sample_id!r}")
-        return pool(self.embeddings[record.sample_id])
+        key = record.sample_id
+        if key not in self._pooled:
+            if key not in self.embeddings:
+                raise ConfigError(f"no embedding frames for sample {key!r}")
+            self._pooled[key] = pool(self.embeddings[key])
+        return self._pooled[key]
 
     def vector(self, record: SampleRecord, feature_type: str) -> np.ndarray:
         if feature_type == "handcrafted":
             return self.handcrafted(record)
-        key = (record.sample_id, feature_type)
-        if key not in self._embedding_vectors:
-            if feature_type == "vggish":
-                values = self.pooled(record)
-            else:
-                variant = feature_type.split("-")[1]
-                values = combine(self.handcrafted(record), self.pooled(record), variant)
-            self._embedding_vectors[key] = values
-        return self._embedding_vectors[key]
-
-    def augmented_vectors(self, record: SampleRecord, seed: int) -> list[np.ndarray]:
-        """Handcrafted vectors of the six augmented variants of a recording."""
-        key = (record.sample_id, seed)
-        if key not in self._augmented:
-            variants = aug.augment_six(self.segment(record), record.sample_id, seed)
-            self._augmented[key] = [feat.extract_handcrafted(v.segment) for v in variants]
-        return self._augmented[key]
+        if feature_type == "vggish":
+            return self.pooled(record)
+        variant = feature_type.split("-")[1]
+        return combine(self.handcrafted(record), self.pooled(record), variant)
 
 
 @dataclass(frozen=True)
@@ -207,22 +191,27 @@ def unit_vector(unit: Unit, store: FeatureStore, feature_type: str) -> np.ndarra
 @dataclass(frozen=True)
 class Cohort:
     """A run's classification units and their feature rows, `X[i]` and
-    `y[i]` belonging to `units[i]`, plus the units dropped as unusable."""
+    `y[i]` belonging to `units[i]`, plus the units dropped as unusable.
+    With augmentation, `augmented[j]` is a variant row of the negative unit
+    `units[augmented_unit[j]]`; without, both are empty."""
 
     units: tuple[Unit, ...]
     X: np.ndarray
     y: np.ndarray
     skipped: tuple[tuple[str, str], ...]  # (unit key, "Type: message")
+    augmented: np.ndarray
+    augmented_unit: np.ndarray
 
 
 def build_cohort(records: list[SampleRecord], config: RunConfig, store: FeatureStore) -> Cohort:
     """The task's units for the configured modality and one feature row per unit.
 
     A unit with a silent or too-short recording is dropped and listed in
-    `skipped`, as `extract` does with such recordings.
+    `skipped`, as `extract` does with such recordings. A multi-record
+    unit's augmented row j joins variant j of each of its records.
     """
     modalities = ("cough", "breath") if config.modality == "combined" else (config.modality,)
-    positives, negatives = apply_task(records, task_spec(config.task_id, modalities))
+    positives, negatives = apply_task(records, config.task_id, modalities)
     units, rows, skipped = [], [], []
     for unit in build_units(positives, negatives, config.modality):
         try:
@@ -235,7 +224,17 @@ def build_cohort(records: list[SampleRecord], config: RunConfig, store: FeatureS
     for label, name in ((1, "positive"), (0, "negative")):
         if not np.any(y == label):
             raise EmptyCohort(f"task {config.task_id}: no usable {name} units")
-    return Cohort(tuple(units), np.asarray(rows), y, tuple(skipped))
+    augmented, augmented_unit = [], []
+    if config.augment:  # every negative's variants; each fold takes its training ones
+        for i in np.flatnonzero(y == 0):
+            per_record = [[feat.extract_handcrafted(v.segment)
+                           for v in aug.augment_six(store.segment(r), r.sample_id, config.seed)]
+                          for r in units[i].records]
+            for variant_rows in zip(*per_record):
+                augmented.append(np.concatenate(variant_rows))
+                augmented_unit.append(i)
+    return Cohort(tuple(units), np.asarray(rows), y, tuple(skipped),
+                  np.asarray(augmented), np.asarray(augmented_unit, dtype=int))
 
 
 def run_nested_cv(
@@ -278,16 +277,10 @@ def run_nested_cv(
         X_train, y_train, users_train = X[train], y[train], users[train]
         if config.augment:
             # negatives only, training only; originals are retained
-            negatives = [units[i] for i in train if y[i] == 0]
-            variants = [
-                (u.user_id, np.concatenate(per_record))
-                for u in negatives
-                for per_record in zip(*(store.augmented_vectors(r, config.seed)
-                                        for r in u.records))
-            ]
-            X_train = np.vstack([X_train, *(row for _, row in variants)])
-            y_train = np.concatenate([y_train, np.zeros(len(variants), dtype=y.dtype)])
-            users_train = [*users_train, *(user for user, _ in variants)]
+            extra = np.isin(cohort.augmented_unit, train)
+            X_train = np.vstack([X_train, cohort.augmented[extra]])
+            y_train = np.concatenate([y_train, np.zeros(np.count_nonzero(extra), dtype=y.dtype)])
+            users_train = np.concatenate([users_train, users[cohort.augmented_unit[extra]]])
         X_test, y_test = X[test], y[test]
 
         kind = config.classifier_kind
@@ -384,10 +377,8 @@ def sweep(
             config = RunConfig(task_id=task_id, modality=modality, feature_type=feature_type,
                                seed=seed)
             try:
-                outcomes[feature_type] = run_nested_cv(
-                    records, config, base_dir=base_dir, embeddings=embeddings,
-                    grid=grid, store=store, cutoffs=tuple(cutoffs),
-                )
+                outcomes[feature_type] = run_nested_cv(records, config, grid=grid, store=store,
+                                                       cutoffs=tuple(cutoffs))
             except RespScreenError as exc:  # record and continue
                 outcomes[feature_type] = f"error:{type(exc).__name__}"
         for i, cutoff in enumerate(cutoffs):

@@ -34,22 +34,19 @@ SVM_C_GRID = (0.1, 1.0, 10.0, 100.0)
 SVM_GAMMA_GRID = ("scale", 1e-3, 1e-2, 1e-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Standardizer:
     """Per-feature mean/std learned on training data."""
 
-    mean: np.ndarray | None = None
-    std: np.ndarray | None = None
+    mean: np.ndarray
+    std: np.ndarray
 
-    def fit(self, X: np.ndarray) -> "Standardizer":
+    @classmethod
+    def fit(cls, X: np.ndarray) -> "Standardizer":
         X = np.asarray(X, dtype=np.float64)
-        self.mean = X.mean(axis=0)
-        self.std = np.maximum(X.std(axis=0), STD_FLOOR)
-        return self
+        return cls(X.mean(axis=0), np.maximum(X.std(axis=0), STD_FLOOR))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean is None:
-            raise RuntimeError("not fitted")
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.std
 
 
@@ -421,7 +418,7 @@ def fit_pipeline(X, y, kind: str, fits) -> list[Pipeline]:
     same k share their classifier objects. All pipelines share the
     standardizer, and those of one cutoff share its PCA model.
     """
-    std = Standardizer().fit(X)
+    std = Standardizer.fit(X)
     Xs = std.transform(X)
     cutoffs = list(dict.fromkeys(cutoff for cutoff, _ in fits))
     pcas = dict(zip(cutoffs, fit_pca(Xs, cutoffs)))
@@ -439,53 +436,35 @@ def fit_pipeline(X, y, kind: str, fits) -> list[Pipeline]:
     return pipelines
 
 
+# Saved fields of each pipeline part, in file order. Fields that are None
+# (the other classifier kind's arrays) are left out; solver status is not saved.
+MODEL_FIELDS = {
+    "standardizer": ("mean", "std"),
+    "pca": ("components", "explained_variance_ratio", "cutoff", "mean"),
+    "classifier": ("kind", "hyperparameters", "intercept", "weights", "support_vectors",
+                   "dual_coef"),
+}
+
+
 def pipeline_to_dict(p: Pipeline) -> dict:
-    clf = {
-        "kind": p.classifier.kind,
-        "hyperparameters": p.classifier.hyperparameters,
-        "intercept": p.classifier.intercept,
-    }
-    if p.classifier.kind == "lr":
-        clf["weights"] = p.classifier.weights.tolist()
-    else:
-        clf["support_vectors"] = p.classifier.support_vectors.tolist()
-        clf["dual_coef"] = p.classifier.dual_coef.tolist()
-    return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "standardizer": {"mean": p.standardizer.mean.tolist(), "std": p.standardizer.std.tolist()},
-        "pca": {
-            "components": p.pca.components.tolist(),
-            "explained_variance_ratio": p.pca.explained_variance_ratio.tolist(),
-            "cutoff": p.pca.cutoff,
-            "mean": p.pca.mean.tolist(),
-        },
-        "classifier": clf,
-    }
+    d: dict = {"format_version": MODEL_FORMAT_VERSION}
+    for part, names in MODEL_FIELDS.items():
+        values = {name: getattr(getattr(p, part), name) for name in names}
+        d[part] = {name: v.tolist() if isinstance(v, np.ndarray) else v
+                   for name, v in values.items() if v is not None}
+    return d
 
 
 def pipeline_from_dict(d: dict) -> Pipeline:
     if d.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {d.get('format_version')}")
-    std = Standardizer(np.array(d["standardizer"]["mean"]), np.array(d["standardizer"]["std"]))
-    pca = PcaModel(
-        np.array(d["pca"]["components"]),
-        np.array(d["pca"]["explained_variance_ratio"]),
-        d["pca"]["cutoff"],
-        np.array(d["pca"]["mean"]),
-    )
-    c = d["classifier"]
-    if c["kind"] == "lr":
-        clf = Classifier("lr", c["hyperparameters"], weights=np.array(c["weights"]),
-                         intercept=c["intercept"])
-    else:
-        clf = Classifier(
-            "svm-rbf",
-            c["hyperparameters"],
-            support_vectors=np.array(c["support_vectors"]),
-            dual_coef=np.array(c["dual_coef"]),
-            intercept=c["intercept"],
-        )
-    return Pipeline(std, pca, clf)
+    parts = {}
+    for part, names in MODEL_FIELDS.items():
+        saved = d[part]
+        parts[part] = {name: np.array(saved[name]) if isinstance(saved[name], list) else saved[name]
+                       for name in names if name in saved}
+    return Pipeline(Standardizer(**parts["standardizer"]), PcaModel(**parts["pca"]),
+                    Classifier(**parts["classifier"]))
 
 
 def save_pipeline(p: Pipeline, path) -> None:

@@ -11,7 +11,7 @@ import pytest
 
 from respscreen import synth
 from respscreen.audio_io import AudioSegment
-from respscreen.dataset import apply_task, load_manifest, split_users, task_spec
+from respscreen.dataset import apply_task, load_manifest, split_users
 from respscreen.embeddings import VARIANT_LENGTHS, combine, load_embeddings, pool
 from respscreen.evaluate import RunConfig, build_units, run_nested_cv, sweep
 from respscreen.features import (
@@ -174,7 +174,7 @@ def test_criterion_05_cv_hygiene():
                                     "never", "GR", "2020-05-01"))
     checked_folds = 0
     for task_id in (1,):
-        pos, neg = apply_task(records, task_spec(task_id))
+        pos, neg = apply_task(records, task_id)
         units = build_units(pos, neg, "cough")
         for seed in (0, 1, 2):
             splits = split_users([u for u in units if u.label == 1],

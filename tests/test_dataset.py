@@ -6,10 +6,11 @@ from respscreen.dataset import (
     SampleRecord,
     apply_task,
     balance,
+    is_negative,
+    is_positive,
     load_manifest,
     parse_manifest_rows,
     split_users,
-    task_spec,
 )
 from respscreen.errors import DuplicateSample, EmptyCohort, SchemaError, TooFewUsers
 
@@ -67,6 +68,16 @@ class TestLoadManifest:
         with pytest.raises(DuplicateSample):
             parse_manifest_rows(rows, COLUMNS)
 
+    def test_sample_id_names_one_recording(self):
+        # a cough and a breath row under one id would share one feature vector
+        rows = [row(sample_id="s1", modality="cough"), row(sample_id="s1", modality="breath")]
+        with pytest.raises(DuplicateSample, match="row 3"):
+            parse_manifest_rows(rows, COLUMNS)
+
+    def test_empty_sample_id(self):
+        with pytest.raises(SchemaError, match="empty sample_id"):
+            parse_manifest_rows([row(sample_id="  ")], COLUMNS)
+
     def test_unknown_modality(self):
         with pytest.raises(SchemaError):
             parse_manifest_rows([row(modality="voice")], COLUMNS)
@@ -94,7 +105,7 @@ class TestApplyTask:
         return records
 
     def test_task1_partition(self):
-        pos, neg = apply_task(self.cohort(), task_spec(1))
+        pos, neg = apply_task(self.cohort(), 1)
         assert {r.user_id[:3] for r in pos} == {"pos"}
         assert all(not r.symptoms and not r.medical_history and r.smoker == "never"
                    and not r.covid_tested_positive and r.country in COUNTRY_ALLOWLIST
@@ -102,29 +113,28 @@ class TestApplyTask:
         assert len(neg) == 6
 
     def test_task2_requires_cough_both_sides(self):
-        pos, neg = apply_task(self.cohort(), task_spec(2))
+        pos, neg = apply_task(self.cohort(), 2)
         assert len(pos) == 5
         assert {r.user_id[:5] for r in neg} == {"cough"}
 
     def test_task3_asthma_negatives(self):
-        pos, neg = apply_task(self.cohort(), task_spec(3))
+        pos, neg = apply_task(self.cohort(), 3)
         assert {r.user_id[:6] for r in neg} == {"asthma"}
 
     def test_filters_disjoint(self):
-        spec = task_spec(1)
         # declared-positive user in an allow-list country: positive side only
         r = record("x", covid=True, country="GR")
-        assert spec.positive_filter(r) and not spec.negative_filter(r)
+        assert is_positive(r, 1) and not is_negative(r, 1)
 
     def test_empty_cohort(self):
         records = [record("a", covid=True, symptoms={"cough"}), record("b")]
         with pytest.raises(EmptyCohort):
-            apply_task(records, task_spec(3))  # nobody has asthma
+            apply_task(records, 3)  # nobody has asthma
 
     def test_permutation_pure(self):
         records = self.cohort()
-        pos1, neg1 = apply_task(records, task_spec(1))
-        pos2, neg2 = apply_task(records[::-1], task_spec(1))
+        pos1, neg1 = apply_task(records, 1)
+        pos2, neg2 = apply_task(records[::-1], 1)
         assert {r.sample_id for r in pos1} == {r.sample_id for r in pos2}
         assert {r.sample_id for r in neg1} == {r.sample_id for r in neg2}
 
@@ -147,7 +157,7 @@ class TestApplyTask:
             count = 1 + (1 if u < 78 else 0)
             for s in range(count):
                 records.append(record(f"n{u}", sample_id=f"n{u}_{s}"))
-        pos, neg = apply_task(records, task_spec(1))
+        pos, neg = apply_task(records, 1)
         assert len(pos) == 141
         assert len(neg) == 298
         assert len({r.user_id for r in pos}) == 62

@@ -59,6 +59,13 @@ class TestLoad:
         assert loaded["a"][1, 0] == 2.0
         assert loaded["b"][0, 0] == 3.0  # reordered by frame_index
 
+    def test_repeated_frame_index(self, tmp_path):
+        # a repeated frame would otherwise count twice in the pooled mean
+        p = tmp_path / "emb.csv"
+        write_embedding_csv(p, [["s1", i, *np.full(128, float(i))] for i in (1, 3, 3)])
+        with pytest.raises(MalformedEmbeddingFile, match="row 4"):
+            load_embeddings(p)
+
     def test_non_numeric_value(self, tmp_path):
         p = tmp_path / "emb.csv"
         values = [0.0] * 128

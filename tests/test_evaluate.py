@@ -111,9 +111,9 @@ class TestNestedCv:
         seen = []
         orig = Standardizer.fit
 
-        def spy(self, X):
+        def spy(X):
             seen.append(np.asarray(X).shape[0])
-            return orig(self, X)
+            return orig(X)
 
         monkeypatch.setattr(Standardizer, "fit", spy)
         report = run_nested_cv(records, RunConfig(task_id=1, seed=0),
@@ -352,3 +352,15 @@ class TestFeatureStore:
             run_nested_cv(records, cfg, base_dir=d, embeddings=embeddings, grid=FAST_GRID,
                           store=store)
         assert pooled and len(pooled) == len(set(pooled))
+
+    def test_pools_each_recording_once_across_feature_types(self, small_cohort, monkeypatch):
+        d, records, embeddings = small_cohort
+        pooled = []
+        orig = evaluate.pool
+        monkeypatch.setattr(evaluate, "pool", lambda frames: pooled.append(id(frames)) or orig(frames))
+        store = FeatureStore(d, embeddings)
+        subset = records[:4]
+        for feature_type in EMBEDDING_FEATURE_TYPES:
+            for r in subset:
+                store.vector(r, feature_type)
+        assert sorted(pooled) == sorted(id(embeddings[r.sample_id]) for r in subset)

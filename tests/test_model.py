@@ -10,7 +10,10 @@ from respscreen.model import (
     LR_C_GRID,
     LR_GRADIENT_TOL,
     PCA_CUTOFFS,
+    Classifier,
     GridSpec,
+    PcaModel,
+    Pipeline,
     Standardizer,
     fit_lr,
     fit_pca,
@@ -43,13 +46,13 @@ def blobs(n_per=20, d=5, sep=3.0, seed=0):
 class TestStandardizer:
     def test_transform(self):
         X = np.array([[1.0, 10.0], [3.0, 30.0]])
-        Z = Standardizer().fit(X).transform(X)
+        Z = Standardizer.fit(X).transform(X)
         assert np.allclose(Z.mean(axis=0), 0.0)
         assert np.allclose(Z.std(axis=0), 1.0)
 
     def test_constant_column_maps_to_zero(self):
         X = np.array([[5.0, 1.0], [5.0, 2.0]])
-        Z = Standardizer().fit(X).transform(X)
+        Z = Standardizer.fit(X).transform(X)
         assert np.allclose(Z[:, 0], 0.0)
 
 
@@ -426,3 +429,50 @@ class TestPipelinePersistence:
         d["format_version"] = 99
         with pytest.raises(ValueError):
             pipeline_from_dict(d)
+
+
+# Model files of two hand-built pipelines, as the layout stood before the
+# codec became one field table; the bytes must not drift.
+PINNED_MODEL_FILES = {
+    "lr": (
+        '{"format_version": 1, "standardizer": {"mean": [1.0, -2.5, 0.1], "std": [2.0, 0.5, '
+        '1e-12]}, "pca": {"components": [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]], '
+        '"explained_variance_ratio": [0.75, 0.2], "cutoff": 0.9, "mean": [0.0, 0.25, -0.125]}, '
+        '"classifier": {"kind": "lr", "hyperparameters": {"C": 0.1}, "intercept": 0.0, '
+        '"weights": [1.5, -0.3, 0.2]}}'
+    ),
+    "svm-rbf": (
+        '{"format_version": 1, "standardizer": {"mean": [1.0, -2.5, 0.1], "std": [2.0, 0.5, '
+        '1e-12]}, "pca": {"components": [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]], '
+        '"explained_variance_ratio": [0.75, 0.2], "cutoff": 0.9, "mean": [0.0, 0.25, -0.125]}, '
+        '"classifier": {"kind": "svm-rbf", "hyperparameters": {"C": 10.0, "gamma": 0.01}, '
+        '"intercept": -0.0625, "support_vectors": [[0.5, -1.0], [2.0, 0.125]], '
+        '"dual_coef": [0.7, -0.7]}}'
+    ),
+}
+
+
+class TestModelFileLayout:
+    def make(self, kind):
+        std = Standardizer(mean=np.array([1.0, -2.5, 0.1]), std=np.array([2.0, 0.5, 1e-12]))
+        pca = PcaModel(components=np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]),
+                       explained_variance_ratio=np.array([0.75, 0.2]), cutoff=0.9,
+                       mean=np.array([0.0, 0.25, -0.125]))
+        if kind == "lr":
+            clf = Classifier(kind="lr", hyperparameters={"C": 0.1},
+                             weights=np.array([1.5, -0.3, 0.2]))
+        else:
+            clf = Classifier(kind="svm-rbf", hyperparameters={"C": 10.0, "gamma": 0.01},
+                             support_vectors=np.array([[0.5, -1.0], [2.0, 0.125]]),
+                             dual_coef=np.array([0.7, -0.7]), intercept=-0.0625)
+        return Pipeline(std, pca, clf)
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_MODEL_FILES))
+    def test_bytes_pinned(self, kind):
+        assert json.dumps(pipeline_to_dict(self.make(kind))) == PINNED_MODEL_FILES[kind]
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_MODEL_FILES))
+    def test_pinned_file_scores_like_the_pipeline(self, kind):
+        X = np.random.default_rng(27).normal(size=(6, 3))
+        loaded = pipeline_from_dict(json.loads(PINNED_MODEL_FILES[kind]))
+        assert np.array_equal(loaded.decision_scores(X), self.make(kind).decision_scores(X))
