@@ -176,9 +176,9 @@ def cmd_train(args) -> int:
     cohort = evaluate.build_cohort(records, config, evaluate.FeatureStore(base, embeddings))
     users = [u.user_id for u in cohort.units]
     kind = config.classifier_kind
-    [params] = model.grid_search(cohort.X, cohort.y, users, kind, model.GridSpec(), config.seed,
-                                 pca_cutoffs=[config.pca_cutoff])
-    [pipeline] = model.fit_pipeline(cohort.X, cohort.y, kind, [(config.pca_cutoff, params)])
+    [[params]] = model.grid_search([(cohort.X, cohort.y, users, config.seed)], kind,
+                                   model.GridSpec(), pca_cutoffs=[config.pca_cutoff])
+    [[pipeline]] = model.fit_pipeline([(cohort.X, cohort.y, [(config.pca_cutoff, params)])], kind)
     model.save_pipeline(pipeline, args.out)
     print(f"wrote {args.out} ({kind}, params {params}, pca_k {pipeline.pca.k}, "
           f"{len(cohort.skipped)} skipped)")

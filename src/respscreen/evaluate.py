@@ -263,7 +263,7 @@ def run_nested_cv(
     splits = split_users([u for u in units if u.label == 1], [u for u in units if u.label == 0],
                          config.seed)
 
-    folds: list[list[FoldResult]] = [[] for _ in configs]  # per cutoff
+    train_slices, tests = [], []  # per outer fold
     for fold_idx, (train_users, test_users) in enumerate(splits):
         assert not train_users & test_users
         train = np.flatnonzero(np.isin(users, list(train_users)))
@@ -281,13 +281,19 @@ def run_nested_cv(
             X_train = np.vstack([X_train, cohort.augmented[extra]])
             y_train = np.concatenate([y_train, np.zeros(np.count_nonzero(extra), dtype=y.dtype)])
             users_train = np.concatenate([users_train, users[cohort.augmented_unit[extra]]])
-        X_test, y_test = X[test], y[test]
+        train_slices.append((X_train, y_train, users_train, config.seed + fold_idx))
+        tests.append(test)
 
-        kind = config.classifier_kind
-        params = grid_search(X_train, y_train, users_train, kind, grid,
-                             seed=config.seed + fold_idx, pca_cutoffs=pca_cutoffs)
-        pipelines = fit_pipeline(X_train, y_train, kind, list(zip(pca_cutoffs, params)))
-        for cutoff_folds, pipeline, cell in zip(folds, pipelines, params, strict=True):
+    # every fold's grid search, then every fold's refit, each as one batch
+    kind = config.classifier_kind
+    params = grid_search(train_slices, kind, grid, pca_cutoffs=pca_cutoffs)
+    pipelines = fit_pipeline([(X_train, y_train, list(zip(pca_cutoffs, cells)))
+                              for (X_train, y_train, _, _), cells in zip(train_slices, params)],
+                             kind)
+    folds: list[list[FoldResult]] = [[] for _ in configs]  # per cutoff
+    for (_, y_train, _, _), test, fold_pipes, cells in zip(train_slices, tests, pipelines, params):
+        X_test, y_test = X[test], y[test]
+        for cutoff_folds, pipeline, cell in zip(folds, fold_pipes, cells, strict=True):
             scores = pipeline.decision_scores(X_test)
             pr = precision_recall(scores, y_test, pipeline.classifier.threshold)
             cutoff_folds.append(
@@ -361,8 +367,8 @@ def sweep(
     Each (modality, feature type) is one nested CV that reports all the
     cutoffs. Cells needing embeddings are marked `skipped` when none are
     loaded; a (modality, feature type) that fails with a `RespScreenError`
-    is recorded as `error:<type>` in each of its cutoffs and the sweep
-    continues. Other exceptions are bugs and propagate.
+    is recorded as `error:<type>: <message>` in each of its cutoffs and the
+    sweep continues. Other exceptions are bugs and propagate.
     """
     for cutoff in cutoffs:  # an unknown cutoff is the caller's error, not a row
         RunConfig(task_id=task_id, pca_cutoff=cutoff)
@@ -380,7 +386,7 @@ def sweep(
                 outcomes[feature_type] = run_nested_cv(records, config, grid=grid, store=store,
                                                        cutoffs=tuple(cutoffs))
             except RespScreenError as exc:  # record and continue
-                outcomes[feature_type] = f"error:{type(exc).__name__}"
+                outcomes[feature_type] = f"error:{skip_reason(exc)}"
         for i, cutoff in enumerate(cutoffs):
             for feature_type in feature_types:
                 base = dict(task=task_id, modality=modality, feature_type=feature_type,

@@ -2,14 +2,14 @@
 shallow classifiers (L2 logistic regression, SVM with RBF kernel).
 
 All solvers are deterministic: LR runs damped Newton from a zero start,
-the SVM uses most-violating-pair SMO. Fitted pipelines serialize to
+in lockstep over a batch of problems, and the SVM uses most-violating-pair
+SMO. Fitted pipelines serialize to
 versioned JSON and round-trip exactly.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +70,8 @@ class PcaModel:
 
 def fit_pca(X: np.ndarray, cutoffs) -> list[PcaModel]:
     """PCA by SVD of the (already standardized) data matrix, one model per
-    cutoff: each truncates the same SVD to its own minimal k."""
+    cutoff: each truncates the same SVD to its own minimal k, and all of
+    them share one copy of the leading components."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 rows")
@@ -82,11 +83,10 @@ def fit_pca(X: np.ndarray, cutoffs) -> list[PcaModel]:
         raise DegenerateData("zero total variance")
     ratio = variances / total
     cumulative = np.cumsum(ratio)
-    models = []
-    for cutoff in cutoffs:
-        k = min(int(np.searchsorted(cumulative, cutoff - 1e-12) + 1), len(ratio))
-        models.append(PcaModel(vt[:k].copy(), ratio[:k].copy(), cutoff, mean))
-    return models
+    ks = [min(int(np.searchsorted(cumulative, cutoff - 1e-12) + 1), len(ratio))
+          for cutoff in cutoffs]
+    top = vt[:max(ks, default=0)].copy()  # each cutoff's components are a prefix view
+    return [PcaModel(top[:k], ratio[:k].copy(), cutoff, mean) for cutoff, k in zip(cutoffs, ks)]
 
 
 def _check_labels(y) -> np.ndarray:
@@ -130,20 +130,29 @@ class Classifier:
         return K @ self.dual_coef + self.intercept
 
 
-def _lr_loss(w, X, y_pm, C: float):
-    """(loss, margins z = y_pm * f(X)) of `lr_loss_grad`, without the gradient."""
-    z = y_pm * (X @ w[:-1] + w[-1])
-    loss = float(np.logaddexp(0.0, -z).sum() / len(z)) + 0.5 * float(w[:-1] @ w[:-1]) / C
-    return loss, z
+def _dot(a, b):
+    """Row-wise dot products of two [m x d] stacks, each by the same BLAS dot
+    as the 1-D `a[i] @ b[i]`, so results do not depend on the stack."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _lr_grad(w, z, XT, neg_y_pm, C: float):
-    """Gradient of `lr_loss_grad` at `w` from its margins `z`; XT is X.T."""
-    sig = 1.0 / (1.0 + np.exp(np.minimum(np.maximum(z, -500.0), 500.0)))  # sigmoid(-z)
-    coef = neg_y_pm * sig / len(z)
-    grad = np.empty_like(w)
-    grad[:-1] = XT @ coef + w[:-1] / C
-    grad[-1] = coef.sum()
+def _lr_loss(W, X, Y_pm, C):
+    """(losses, margins Z = Y_pm * f(X)) of `lr_loss_grad` over a stack of
+    problems, without the gradient: W [m x d+1], X [m x n x d], Y_pm [m x n],
+    C [m]."""
+    Z = Y_pm * ((X @ W[:, :-1, None])[:, :, 0] + W[:, -1:])
+    loss = np.logaddexp(0.0, -Z).sum(axis=1) / Z.shape[1] + 0.5 * _dot(W[:, :-1], W[:, :-1]) / C
+    return loss, Z
+
+
+def _lr_grad(W, Z, XT, neg_Y_pm, C):
+    """Gradients of `lr_loss_grad` over a stack, from the margins `Z`; XT is
+    X transposed per problem."""
+    sig = 1.0 / (1.0 + np.exp(np.minimum(np.maximum(Z, -500.0), 500.0)))  # sigmoid(-z)
+    coef = neg_Y_pm * sig / Z.shape[1]
+    grad = np.empty_like(W)
+    grad[:, :-1] = (XT @ coef[:, :, None])[:, :, 0] + W[:, :-1] / C[:, None]
+    grad[:, -1] = coef.sum(axis=1)
     return grad
 
 
@@ -152,15 +161,23 @@ def lr_loss_grad(w, X, y01, C: float):
 
     Exposed for the finite-difference checks in the test suite.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y_pm = 2.0 * np.asarray(y01, dtype=np.float64) - 1.0
-    loss, z = _lr_loss(w, X, y_pm, C)
-    return loss, _lr_grad(w, z, X.T, -y_pm, C)
+    X = np.asarray(X, dtype=np.float64)[None]
+    y_pm = 2.0 * np.asarray(y01, dtype=np.float64)[None] - 1.0
+    W, Cs = np.asarray(w, dtype=np.float64)[None], np.array([float(C)])
+    loss, Z = _lr_loss(W, X, y_pm, Cs)
+    return float(loss[0]), _lr_grad(W, Z, X.transpose(0, 2, 1), -y_pm, Cs)[0]
 
 
-def fit_lr(X, y, C: float = 1.0, max_iter: int = 200) -> Classifier:
-    """L2-regularized logistic regression via damped Newton from zero init,
-    run until the gradient norm drops below 1e-8.
+def fit_lr(Xs, ys, Cs, max_iter: int = 200) -> list[Classifier]:
+    """L2-regularized logistic regression of each problem (Xs[i], ys[i],
+    Cs[i]) via damped Newton from zero init, run until the gradient norm
+    drops below 1e-8.
+
+    Problems of one shape are solved in lockstep as a stack: one stacked
+    Newton solve per step, each problem with its own backtracking step size,
+    and a problem leaves the stack when it stops. Every stacked operation
+    computes each problem as a lone fit would, so a problem's result does
+    not depend on the others in its batch.
 
     Line-search trials evaluate the loss only; the gradient is computed at
     the accepted point. An iteration is a deterministic function of the
@@ -168,50 +185,82 @@ def fit_lr(X, y, C: float = 1.0, max_iter: int = 200) -> Classifier:
     every further iteration would repeat it, and the solver stops there
     with `converged=False`.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteFeature("non-finite feature value")
-    y_pm = 2.0 * _check_labels(y) - 1.0
-    neg_y_pm = -y_pm
-    XT = X.T
-    n, d = X.shape
-    Xb = np.hstack([X, np.ones((n, 1))])
-    ridge = np.eye(d) / C
+    problems = []
+    groups: dict[tuple, list[int]] = {}  # shape -> problem indices
+    for i, (X, y) in enumerate(zip(Xs, ys, strict=True)):
+        X = np.asarray(X, dtype=np.float64)
+        if not np.all(np.isfinite(X)):
+            raise NonFiniteFeature("non-finite feature value")
+        problems.append((X, 2.0 * _check_labels(y) - 1.0))
+        groups.setdefault(X.shape, []).append(i)
+    classifiers: list = [None] * len(problems)
+    for idx in groups.values():
+        X = np.stack([problems[i][0] for i in idx])
+        Y_pm = np.stack([problems[i][1] for i in idx])
+        C = np.array([Cs[i] for i in idx], dtype=np.float64)
+        W, n_iter, converged = _newton_lockstep(X, Y_pm, C, max_iter)
+        for j, i in enumerate(idx):
+            classifiers[i] = Classifier(kind="lr", hyperparameters={"C": Cs[i]}, weights=W[j],
+                                        n_iter=int(n_iter[j]), converged=bool(converged[j]))
+    return classifiers
+
+
+def _newton_lockstep(X, Y_pm, C, max_iter: int):
+    """Damped Newton on a stack of same-shape problems; returns the weights
+    [m x d+1], iteration counts and convergence flags."""
+    m, n, d = X.shape
+    W_out = np.zeros((m, d + 1))
+    n_iter = np.full(m, max_iter)
+    converged = np.zeros(m, dtype=bool)
+    Xb = np.concatenate([X, np.ones((m, n, 1))], axis=2)
+    ridge = np.eye(d) / C[:, None, None]
     jitter = 1e-12 * np.eye(d + 1)  # guard against exact singularity
 
-    w = np.zeros(d + 1)
-    loss, z = _lr_loss(w, X, y_pm, C)
-    grad = _lr_grad(w, z, XT, neg_y_pm, C)
-    converged = False
-    for n_iter in range(max_iter):
-        if math.sqrt(grad @ grad) < LR_GRADIENT_TOL:
-            converged = True
-            break
-        p = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(Xb @ w, -500.0), 500.0)))
-        r = p * (1.0 - p)
-        H = (Xb * (r / n)[:, None]).T @ Xb
-        H[:d, :d] += ridge
-        H += jitter
-        step = np.linalg.solve(H, grad)
-        # backtracking keeps Newton globally convergent on this convex loss
-        t = 1.0
-        descent = float(grad @ step)
-        for _ls in range(60):
-            w_next = w - t * step
-            next_loss, z = _lr_loss(w_next, X, y_pm, C)
-            if next_loss <= loss - 1e-4 * t * descent:
+    act = np.arange(m)  # stack positions of the problems still running
+    W = np.zeros((m, d + 1))
+    loss, Z = _lr_loss(W, X, Y_pm, C)
+    grad = _lr_grad(W, Z, X.transpose(0, 2, 1), -Y_pm, C)
+    for k in range(max_iter):
+        done = np.sqrt(_dot(grad, grad)) < LR_GRADIENT_TOL
+        if done.any():
+            converged[act[done]], n_iter[act[done]], W_out[act[done]] = True, k, W[done]
+            act, W, loss, grad, X, Xb, Y_pm, C, ridge = (
+                a[~done] for a in (act, W, loss, grad, X, Xb, Y_pm, C, ridge))
+            if not len(act):
                 break
-            t *= 0.5
+        P = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum((Xb @ W[:, :, None])[:, :, 0],
+                                                        -500.0), 500.0)))
+        H = (Xb * (P * (1.0 - P) / n)[:, :, None]).transpose(0, 2, 1) @ Xb
+        H[:, :d, :d] += ridge
+        H += jitter
+        step = np.linalg.solve(H, grad[:, :, None])[:, :, 0]
+        # backtracking keeps Newton globally convergent on this convex loss;
+        # each problem halves its own t until its loss decreases enough
+        t = np.ones(len(act))
+        descent = _dot(grad, step)
+        W_next, next_loss, Z = np.empty_like(W), np.empty_like(loss), np.empty((len(act), n))
+        trial = np.arange(len(act))  # problems still searching
+        for _ls in range(60):
+            W_next[trial] = W[trial] - t[trial, None] * step[trial]
+            next_loss[trial], Z[trial] = _lr_loss(W_next[trial], X[trial], Y_pm[trial], C[trial])
+            trial = trial[~(next_loss[trial] <= loss[trial] - 1e-4 * t[trial] * descent[trial])]
+            if not len(trial):
+                break
+            t[trial] *= 0.5
         else:  # no sufficient decrease: step by the last, unevaluated halving
-            w_next = w - t * step
-            next_loss, z = _lr_loss(w_next, X, y_pm, C)
-        if (w_next == w).all():
-            break
-        w, loss, grad = w_next, next_loss, _lr_grad(w_next, z, XT, neg_y_pm, C)
+            W_next[trial] = W[trial] - t[trial, None] * step[trial]
+            next_loss[trial], Z[trial] = _lr_loss(W_next[trial], X[trial], Y_pm[trial], C[trial])
+        fixed = (W_next == W).all(axis=1)
+        if fixed.any():
+            n_iter[act[fixed]], W_out[act[fixed]] = k, W[fixed]
+            act, W_next, next_loss, Z, X, Xb, Y_pm, C, ridge = (
+                a[~fixed] for a in (act, W_next, next_loss, Z, X, Xb, Y_pm, C, ridge))
+            if not len(act):
+                break
+        W, loss, grad = W_next, next_loss, _lr_grad(W_next, Z, X.transpose(0, 2, 1), -Y_pm, C)
     else:
-        n_iter = max_iter
-    return Classifier(kind="lr", hyperparameters={"C": C}, weights=w,
-                      n_iter=n_iter, converged=converged)
+        W_out[act] = W
+    return W_out, n_iter, converged
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -315,10 +364,13 @@ class GridSpec:
         return [{"C": c, "gamma": g} for c in self.svm_c for g in self.svm_gamma]
 
 
-def fit_classifier(kind: str, X, y, params: dict) -> Classifier:
+def fit_classifiers(kind: str, problems) -> list[Classifier]:
+    """One classifier per (X, y, cell) problem: every LR problem in one
+    lockstep `fit_lr` call, SVMs one by one."""
     if kind == "lr":
-        return fit_lr(X, y, **params)
-    return fit_svm_rbf(X, y, **params)
+        return fit_lr([X for X, _, _ in problems], [y for _, y, _ in problems],
+                      [cell["C"] for _, _, cell in problems])
+    return [fit_svm_rbf(X, y, **cell) for X, y, cell in problems]
 
 
 def _inner_user_folds(users, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -337,23 +389,24 @@ def _inner_user_folds(users, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return folds
 
 
-def grid_search(X, y, users, kind: str, grid: GridSpec, seed: int,
-                pca_cutoffs) -> list[dict]:
-    """Pick, for each PCA cutoff, the hyperparameters maximizing mean
-    inner-fold ROC-AUC.
+def grid_search(slices, kind: str, grid: GridSpec, pca_cutoffs) -> list[list[dict]]:
+    """For each training slice `(X, y, users, seed)`, pick per PCA cutoff the
+    hyperparameters maximizing mean inner-fold ROC-AUC.
 
-    Inner folds are user-disjoint. Each inner fold's training slice gets one
-    standardize -> SVD fit, shared by every cutoff and grid cell, so
-    selection sees the same preprocessing as the outer fit and never leaks
-    validation rows. Ties break toward smaller C then smaller gamma
+    Plan, solve, select: the usable inner folds of every slice are planned
+    first, all of them are fit in one `fit_pipeline` call, and each slice
+    then selects from its own folds' scores. Inner folds are user-disjoint
+    and seeded by their slice's `seed`. Each inner fold's training slice
+    gets one standardize -> SVD fit, shared by every cutoff and grid cell,
+    so selection sees the same preprocessing as the outer fit and never
+    leaks validation rows. Ties break toward smaller C then smaller gamma
     ('scale' is evaluated on each fold's projected training slice).
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    folds = _inner_user_folds(users, seed)
+    slices = [(np.asarray(X, dtype=np.float64), np.asarray(y), _inner_user_folds(users, seed))
+              for X, y, users, seed in slices]
     cells = grid.cells(kind)
     if len(cells) == 1:
-        return [cells[0] for _ in pca_cutoffs]
+        return [[cells[0] for _ in pca_cutoffs] for _ in slices]
 
     def sort_key(cell):
         gamma = cell.get("gamma", 0.0)
@@ -361,24 +414,32 @@ def grid_search(X, y, users, kind: str, grid: GridSpec, seed: int,
 
     cells = sorted(cells, key=sort_key)
     fits = [(cutoff, cell) for cutoff in pca_cutoffs for cell in cells]
-    aucs: list[list[float]] = [[] for _ in fits]
-    for train_idx, val_idx in folds:
-        if len(np.unique(y[train_idx])) < 2 or len(np.unique(y[val_idx])) < 2:
-            continue  # degenerate fold at desk scale; score on the rest
-        pipes = fit_pipeline(X[train_idx], y[train_idx], kind, fits)
-        X_val = pipes[0].standardizer.transform(X[val_idx])  # every fit shares it
+    # degenerate folds at desk scale are left out; each slice scores on the rest
+    inner = [(s, train_idx, val_idx) for s, (_, y, folds) in enumerate(slices)
+             for train_idx, val_idx in folds
+             if len(np.unique(y[train_idx])) >= 2 and len(np.unique(y[val_idx])) >= 2]
+    pipes = fit_pipeline(((slices[s][0][train_idx], slices[s][1][train_idx], fits)
+                          for s, train_idx, _ in inner), kind)
+    aucs = [[[] for _ in fits] for _ in slices]  # per slice, per fit
+    for (s, _, val_idx), fold_pipes in zip(inner, pipes, strict=True):
+        X, y, _ = slices[s]
+        X_val = fold_pipes[0].standardizer.transform(X[val_idx])  # every fit shares it
         Z_val: dict[int, np.ndarray] = {}  # pca.k -> projected validation slice
         scores: dict[int, float] = {}  # id(classifier) -> validation AUC
-        for fit_aucs, pipe in zip(aucs, pipes):
+        for fit_aucs, pipe in zip(aucs[s], fold_pipes):
             if id(pipe.classifier) not in scores:
                 if pipe.pca.k not in Z_val:
                     Z_val[pipe.pca.k] = pipe.pca.transform(X_val)
                 scores[id(pipe.classifier)] = roc_auc(
                     pipe.classifier.decision_scores(Z_val[pipe.pca.k]), y[val_idx])
             fit_aucs.append(scores[id(pipe.classifier)])
+    return [_select(cells, slice_aucs, len(pca_cutoffs)) for slice_aucs in aucs]
 
+
+def _select(cells, aucs, n_cutoffs: int) -> list[dict]:
+    """Per cutoff, the first cell (in tie-break order) with the best mean AUC."""
     best = []
-    for i in range(len(pca_cutoffs)):
+    for i in range(n_cutoffs):
         best_cell, best_auc = None, -np.inf
         for cell, cell_aucs in zip(cells, aucs[i * len(cells):(i + 1) * len(cells)]):
             mean_auc = float(np.mean(cell_aucs)) if cell_aucs else -np.inf
@@ -408,32 +469,41 @@ class Pipeline:
         return self.classifier.decision_scores(self.transform(X))
 
 
-def fit_pipeline(X, y, kind: str, fits) -> list[Pipeline]:
-    """One pipeline per (PCA cutoff, hyperparameter cell) in `fits`, all on
-    one preprocessing.
+def fit_pipeline(slices, kind: str) -> list[list[Pipeline]]:
+    """For each training slice `(X, y, fits)`, one pipeline per (PCA cutoff,
+    hyperparameter cell) in `fits`, all on that slice's one preprocessing.
 
-    The standardizer and the SVD are fit once on `X`, and each cutoff
-    truncates that SVD. The slice is projected once per distinct k, and a
-    classifier is fit once per distinct (k, cell): cutoffs that keep the
-    same k share their classifier objects. All pipelines share the
-    standardizer, and those of one cutoff share its PCA model.
+    A slice's standardizer and SVD are fit once on its `X`, and each cutoff
+    truncates that SVD. The slice is projected once per distinct k, and
+    each distinct (k, cell) is one classifier problem: cutoffs that keep the
+    same k share their classifier objects. All pipelines of a slice share
+    its standardizer, and those of one cutoff share its PCA model. The
+    problems of every slice are fit in one `fit_classifiers` call. `slices`
+    may be a generator: a slice's standardized matrix is dropped once it is
+    projected.
     """
-    std = Standardizer.fit(X)
-    Xs = std.transform(X)
-    cutoffs = list(dict.fromkeys(cutoff for cutoff, _ in fits))
-    pcas = dict(zip(cutoffs, fit_pca(Xs, cutoffs)))
-    projected: dict[int, np.ndarray] = {}  # pca.k -> projected slice
-    classifiers: dict[tuple, Classifier] = {}  # (pca.k, cell) -> classifier
-    pipelines = []
-    for cutoff, params in fits:
-        pca = pcas[cutoff]
-        key = (pca.k, *sorted(params.items()))
-        if key not in classifiers:
-            if pca.k not in projected:
-                projected[pca.k] = pca.transform(Xs)
-            classifiers[key] = fit_classifier(kind, projected[pca.k], y, params)
-        pipelines.append(Pipeline(std, pca, classifiers[key]))
-    return pipelines
+    problems = []  # (projected slice, y, cell)
+    plans = []  # per slice, (standardizer, pca, problem index) per fit
+    for X, y, fits in slices:
+        std = Standardizer.fit(X)
+        Xs = std.transform(X)
+        cutoffs = list(dict.fromkeys(cutoff for cutoff, _ in fits))
+        pcas = dict(zip(cutoffs, fit_pca(Xs, cutoffs)))
+        projected: dict[int, np.ndarray] = {}  # pca.k -> projected slice
+        index: dict[tuple, int] = {}  # (pca.k, cell) -> problem index
+        plan = []
+        for cutoff, params in fits:
+            pca = pcas[cutoff]
+            key = (pca.k, *sorted(params.items()))
+            if key not in index:
+                if pca.k not in projected:
+                    projected[pca.k] = pca.transform(Xs)
+                index[key] = len(problems)
+                problems.append((projected[pca.k], y, params))
+            plan.append((std, pca, index[key]))
+        plans.append(plan)
+    classifiers = fit_classifiers(kind, problems)
+    return [[Pipeline(std, pca, classifiers[i]) for std, pca, i in plan] for plan in plans]
 
 
 # Saved fields of each pipeline part, in file order. Fields that are None

@@ -215,7 +215,7 @@ def test_criterion_07_classifier_sanity():
 
     Xl, yl = rng.normal(size=(40, 3)), rng.integers(0, 2, size=40)
     yl[:2] = [0, 1]
-    lr = fit_lr(Xl, yl, C=1.0)
+    [lr] = fit_lr([Xl], [yl], [1.0])
     _, grad = lr_loss_grad(lr.weights, Xl, yl.astype(float), 1.0)
     gnorm = float(np.linalg.norm(grad))
     assert gnorm < 1e-6

@@ -143,8 +143,13 @@ class TestTrain:
         build, fit = evaluate.build_cohort, model.fit_pipeline
         monkeypatch.setattr(evaluate, "build_cohort",
                             lambda *args: cohorts.append(build(*args)) or cohorts[-1])
-        monkeypatch.setattr(model, "fit_pipeline",
-                            lambda X, y, *args: fitted.append((X, y)) or fit(X, y, *args))
+
+        def spy(slices, *args):
+            slices = list(slices)
+            fitted.append(slices[0][:2])
+            return fit(slices, *args)
+
+        monkeypatch.setattr(model, "fit_pipeline", spy)
         assert main(["train", "--manifest", str(cohort_dir / "manifest.csv"),
                      "--task", "2", "--out", str(tmp_path / "m.json")]) == EXIT_OK
         [cohort] = cohorts

@@ -6,7 +6,7 @@ import pytest
 
 from respscreen import evaluate, model, synth
 from respscreen.audio_io import AudioSegment, encode_wav
-from respscreen.dataset import N_OUTER_FOLDS, load_manifest
+from respscreen.dataset import N_OUTER_FOLDS, is_positive, load_manifest
 from respscreen.embeddings import load_embeddings
 from respscreen.errors import ConfigError, EmptyCohort
 from respscreen.evaluate import (
@@ -169,6 +169,16 @@ class TestNestedCv:
         assert len(rows) == len(set(rows)) == n_units
         assert augmented and len(augmented) == len(set(augmented))
 
+    def test_two_lr_solves_and_one_grid_search(self, small_cohort, monkeypatch):
+        d, records, _ = small_cohort
+        solves, searches = [], []
+        fit_lr, grid_search = model.fit_lr, evaluate.grid_search
+        monkeypatch.setattr(model, "fit_lr", lambda *a, **k: solves.append(1) or fit_lr(*a, **k))
+        monkeypatch.setattr(evaluate, "grid_search",
+                            lambda *a, **k: searches.append(1) or grid_search(*a, **k))
+        run_nested_cv(records, RunConfig(task_id=1, seed=0), base_dir=d)
+        assert (len(solves), len(searches)) == (2, 1)  # inner fits, then outer refits
+
     def test_aggregate_recomputation(self, small_cohort):
         d, records, _ = small_cohort
         report = run_nested_cv(records, RunConfig(task_id=1, seed=1),
@@ -216,7 +226,23 @@ class TestSweep:
         monkeypatch.setattr(evaluate, "run_nested_cv", fail)
         rows = sweep(records, task_id=1, seed=0, base_dir=d, feature_types=("handcrafted",),
                      modalities=("cough",), cutoffs=(0.9,))
-        assert [r.status for r in rows] == ["error:EmptyCohort"]
+        assert [r.status for r in rows] == ["error:EmptyCohort: no users"]
+
+    def test_error_rows_keep_the_message(self, small_cohort, monkeypatch):
+        d, records, _ = small_cohort
+        negatives = [r for r in records if not is_positive(r, 1)]
+        [row] = sweep(negatives, task_id=1, seed=0, base_dir=d, feature_types=("handcrafted",),
+                      modalities=("cough",), cutoffs=(0.9,))
+        assert row.status == "error:EmptyCohort: task 1: no positive users"
+
+        def fail(*args, **kwargs):
+            raise EmptyCohort("no users, no units")
+
+        monkeypatch.setattr(evaluate, "run_nested_cv", fail)
+        rows = sweep(records, task_id=1, seed=0, base_dir=d, feature_types=("handcrafted",),
+                     modalities=("cough",), cutoffs=(0.9,))
+        assert [r.status for r in rows] == ["error:EmptyCohort: no users, no units"]
+        assert sweep_rows_from_csv(sweep_rows_to_csv(rows)) == rows
 
     def test_programming_errors_propagate(self, small_cohort, monkeypatch):
         def fail(*args, **kwargs):
@@ -275,10 +301,11 @@ class TestSweep:
         monkeypatch.setattr(model, "fit_pca", lambda X, cutoffs: bases.append(tuple(cutoffs))
                             or fit_pca(X, cutoffs))
 
-        def spy(X, y, users, kind, grid, seed, pca_cutoffs):
-            usable_inner.extend(f for f in _inner_user_folds(users, seed)
-                                if all(len(np.unique(y[idx])) == 2 for idx in f))
-            return grid_search(X, y, users, kind, grid, seed, pca_cutoffs=pca_cutoffs)
+        def spy(slices, kind, grid, pca_cutoffs):
+            for X, y, users, seed in slices:
+                usable_inner.extend(f for f in _inner_user_folds(users, seed)
+                                    if all(len(np.unique(y[idx])) == 2 for idx in f))
+            return grid_search(slices, kind, grid, pca_cutoffs=pca_cutoffs)
 
         monkeypatch.setattr(evaluate, "grid_search", spy)
         sweep(records, task_id=1, seed=0, base_dir=d, embeddings=embeddings,
@@ -300,7 +327,8 @@ class TestSweep:
             SweepRow(1, "cough", "handcrafted", 0.9, 0.123456789012345, 0.01,
                      0.5, 0.1, 0.7, 0.05, "ok"),
             SweepRow(1, "breath", "vggish", 0.7, status="skipped"),
-            SweepRow(1, "combined", "combined-C", 0.95, status="error:EmptyCohort"),
+            SweepRow(1, "combined", "combined-C", 0.95,
+                     status="error:EmptyCohort: task 1: no usable positive units"),
         ]
         assert sweep_rows_from_csv(sweep_rows_to_csv(rows)) == rows
 

@@ -106,7 +106,7 @@ class TestPca:
 class TestLogisticRegression:
     def test_gradient_norm_at_solution(self):
         X, y = blobs(seed=5)
-        clf = fit_lr(X, y, C=1.0)
+        [clf] = fit_lr([X], [y], [1.0])
         _, grad = lr_loss_grad(clf.weights, X, y.astype(float), 1.0)
         assert np.linalg.norm(grad) < 1e-6
 
@@ -127,30 +127,30 @@ class TestLogisticRegression:
 
     def test_separable_high_auc(self):
         X, y = blobs(sep=4.0, seed=7)
-        clf = fit_lr(X, y, C=10.0)
+        [clf] = fit_lr([X], [y], [10.0])
         assert roc_auc(clf.decision_scores(X), y) == 1.0
 
     def test_scores_are_probabilities(self):
         X, y = blobs(seed=8)
-        s = fit_lr(X, y).decision_scores(X)
+        s = fit_lr([X], [y], [1.0])[0].decision_scores(X)
         assert np.all((s >= 0) & (s <= 1))
 
     def test_row_duplication_invariant(self):
         # mean-based loss: duplicating every row must not change the optimum
         X, y = blobs(n_per=10, seed=9)
-        w1 = fit_lr(X, y, C=1.0).weights
-        w2 = fit_lr(np.vstack([X, X]), np.concatenate([y, y]), C=1.0).weights
+        w1 = fit_lr([X], [y], [1.0])[0].weights
+        w2 = fit_lr([np.vstack([X, X])], [np.concatenate([y, y])], [1.0])[0].weights
         assert np.allclose(w1, w2, atol=1e-6)
 
     def test_single_class_raises(self):
         with pytest.raises(SingleClass):
-            fit_lr(np.ones((4, 2)), [1, 1, 1, 1])
+            fit_lr([np.ones((4, 2))], [[1, 1, 1, 1]], [1.0])
 
     def test_non_finite_raises(self):
         X = np.ones((4, 2))
         X[0, 0] = np.nan
         with pytest.raises(NonFiniteFeature):
-            fit_lr(X, [0, 1, 0, 1])
+            fit_lr([X], [[0, 1, 0, 1]], [1.0])
 
     # the line search of this input stalls at machine precision short of
     # the gradient tolerance (final norm 1.27e-8)
@@ -182,8 +182,29 @@ class TestLogisticRegression:
         X, y = blobs(**self.STALL)
         problems = [(X, y, 1.0), *self.random_problems(), *self.sweep_shaped_problems()]
         for X, y, C in problems:
-            w = fit_lr(X, y, C=C).weights
+            w = fit_lr([X], [y], [C])[0].weights
             assert w.tobytes() == newton_lr_oracle(X, y, C).tobytes()
+
+    def test_batch_bitwise_equal_to_lone_fits(self):
+        X, y = blobs(**self.STALL)
+        problems = [(X, y, 1.0), (*blobs(seed=5), 1.0), *self.random_problems(),
+                    *self.sweep_shaped_problems()]
+        assert len({X.shape for X, _, _ in problems}) > 1
+        for max_iter in (200, 1):  # max_iter=1 stops each solve after one step
+            batch = fit_lr(*map(list, zip(*problems)), max_iter=max_iter)
+            for (X, y, C), clf in zip(problems, batch, strict=True):
+                [alone] = fit_lr([X], [y], [C], max_iter=max_iter)
+                assert clf.weights.tobytes() == alone.weights.tobytes()
+                assert (clf.n_iter, clf.converged) == (alone.n_iter, alone.converged)
+
+    def test_batch_with_a_bad_problem_raises(self):
+        X, y = blobs(seed=5)
+        with pytest.raises(SingleClass):
+            fit_lr([X, np.ones((4, 2)), X], [y, [1, 1, 1, 1], y], [1.0, 1.0, 1.0])
+        bad = np.ones((4, 2))
+        bad[0, 0] = np.inf
+        with pytest.raises(NonFiniteFeature):
+            fit_lr([X, bad], [y, [0, 1, 0, 1]], [1.0, 1.0])
 
     def test_stalled_line_search_stops_at_fixed_point(self, monkeypatch):
         calls = []
@@ -195,21 +216,22 @@ class TestLogisticRegression:
 
         monkeypatch.setattr(model, "_lr_loss", counting)
         X, y = blobs(**self.STALL)
-        fit_lr(X, y, C=1.0)
+        fit_lr([X], [y], [1.0])
         assert 0 < len(calls) <= 100  # 5,692 when the stall ran to max_iter
 
     def test_reports_solver_status(self):
         X, y = blobs(seed=5)
-        clf = fit_lr(X, y, C=1.0)
+        [clf] = fit_lr([X], [y], [1.0])
         assert clf.converged is True and 0 < clf.n_iter < 200
 
         X, y = blobs(**self.STALL)
-        clf = fit_lr(X, y, C=1.0)
+        [clf] = fit_lr([X], [y], [1.0])
         _, grad = lr_loss_grad(clf.weights, X, y.astype(float), 1.0)
         assert np.linalg.norm(grad) >= LR_GRADIENT_TOL
         assert clf.converged is False and clf.n_iter < 200
 
-        clf = fit_lr(*blobs(seed=5), C=1.0, max_iter=1)
+        X, y = blobs(seed=5)
+        [clf] = fit_lr([X], [y], [1.0], max_iter=1)
         assert (clf.n_iter, clf.converged) == (1, False)
 
 
@@ -312,40 +334,40 @@ class TestGridSearch:
         y = np.array([0] * 30 + [1] * 30)
         users = self.users(len(X))
         grid = GridSpec(svm_c=(1.0,), svm_gamma=(1e-5, 1.0))
-        [best] = grid_search(X, y, users, "svm-rbf", grid, seed=0, pca_cutoffs=[0.95])
+        [[best]] = grid_search([(X, y, users, 0)], "svm-rbf", grid, pca_cutoffs=[0.95])
         assert best == {"C": 1.0, "gamma": 1.0}
 
     def test_deterministic(self):
         X, y = blobs(n_per=20, d=3, seed=18)
         users = self.users(len(X))
         grid = GridSpec(svm_c=(0.1, 1.0), svm_gamma=("scale", 0.01))
-        [a] = grid_search(X, y, users, "svm-rbf", grid, seed=0, pca_cutoffs=[0.95])
-        [b] = grid_search(X, y, users, "svm-rbf", grid, seed=0, pca_cutoffs=[0.95])
+        [[a]] = grid_search([(X, y, users, 0)], "svm-rbf", grid, pca_cutoffs=[0.95])
+        [[b]] = grid_search([(X, y, users, 0)], "svm-rbf", grid, pca_cutoffs=[0.95])
         assert a == b
 
     def test_single_cell_short_circuit(self):
         X, y = blobs(n_per=5, seed=19)
-        [best] = grid_search(X, y, self.users(len(X)), "lr", GridSpec(lr_c=(0.5,)), seed=0,
-                             pca_cutoffs=[0.95])
+        [[best]] = grid_search([(X, y, self.users(len(X)), 0)], "lr", GridSpec(lr_c=(0.5,)),
+                               pca_cutoffs=[0.95])
         assert best == {"C": 0.5}
 
     def test_too_few_users(self):
         X, y = blobs(n_per=4, seed=20)
         with pytest.raises(TooFewUsers):
-            grid_search(X, y, ["u0"] * 4 + ["u1"] * 4, "lr", GridSpec(), seed=0,
+            grid_search([(X, y, ["u0"] * 4 + ["u1"] * 4, 0)], "lr", GridSpec(),
                         pca_cutoffs=[0.95])
 
     def test_tie_breaks_toward_smaller_c(self):
         # perfectly separable data: every C wins, smallest must be chosen
         X, y = blobs(n_per=30, d=2, sep=10.0, seed=21)
-        [best] = grid_search(X, y, self.users(len(X)), "lr", GridSpec(), seed=0,
-                             pca_cutoffs=[0.95])
+        [[best]] = grid_search([(X, y, self.users(len(X)), 0)], "lr", GridSpec(),
+                               pca_cutoffs=[0.95])
         assert best == {"C": 0.01}
 
     def test_pipeline_mode_runs(self):
         X, y = blobs(n_per=30, d=6, sep=3.0, seed=22)
-        [best] = grid_search(X, y, self.users(len(X)), "lr", GridSpec(lr_c=(0.1, 1.0)),
-                             seed=0, pca_cutoffs=[0.9])
+        [[best]] = grid_search([(X, y, self.users(len(X)), 0)], "lr", GridSpec(lr_c=(0.1, 1.0)),
+                               pca_cutoffs=[0.9])
         assert best["C"] in (0.1, 1.0)
 
     def test_one_basis_per_usable_inner_fold(self, monkeypatch):
@@ -357,7 +379,7 @@ class TestGridSearch:
         assert len(grid.cells("lr")) == 4
         usable = [f for f in _inner_user_folds(users, 0)
                   if all(len(np.unique(y[idx])) == 2 for idx in f)]
-        grid_search(X, y, users, "lr", grid, seed=0, pca_cutoffs=[0.9])
+        grid_search([(X, y, users, 0)], "lr", grid, pca_cutoffs=[0.9])
         assert len(calls) == len(usable) > 0  # 4 per fold, one per C, before
 
 
@@ -366,11 +388,11 @@ class TestGridSearch:
         X = rng.normal(size=(40, 8))
         y = (X[:, 5] + X[:, 6] + rng.normal(0, 1.0, 40) > 0).astype(int)
         users = self.users(len(X))
-        best = grid_search(X, y, users, "lr", GridSpec(), seed=0, pca_cutoffs=PCA_CUTOFFS)
+        [best] = grid_search([(X, y, users, 0)], "lr", GridSpec(), pca_cutoffs=PCA_CUTOFFS)
         assert len({cell["C"] for cell in best}) == 3  # the cutoffs disagree
         for cutoff, cell in zip(PCA_CUTOFFS, best):
-            assert grid_search(X, y, users, "lr", GridSpec(), seed=0,
-                               pca_cutoffs=[cutoff]) == [cell]
+            assert grid_search([(X, y, users, 0)], "lr", GridSpec(),
+                               pca_cutoffs=[cutoff]) == [[cell]]
 
 
 class TestFitPipeline:
@@ -382,28 +404,29 @@ class TestFitPipeline:
         y = (z[:, 0] + rng.normal(0, 0.5, 24) > 0).astype(int)
         lr_fits = []
         fit_lr = model.fit_lr
-        monkeypatch.setattr(model, "fit_lr", lambda *a, **k: lr_fits.append(1) or fit_lr(*a, **k))
+        monkeypatch.setattr(model, "fit_lr", lambda Xs, ys, Cs, **k: lr_fits.append(len(Cs))
+                            or fit_lr(Xs, ys, Cs, **k))
         fits = [(cutoff, {"C": c}) for cutoff in PCA_CUTOFFS for c in (0.1, 1.0)]
-        pipes = fit_pipeline(X, y, "lr", fits)
+        [pipes] = fit_pipeline([(X, y, fits)], "lr")
         assert [p.pca.k for p in pipes] == [1, 1, 1, 1, 2, 2, 3, 3]
         assert [p.pca.cutoff for p in pipes] == [cutoff for cutoff, _ in fits]
-        assert len(lr_fits) == 3 * 2  # one per distinct (k, cell)
+        assert sum(lr_fits) == 3 * 2  # one per distinct (k, cell)
         assert pipes[0].classifier is pipes[2].classifier
         assert pipes[1].classifier is pipes[3].classifier
         assert len({id(p.classifier) for p in pipes}) == 6
         for fit, pipe in zip(fits, pipes):
-            [alone] = fit_pipeline(X, y, "lr", [fit])
+            [[alone]] = fit_pipeline([(X, y, [fit])], "lr")
             assert json.dumps(pipeline_to_dict(alone)) == json.dumps(pipeline_to_dict(pipe))
 
     def test_cells_share_one_preprocessing(self):
         X, y = blobs(n_per=12, d=5, seed=25)
         cells = [{"C": 0.1, "gamma": "scale"}, {"C": 10.0, "gamma": 0.01}]
-        pipes = fit_pipeline(X, y, "svm-rbf", [(0.9, cell) for cell in cells])
+        [pipes] = fit_pipeline([(X, y, [(0.9, cell) for cell in cells])], "svm-rbf")
         assert [p.classifier.hyperparameters["C"] for p in pipes] == [0.1, 10.0]
         assert all(p.pca is pipes[0].pca and p.standardizer is pipes[0].standardizer
                    for p in pipes)
         for cell, pipe in zip(cells, pipes):
-            [alone] = fit_pipeline(X, y, "svm-rbf", [(0.9, cell)])
+            [[alone]] = fit_pipeline([(X, y, [(0.9, cell)])], "svm-rbf")
             assert np.array_equal(alone.decision_scores(X), pipe.decision_scores(X))
 
 
@@ -411,7 +434,8 @@ class TestPipelinePersistence:
     def make(self, kind):
         X, y = blobs(n_per=12, d=5, seed=23)
         params = {"C": 1.0} if kind == "lr" else {"C": 1.0, "gamma": 0.1}
-        return fit_pipeline(X, y, kind, [(0.9, params)])[0], X
+        [[pipe]] = fit_pipeline([(X, y, [(0.9, params)])], kind)
+        return pipe, X
 
     @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
     def test_json_round_trip_exact(self, kind, tmp_path):
