@@ -1,10 +1,11 @@
 """Standardization, PCA with explained-variance cutoffs, and the two
 shallow classifiers (L2 logistic regression, SVM with RBF kernel).
 
-All solvers are deterministic: LR runs damped Newton from a zero start,
-in lockstep over a batch of problems, and the SVM uses most-violating-pair
-SMO. Fitted pipelines serialize to
-versioned JSON and round-trip exactly.
+All solvers are deterministic and take a batch of problems: LR runs damped
+Newton from a zero start in lockstep over each group of one shape, and the
+SVM runs most-violating-pair SMO in lockstep over each group of one row
+count. Either way a problem's model is bitwise that of a lone fit. Fitted
+pipelines serialize to versioned JSON and round-trip exactly.
 """
 
 from __future__ import annotations
@@ -279,54 +280,113 @@ def resolve_gamma(gamma, X: np.ndarray) -> float:
     return float(gamma)
 
 
-def fit_svm_rbf(X, y, C: float = 1.0, gamma="scale", max_iter: int = 200_000) -> Classifier:
-    """RBF-kernel SVM trained by most-violating-pair SMO (KKT tolerance 1e-3).
+def fit_svm_rbf(Xs, ys, cells, max_iter: int = 200_000) -> list[Classifier]:
+    """RBF-kernel SVM of each problem (Xs[i], ys[i]) with the hyperparameters
+    `cells[i]` ({"C": ..., "gamma": ...}), trained by most-violating-pair SMO
+    (KKT tolerance 1e-3).
 
     Solves the standard dual: min 1/2 a'Qa - e'a subject to 0 <= a <= C and
-    y'a = 0, with Q_ij = y_i y_j K_ij. The model reports `converged=False`
-    when SMO stops at `max_iter` or on an empty clipped step.
+    y'a = 0, with Q_ij = y_i y_j K_ij. Problems with the same row count are
+    solved in lockstep as a stack of kernels, and a problem leaves the stack
+    when it stops. Every stacked step is elementwise or a first-index
+    argmax/argmin per problem, so a problem's model does not depend on the
+    others in its batch. A model reports `converged=False` when SMO stops at
+    `max_iter` or on an empty clipped step.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteFeature("non-finite feature value")
-    y01 = _check_labels(y)
-    y_pm = 2.0 * y01 - 1.0
-    n = X.shape[0]
-    gamma = resolve_gamma(gamma, X)
+    problems = []
+    groups: dict[int, list[int]] = {}  # row count -> problem indices
+    for i, (X, y) in enumerate(zip(Xs, ys, strict=True)):
+        X = np.asarray(X, dtype=np.float64)
+        if not np.all(np.isfinite(X)):
+            raise NonFiniteFeature("non-finite feature value")
+        problems.append((X, 2.0 * _check_labels(y) - 1.0))
+        groups.setdefault(X.shape[0], []).append(i)
+    classifiers: list = [None] * len(problems)
+    for n, idx in groups.items():
+        gammas = [resolve_gamma(cells[i]["gamma"], problems[i][0]) for i in idx]
+        KT = np.empty((len(idx), n, n))  # each problem's kernel, transposed
+        for p, (i, gamma) in enumerate(zip(idx, gammas)):
+            KT[p] = rbf_kernel(problems[i][0], problems[i][0], gamma).T
+        Y_pm = np.stack([problems[i][1] for i in idx])
+        C = np.array([cells[i]["C"] for i in idx], dtype=np.float64)
+        alpha, grad, n_iter, converged = _smo_lockstep(KT, Y_pm, C, max_iter)
+        for p, (i, gamma) in enumerate(zip(idx, gammas)):
+            classifiers[i] = _svm_classifier(problems[i][0], Y_pm[p], cells[i]["C"], gamma,
+                                             alpha[p], grad[p], int(n_iter[p]),
+                                             bool(converged[p]))
+    return classifiers
 
-    K = rbf_kernel(X, X, gamma)
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective, Q alpha - e
-    pos = y_pm > 0
 
-    converged = False
-    for n_iter in range(max_iter):
+def _smo_lockstep(KT, Y_pm, C, max_iter: int):
+    """Most-violating-pair SMO on a stack of kernels KT [m x n x n], each
+    transposed so that row t of KT[r] is column t of problem r's kernel;
+    returns alpha and the dual gradient [m x n], iteration counts and
+    convergence flags.
+
+    Entry t of a running problem is read by flat index: base + t into the
+    [running x n] state arrays, and act * n + t into the rows of KT viewed
+    as [m * n x n], which is never compacted.
+    """
+    m, n, _ = KT.shape
+    alpha_out, grad_out = np.empty((m, n)), np.empty((m, n))
+    n_iter = np.full(m, max_iter)
+    converged = np.zeros(m, dtype=bool)
+
+    act = np.arange(m)  # stack positions of the problems still running
+    alpha = np.zeros((m, n))
+    grad = -np.ones((m, n))  # gradient of the dual objective, Q alpha - e
+    neg_Y, pos = -Y_pm, Y_pm > 0
+    C_row = np.repeat(C, n).reshape(m, n)  # C per entry: a same-shape compare beats broadcasting
+    base = kernel_base = act * n
+    rows = KT.reshape(-1, n)
+    for k in range(max_iter):
         # m_t = -y_t * grad_t; pick the most violating pair
-        m = -y_pm * grad
-        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-        low = (pos & (alpha > 0)) | (~pos & (alpha < C))
-        i = int(np.argmax(np.where(up, m, -np.inf)))
-        j = int(np.argmin(np.where(low, m, np.inf)))
-        if m[i] - m[j] < SVM_KKT_TOL:
-            converged = True
-            break
+        mt = neg_Y * grad
+        below_c, above_0 = alpha < C_row, alpha > 0.0
+        up = np.where(pos, below_c, above_0)  # alpha_t can move along +y_t
+        low = np.where(pos, above_0, below_c)  # alpha_t can move along -y_t
+        ti = np.where(up, mt, -np.inf).argmax(axis=1)
+        tj = np.where(low, mt, np.inf).argmin(axis=1)
+        i, j = base + ti, base + tj
+        gap = mt.take(i) - mt.take(j)
 
-        quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
-        delta = (m[i] - m[j]) / quad
+        K_i = rows.take(kernel_base + ti, axis=0)  # kernel columns i and j
+        K_j = rows.take(kernel_base + tj, axis=0)
+        delta = gap / np.maximum(K_i.take(i) + K_j.take(j) - 2.0 * K_j.take(i), 1e-12)
         # joint box constraints: alpha_i += y_i*delta, alpha_j -= y_j*delta
-        delta = min(delta, C - alpha[i] if pos[i] else alpha[i])
-        delta = min(delta, alpha[j] if pos[j] else C - alpha[j])
-        if delta <= 0:
-            break
-        di = y_pm[i] * delta
-        dj = -y_pm[j] * delta
-        alpha[i] += di
-        alpha[j] += dj
-        # grad_t = y_t * f_t - 1 with f = K (alpha * y); rank-two update
-        grad += y_pm * (K[:, i] * (y_pm[i] * di) + K[:, j] * (y_pm[j] * dj))
+        alpha_i, alpha_j = alpha.take(i), alpha.take(j)
+        delta = np.minimum(delta, np.where(pos.take(i), C - alpha_i, alpha_i))
+        delta = np.minimum(delta, np.where(pos.take(j), alpha_j, C - alpha_j))
+        done = gap < SVM_KKT_TOL
+        stop = done | (delta <= 0)
+        n_stop = np.count_nonzero(stop)
+        if n_stop:  # a stopped problem keeps its state from before this step
+            converged[act[done]] = True
+            n_iter[act[stop]] = k
+            alpha_out[act[stop]], grad_out[act[stop]] = alpha[stop], grad[stop]
+            if n_stop == len(act):
+                break
+        alpha.put(i, alpha_i + Y_pm.take(i) * delta)
+        alpha.put(j, alpha_j + neg_Y.take(j) * delta)
+        # grad_t = y_t * f_t - 1 with f = K (alpha * y); rank-two update. Its
+        # coefficients y_i * d_i and y_j * d_j are exactly delta and -delta,
+        # since y = +-1.
+        delta = delta[:, None]
+        grad += Y_pm * (K_i * delta - K_j * delta)
+        if n_stop:
+            keep = ~stop
+            act, Y_pm, neg_Y, C, C_row, pos, alpha, grad = (
+                a[keep] for a in (act, Y_pm, neg_Y, C, C_row, pos, alpha, grad))
+            base, kernel_base = base[:len(act)], act * n
     else:
-        n_iter = max_iter
+        alpha_out[act], grad_out[act] = alpha, grad
+    return alpha_out, grad_out, n_iter, converged
 
+
+def _svm_classifier(X, y_pm, C, gamma, alpha, grad, n_iter: int, converged: bool) -> Classifier:
+    """The fitted SVM of one problem from its SMO solution: intercept and
+    support vectors."""
+    pos = y_pm > 0
     m = -y_pm * grad  # equals y_t - f_t
     free = (alpha > 1e-10) & (alpha < C - 1e-10)
     if np.any(free):
@@ -365,12 +425,12 @@ class GridSpec:
 
 
 def fit_classifiers(kind: str, problems) -> list[Classifier]:
-    """One classifier per (X, y, cell) problem: every LR problem in one
-    lockstep `fit_lr` call, SVMs one by one."""
+    """One classifier per (X, y, cell) problem, all of them in one lockstep
+    call of the kind's solver: `fit_lr` or `fit_svm_rbf`."""
+    Xs, ys, cells = ([problem[k] for problem in problems] for k in range(3))
     if kind == "lr":
-        return fit_lr([X for X, _, _ in problems], [y for _, y, _ in problems],
-                      [cell["C"] for _, _, cell in problems])
-    return [fit_svm_rbf(X, y, **cell) for X, y, cell in problems]
+        return fit_lr(Xs, ys, [cell["C"] for cell in cells])
+    return fit_svm_rbf(Xs, ys, cells)
 
 
 def _inner_user_folds(users, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -200,3 +200,74 @@ def newton_lr_oracle(X, y01, C, max_iter=200):
             t *= 0.5
         w = w - t * step
     return w
+
+
+def smo_oracle(X, y01, C, gamma, max_iter=200_000):
+    """Most-violating-pair SMO on one problem, as a dict of the fitted
+    classifier's fields.
+
+    This is the per-problem solver loop as it was before problems were
+    solved in lockstep, kept verbatim (scalar indexing, Python `min`/`max`
+    clips, the kernel built in place) to check that the batch solver takes
+    bitwise the same steps.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y_pm = 2.0 * np.asarray(y01).astype(np.float64) - 1.0
+    n = X.shape[0]
+    if gamma == "scale":
+        gamma = 1.0 / (X.shape[1] * max(float(X.var()), 1e-12))
+    gamma = float(gamma)
+
+    sq = np.sum(X**2, axis=1)[:, None] + np.sum(X**2, axis=1)[None, :] - 2.0 * X @ X.T
+    K = np.exp(-gamma * np.maximum(sq, 0.0))
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    pos = y_pm > 0
+
+    converged = False
+    for n_iter in range(max_iter):
+        m = -y_pm * grad
+        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
+        low = (pos & (alpha > 0)) | (~pos & (alpha < C))
+        i = int(np.argmax(np.where(up, m, -np.inf)))
+        j = int(np.argmin(np.where(low, m, np.inf)))
+        if m[i] - m[j] < 1e-3:
+            converged = True
+            break
+
+        quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        delta = (m[i] - m[j]) / quad
+        delta = min(delta, C - alpha[i] if pos[i] else alpha[i])
+        delta = min(delta, alpha[j] if pos[j] else C - alpha[j])
+        if delta <= 0:
+            break
+        di = y_pm[i] * delta
+        dj = -y_pm[j] * delta
+        alpha[i] += di
+        alpha[j] += dj
+        grad += y_pm * (K[:, i] * (y_pm[i] * di) + K[:, j] * (y_pm[j] * dj))
+    else:
+        n_iter = max_iter
+
+    m = -y_pm * grad
+    free = (alpha > 1e-10) & (alpha < C - 1e-10)
+    if np.any(free):
+        b = float(np.mean(m[free]))
+    else:
+        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
+        low = (pos & (alpha > 0)) | (~pos & (alpha < C))
+        hi = np.max(np.where(up, m, -np.inf))
+        lo = np.min(np.where(low, m, np.inf))
+        b = float((hi + lo) / 2.0)
+
+    sv = alpha > 1e-10
+    return {
+        "kind": "svm-rbf",
+        "hyperparameters": {"C": C, "gamma": gamma},
+        "weights": None,
+        "support_vectors": X[sv].copy(),
+        "dual_coef": (alpha * y_pm)[sv].copy(),
+        "intercept": b,
+        "n_iter": n_iter,
+        "converged": converged,
+    }

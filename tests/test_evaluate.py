@@ -179,6 +179,17 @@ class TestNestedCv:
         run_nested_cv(records, RunConfig(task_id=1, seed=0), base_dir=d)
         assert (len(solves), len(searches)) == (2, 1)  # inner fits, then outer refits
 
+    def test_two_svm_solves_and_one_grid_search(self, small_cohort, monkeypatch):
+        d, records, _ = small_cohort
+        solves, searches = [], []
+        fit_svm_rbf, grid_search = model.fit_svm_rbf, evaluate.grid_search
+        monkeypatch.setattr(model, "fit_svm_rbf",
+                            lambda *a, **k: solves.append(1) or fit_svm_rbf(*a, **k))
+        monkeypatch.setattr(evaluate, "grid_search",
+                            lambda *a, **k: searches.append(1) or grid_search(*a, **k))
+        run_nested_cv(records, RunConfig(task_id=2, seed=0), base_dir=d)
+        assert (len(solves), len(searches)) == (2, 1)  # inner fits, then outer refits
+
     def test_aggregate_recomputation(self, small_cohort):
         d, records, _ = small_cohort
         report = run_nested_cv(records, RunConfig(task_id=1, seed=1),

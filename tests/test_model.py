@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,8 @@ from respscreen.model import (
     LR_C_GRID,
     LR_GRADIENT_TOL,
     PCA_CUTOFFS,
+    SVM_C_GRID,
+    SVM_GAMMA_GRID,
     Classifier,
     GridSpec,
     PcaModel,
@@ -30,7 +33,7 @@ from respscreen.model import (
     save_pipeline,
 )
 
-from .oracles import newton_lr_oracle, svm_dual_qp_oracle
+from .oracles import newton_lr_oracle, smo_oracle, svm_dual_qp_oracle
 
 
 def blobs(n_per=20, d=5, sep=3.0, seed=0):
@@ -244,7 +247,7 @@ class TestSvm:
         y_pm = 2.0 * y - 1.0
         gamma = 2.0
 
-        clf = fit_svm_rbf(X, y, C=10.0, gamma=gamma)
+        [clf] = fit_svm_rbf([X], [y], [{"C": 10.0, "gamma": gamma}])
         _, _, oracle_decision = svm_dual_qp_oracle(X, y_pm, 10.0, gamma)
 
         grid = np.array([[a, b] for a in np.linspace(-0.3, 1.3, 9)
@@ -259,7 +262,7 @@ class TestSvm:
     def test_kkt_conditions_on_blobs(self):
         X, y = blobs(n_per=15, d=3, sep=2.0, seed=11)
         C = 1.0
-        clf = fit_svm_rbf(X, y, C=C, gamma=0.5)
+        [clf] = fit_svm_rbf([X], [y], [{"C": C, "gamma": 0.5}])
         y_pm = 2.0 * y - 1.0
         f = clf.decision_scores(X)
         m = y_pm * f  # functional margin
@@ -278,7 +281,7 @@ class TestSvm:
         X, y = blobs(n_per=8, d=2, sep=1.0, seed=12)
         y_pm = 2.0 * y - 1.0
         gamma, C = 0.7, 5.0
-        clf = fit_svm_rbf(X, y, C=C, gamma=gamma)
+        [clf] = fit_svm_rbf([X], [y], [{"C": C, "gamma": gamma}])
         alpha_o, _, _ = svm_dual_qp_oracle(X, y_pm, C, gamma)
         K = rbf_kernel(X, X, gamma)
         Q = np.outer(y_pm, y_pm) * K
@@ -302,22 +305,71 @@ class TestSvm:
     def test_permutation_invariant_decisions(self):
         X, y = blobs(n_per=10, seed=14)
         perm = np.random.default_rng(15).permutation(len(X))
-        c1 = fit_svm_rbf(X, y, C=1.0, gamma=0.2)
-        c2 = fit_svm_rbf(X[perm], y[perm], C=1.0, gamma=0.2)
+        [c1] = fit_svm_rbf([X], [y], [{"C": 1.0, "gamma": 0.2}])
+        [c2] = fit_svm_rbf([X[perm]], [y[perm]], [{"C": 1.0, "gamma": 0.2}])
         probe = np.random.default_rng(16).normal(size=(20, X.shape[1]))
         # agreement is bounded by the SMO stopping tolerance, not exact
         assert np.allclose(c1.decision_scores(probe), c2.decision_scores(probe), atol=5e-3)
 
     def test_single_class_raises(self):
         with pytest.raises(SingleClass):
-            fit_svm_rbf(np.ones((4, 2)), [0, 0, 0, 0])
+            fit_svm_rbf([np.ones((4, 2))], [[0, 0, 0, 0]], [{"C": 1.0, "gamma": "scale"}])
 
     def test_reports_solver_status(self):
         X, y = blobs(n_per=15, d=3, sep=2.0, seed=11)
-        clf = fit_svm_rbf(X, y, C=1.0, gamma=0.5)
+        [clf] = fit_svm_rbf([X], [y], [{"C": 1.0, "gamma": 0.5}])
         assert clf.converged is True and clf.n_iter > 1
-        capped = fit_svm_rbf(X, y, C=1.0, gamma=0.5, max_iter=1)
+        [capped] = fit_svm_rbf([X], [y], [{"C": 1.0, "gamma": 0.5}], max_iter=1)
         assert (capped.n_iter, capped.converged) == (1, False)
+
+    def grid_problems(self):
+        """Every cell of the SVM grid on two row counts: a blob pair and
+        32 rows of PCA-score-like features, 8 positives as in an
+        augmented inner fold."""
+        rng = np.random.default_rng(57)
+        y = np.array([1] * 8 + [0] * 24)
+        scores = rng.normal(size=(32, 6)) * np.linspace(6.0, 1.0, 6) + 1.5 * y[:, None]
+        for X, y in (blobs(n_per=8, d=2, sep=1.0, seed=12), (scores, y)):
+            for C in SVM_C_GRID:
+                for gamma in SVM_GAMMA_GRID:
+                    yield X, y, {"C": C, "gamma": gamma}
+
+    def test_batch_bitwise_equal_to_lone_fits(self):
+        rng = np.random.default_rng(10)
+        centers = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=float)
+        xor = np.vstack([c + rng.normal(0, 0.08, size=(10, 2)) for c in centers])
+        X, y = blobs(n_per=10, seed=14)
+        perm = np.random.default_rng(15).permutation(len(X))
+        problems = [(xor, np.array([0] * 20 + [1] * 20), {"C": 10.0, "gamma": 2.0}),
+                    (*blobs(n_per=15, d=3, sep=2.0, seed=11), {"C": 1.0, "gamma": 0.5}),
+                    (*blobs(n_per=8, d=2, sep=1.0, seed=12), {"C": 5.0, "gamma": 0.7}),
+                    (X, y, {"C": 1.0, "gamma": 0.2}), (X[perm], y[perm], {"C": 1.0, "gamma": 0.2}),
+                    *self.grid_problems()]
+        assert len({len(X) for X, _, _ in problems}) > 1
+        # max_iter=1 stops each solve after one step; 25 stops some of a batch
+        for max_iter in (200_000, 25, 1):
+            batch = fit_svm_rbf(*map(list, zip(*problems)), max_iter=max_iter)
+            for (X, y, cell), clf in zip(problems, batch, strict=True):
+                [alone] = fit_svm_rbf([X], [y], [cell], max_iter=max_iter)
+                expected = smo_oracle(X, y, cell["C"], cell["gamma"], max_iter=max_iter)
+                for fitted in (clf, alone):
+                    for field in dataclasses.fields(Classifier):
+                        ours, theirs = getattr(fitted, field.name), expected[field.name]
+                        if isinstance(theirs, np.ndarray):
+                            assert ours.shape == theirs.shape
+                            assert ours.tobytes() == theirs.tobytes()
+                        else:
+                            assert repr(ours) == repr(theirs)
+
+    def test_batch_with_a_bad_problem_raises(self):
+        X, y = blobs(seed=5)
+        cell = {"C": 1.0, "gamma": "scale"}
+        with pytest.raises(SingleClass):
+            fit_svm_rbf([X, np.ones((4, 2)), X], [y, [1, 1, 1, 1], y], [cell] * 3)
+        bad = np.ones((4, 2))
+        bad[0, 0] = np.inf
+        with pytest.raises(NonFiniteFeature):
+            fit_svm_rbf([X, bad], [y, [0, 1, 0, 1]], [cell] * 2)
 
 
 class TestGridSearch:
