@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import resample_poly
 
 from .errors import MalformedWav, SilentSample, UnsupportedEncoding
@@ -149,13 +150,15 @@ def resample(seg: AudioSegment, target_rate: int) -> AudioSegment:
 
 def _frame_rms(x: np.ndarray, frame_length: int, hop_length: int) -> np.ndarray:
     """RMS per frame over non-centered frames covering the signal."""
-    n = len(x)
-    starts = np.arange(0, max(n, 1), hop_length)  # partial tail frames included
-    out = np.empty(len(starts))
-    for i, s in enumerate(starts):
-        frame = x[s : s + frame_length]
-        out[i] = math.sqrt(float(np.mean(frame**2)))
-    return out
+    sq = x**2
+    if len(x) >= frame_length:
+        full = np.sqrt(np.mean(sliding_window_view(sq, frame_length)[::hop_length], axis=1))
+    else:
+        full = np.empty(0)
+    # partial tail frames, at most frame_length / hop_length of them
+    tail = [math.sqrt(float(np.mean(sq[s : s + frame_length])))
+            for s in range(len(full) * hop_length, max(len(x), 1), hop_length)]
+    return np.concatenate([full, tail])
 
 
 def trim_silence(seg: AudioSegment) -> AudioSegment:

@@ -3,13 +3,16 @@
 Each original expands into six variants (two per method). Parameters are
 drawn from the fixed ranges below with a per-sample seed derived from
 (global seed, sample id, method, copy index), so parallel processing
-order never changes results. The operators are class-agnostic; the
-evaluation pipeline enforces the negatives-only, training-only policy.
+order never changes results. A drawn playback rate is snapped to the
+RATE_GRID grid before it is applied and recorded. The operators are
+class-agnostic; the evaluation pipeline enforces the negatives-only,
+training-only policy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +27,13 @@ COPIES_PER_METHOD = 2  # fixed by the protocol
 AMP_RANGE = (1.15, 2.0)  # amplification factor
 RATE_RANGE = (0.8, 0.99)  # playback rate
 NOISE_SNR_DB_RANGE = (20.0, 40.0)
+
+# Applied playback rates are RATE_GRID / k, so at 22050 Hz the resampling
+# ratio is k/490 and its polyphase filter stays short (resampling to an
+# unsnapped round(22050 / rate) Hz, e.g. 22273 Hz, needs a FIR of about
+# 20 x 22273 taps).
+RATE_GRID = 490
+RATE_K_RANGE = (math.ceil(RATE_GRID / RATE_RANGE[1]), math.floor(RATE_GRID / RATE_RANGE[0]))
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,13 @@ def pitch_speed(seg: AudioSegment, rate: float) -> AudioSegment:
     return AudioSegment(stretched.samples, seg.sample_rate)
 
 
+def snap_rate(rate: float) -> float:
+    """The grid rate RATE_GRID / k nearest `rate`, with k clamped so that the
+    result stays inside RATE_RANGE."""
+    k = min(max(round(RATE_GRID / rate), RATE_K_RANGE[0]), RATE_K_RANGE[1])
+    return RATE_GRID / k
+
+
 def derive_seed(global_seed: int, sample_id: str, method: str, copy_index: int) -> int:
     """Stable per-variant seed; independent of processing order."""
     key = f"{global_seed}|{sample_id}|{method}|{copy_index}".encode()
@@ -78,6 +95,6 @@ def augment_six(seg: AudioSegment, sample_id: str, seed: int) -> list[Augmented]
                 snr = rng.uniform(*NOISE_SNR_DB_RANGE)
                 out.append(Augmented(add_white_noise(seg, snr, rng), method, snr, copy_index))
             else:
-                rate = rng.uniform(*RATE_RANGE)
+                rate = snap_rate(rng.uniform(*RATE_RANGE))
                 out.append(Augmented(pitch_speed(seg, rate), method, rate, copy_index))
     return out

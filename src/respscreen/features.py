@@ -8,7 +8,8 @@ Layout (canonical order, 4 + 4*11 + 3*13*11 = 477):
 Data flow: `analyze` makes a recording's one spectral analysis (one STFT,
 one log-mel); each family is a pure function of that `Analysis` or of a
 series from it (onset envelope -> onsets, tempo; RMS -> period), and
-`extract_handcrafted` chains analyze -> families -> `summarize`.
+`extract_handcrafted` chains analyze -> families -> one `summarize` of
+the [43 x n_frames] stack of series.
 """
 
 from __future__ import annotations
@@ -58,28 +59,35 @@ N_FEATURES = len(FEATURE_NAMES)  # 477
 
 
 def summarize(series) -> np.ndarray:
-    """The 11 statistics of a series, as float64 values in `STAT_NAMES` order.
+    """The 11 statistics of each row of a [rows x n] matrix, as a [rows x 11]
+    float64 array with columns in `STAT_NAMES` order; a 1-D series is the
+    one-row case and gives an (11,) array.
 
     Quartiles use linear interpolation; std is population (N); skewness is
     the biased Fisher-Pearson coefficient and kurtosis the biased excess.
-    Zero-variance series, and those whose squared variance underflows to 0,
+    Zero-variance rows, and those whose squared variance underflows to 0,
     get skewness = kurtosis = 0.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.size == 0:
         raise EmptySeries("cannot summarize an empty series")
-    mean = float(np.mean(x))
-    std = float(np.std(x))
+    rows = np.atleast_2d(x)
+    mean = np.mean(rows, axis=1)
+    std = np.std(rows, axis=1)
     m2 = std * std
-    if m2**2 > 0:  # m2**2 underflows before m2**1.5 does
-        centered = x - mean
-        skew = float(np.mean(centered**3)) / m2**1.5
-        kurt = float(np.mean(centered**4)) / m2**2 - 3.0
-    else:
-        skew = kurt = 0.0
-    q1, med, q3 = (float(v) for v in np.percentile(x, [25, 50, 75]))
-    rms = float(np.sqrt(np.mean(x**2)))
-    return np.array([mean, med, rms, np.max(x), np.min(x), q1, q3, q3 - q1, std, skew, kurt])
+    centered = rows - mean[:, None]
+    m3 = np.mean(centered**3, axis=1)
+    m4 = np.mean(centered**4, axis=1)
+    # Scalar pow per row: numpy's array power may round differently, and
+    # v**2 underflows before v**1.5 does.
+    moments = [(c3 / v**1.5, c4 / v**2 - 3.0) if v**2 > 0 else (0.0, 0.0)
+               for v, c3, c4 in zip(m2.tolist(), m3.tolist(), m4.tolist())]
+    skew, kurt = np.array(moments).T
+    q1, med, q3 = np.percentile(rows, [25, 50, 75], axis=1)
+    rms = np.sqrt(np.mean(rows**2, axis=1))
+    stats = np.stack([mean, med, rms, rows.max(axis=1), rows.min(axis=1), q1, q3, q3 - q1, std,
+                      skew, kurt], axis=1)
+    return stats if x.ndim == 2 else stats[0]
 
 
 @dataclass(frozen=True)
@@ -233,6 +241,5 @@ def extract_handcrafted(seg: AudioSegment) -> np.ndarray:
         tempo(env, a.frame_rate),
         envelope_period(series[0], a.frame_rate),
     ]
-    stats = [summarize(s) for s in series]
-    stats += [summarize(row) for matrix in mfcc_features(a) for row in matrix]
-    return np.concatenate([segment_features, *stats])
+    stats = summarize(np.vstack([*series, *mfcc_features(a)]))  # rows in FEATURE_NAMES order
+    return np.concatenate([segment_features, stats.ravel()])

@@ -287,11 +287,12 @@ def fit_svm_rbf(Xs, ys, cells, max_iter: int = 200_000) -> list[Classifier]:
 
     Solves the standard dual: min 1/2 a'Qa - e'a subject to 0 <= a <= C and
     y'a = 0, with Q_ij = y_i y_j K_ij. Problems with the same row count are
-    solved in lockstep as a stack of kernels, and a problem leaves the stack
-    when it stops. Every stacked step is elementwise or a first-index
-    argmax/argmin per problem, so a problem's model does not depend on the
-    others in its batch. A model reports `converged=False` when SMO stops at
-    `max_iter` or on an empty clipped step.
+    solved in lockstep over a stack of kernels, one per distinct (X, gamma),
+    and a problem leaves the lockstep when it stops. Every stacked step is
+    elementwise or a first-index argmax/argmin per problem, so a problem's
+    model does not depend on the others in its batch. A model reports
+    `converged=False` when SMO stops at `max_iter` or on an empty clipped
+    step.
     """
     problems = []
     groups: dict[int, list[int]] = {}  # row count -> problem indices
@@ -304,12 +305,18 @@ def fit_svm_rbf(Xs, ys, cells, max_iter: int = 200_000) -> list[Classifier]:
     classifiers: list = [None] * len(problems)
     for n, idx in groups.items():
         gammas = [resolve_gamma(cells[i]["gamma"], problems[i][0]) for i in idx]
-        KT = np.empty((len(idx), n, n))  # each problem's kernel, transposed
-        for p, (i, gamma) in enumerate(zip(idx, gammas)):
-            KT[p] = rbf_kernel(problems[i][0], problems[i][0], gamma).T
+        # One kernel per distinct (X, gamma): (id(X), gamma) -> (stack position, X).
+        # An id stays unique while `problems` holds every X.
+        kernels: dict = {}
+        kernel_of = np.array([
+            kernels.setdefault((id(problems[i][0]), gamma), (len(kernels), problems[i][0]))[0]
+            for i, gamma in zip(idx, gammas)])
+        KT = np.empty((len(kernels), n, n))  # each kernel, transposed
+        for (_, gamma), (p, X) in kernels.items():
+            KT[p] = rbf_kernel(X, X, gamma).T
         Y_pm = np.stack([problems[i][1] for i in idx])
         C = np.array([cells[i]["C"] for i in idx], dtype=np.float64)
-        alpha, grad, n_iter, converged = _smo_lockstep(KT, Y_pm, C, max_iter)
+        alpha, grad, n_iter, converged = _smo_lockstep(KT, kernel_of, Y_pm, C, max_iter)
         for p, (i, gamma) in enumerate(zip(idx, gammas)):
             classifiers[i] = _svm_classifier(problems[i][0], Y_pm[p], cells[i]["C"], gamma,
                                              alpha[p], grad[p], int(n_iter[p]),
@@ -317,17 +324,17 @@ def fit_svm_rbf(Xs, ys, cells, max_iter: int = 200_000) -> list[Classifier]:
     return classifiers
 
 
-def _smo_lockstep(KT, Y_pm, C, max_iter: int):
-    """Most-violating-pair SMO on a stack of kernels KT [m x n x n], each
-    transposed so that row t of KT[r] is column t of problem r's kernel;
-    returns alpha and the dual gradient [m x n], iteration counts and
-    convergence flags.
+def _smo_lockstep(KT, kernel_of, Y_pm, C, max_iter: int):
+    """Most-violating-pair SMO on m problems whose kernels are in the stack
+    KT [kernels x n x n], problem r's at KT[kernel_of[r]], each transposed
+    so that row t of a kernel is its column t; returns alpha and the dual
+    gradient [m x n], iteration counts and convergence flags.
 
     Entry t of a running problem is read by flat index: base + t into the
-    [running x n] state arrays, and act * n + t into the rows of KT viewed
-    as [m * n x n], which is never compacted.
+    [running x n] state arrays, and kernel_of[act] * n + t into the rows of
+    KT viewed as [kernels * n x n], which is never compacted.
     """
-    m, n, _ = KT.shape
+    m, n = Y_pm.shape
     alpha_out, grad_out = np.empty((m, n)), np.empty((m, n))
     n_iter = np.full(m, max_iter)
     converged = np.zeros(m, dtype=bool)
@@ -337,7 +344,7 @@ def _smo_lockstep(KT, Y_pm, C, max_iter: int):
     grad = -np.ones((m, n))  # gradient of the dual objective, Q alpha - e
     neg_Y, pos = -Y_pm, Y_pm > 0
     C_row = np.repeat(C, n).reshape(m, n)  # C per entry: a same-shape compare beats broadcasting
-    base = kernel_base = act * n
+    base, kernel_base = act * n, kernel_of * n
     rows = KT.reshape(-1, n)
     for k in range(max_iter):
         # m_t = -y_t * grad_t; pick the most violating pair
@@ -377,7 +384,7 @@ def _smo_lockstep(KT, Y_pm, C, max_iter: int):
             keep = ~stop
             act, Y_pm, neg_Y, C, C_row, pos, alpha, grad = (
                 a[keep] for a in (act, Y_pm, neg_Y, C, C_row, pos, alpha, grad))
-            base, kernel_base = base[:len(act)], act * n
+            base, kernel_base = base[:len(act)], kernel_of[act] * n
     else:
         alpha_out[act], grad_out[act] = alpha, grad
     return alpha_out, grad_out, n_iter, converged

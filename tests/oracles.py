@@ -88,6 +88,39 @@ def stats_oracle(x):
     }
 
 
+def summarize_oracle(series):
+    """The 11 statistics of one series in `STAT_NAMES` order.
+
+    This is the one-series `features.summarize` as it was before it took a
+    matrix, kept verbatim (numpy reductions on the 1-D series, scalar
+    Python `pow` for the moments) to check that the batched form gives
+    bitwise the same values row by row.
+    """
+    x = np.asarray(series, dtype=np.float64)
+    mean = float(np.mean(x))
+    std = float(np.std(x))
+    m2 = std * std
+    if m2**2 > 0:  # m2**2 underflows before m2**1.5 does
+        centered = x - mean
+        skew = float(np.mean(centered**3)) / m2**1.5
+        kurt = float(np.mean(centered**4)) / m2**2 - 3.0
+    else:
+        skew = kurt = 0.0
+    q1, med, q3 = (float(v) for v in np.percentile(x, [25, 50, 75]))
+    rms = float(np.sqrt(np.mean(x**2)))
+    return np.array([mean, med, rms, np.max(x), np.min(x), q1, q3, q3 - q1, std, skew, kurt])
+
+
+def frame_rms_oracle(x, frame_length, hop_length):
+    """RMS of each non-centered frame starting every `hop_length` samples,
+    partial tail frames included, by a loop over frames."""
+    out = []
+    for s in range(0, max(len(x), 1), hop_length):
+        frame = x[s : s + frame_length]
+        out.append(math.sqrt(float(np.mean(frame**2))))
+    return np.array(out)
+
+
 def zcr_oracle(frame):
     """Sign-change count per sample over one frame."""
     signs = np.signbit(np.asarray(frame))

@@ -6,7 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from respscreen.audio_io import (
+    TRIM_FRAME_LENGTH,
+    TRIM_HOP_LENGTH,
     AudioSegment,
+    _frame_rms,
     decode_wav,
     encode_wav,
     resample,
@@ -14,7 +17,7 @@ from respscreen.audio_io import (
 )
 from respscreen.errors import MalformedWav, SilentSample, UnsupportedEncoding
 
-from .oracles import dominant_frequency
+from .oracles import dominant_frequency, frame_rms_oracle
 
 SR = 22050
 
@@ -199,3 +202,11 @@ class TestTrim:
         once = trim_silence(AudioSegment(x, SR))
         twice = trim_silence(once)
         assert np.array_equal(once.samples, twice.samples)
+
+    @pytest.mark.parametrize("n", [1, 5, 511, 512, 2047, 2048, 2049, 2560, 33_075, 220_500,
+                                   441_000])
+    def test_frame_rms_bitwise_equal_loop_oracle(self, n):
+        x = np.random.default_rng(n).uniform(-0.8, 0.8, n)
+        x[: n // 3] *= 1e-4  # a quiet lead, so trimming cuts somewhere
+        got = _frame_rms(x, TRIM_FRAME_LENGTH, TRIM_HOP_LENGTH)
+        assert got.tobytes() == frame_rms_oracle(x, TRIM_FRAME_LENGTH, TRIM_HOP_LENGTH).tobytes()

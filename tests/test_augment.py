@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ from respscreen.audio_io import AudioSegment
 from respscreen.augment import (
     AMP_RANGE,
     NOISE_SNR_DB_RANGE,
+    RATE_GRID,
     RATE_RANGE,
     add_white_noise,
     amplify,
     augment_six,
     derive_seed,
     pitch_speed,
+    snap_rate,
 )
 from respscreen.errors import SilentSample
 
@@ -110,6 +114,32 @@ class TestAugmentSix:
         for o in augment_six(sine(400, amplitude=0.95), "sY", 6):
             assert np.all(np.isfinite(o.segment.samples))
             assert np.max(np.abs(o.segment.samples)) <= 1.0
+
+
+class TestSnapRate:
+    def test_grid_values_inside_the_range(self):
+        lo, hi = RATE_RANGE
+        for rate in (lo, hi, lo + 1e-9, hi - 1e-9, lo + 3e-4, hi - 3e-4, 0.9):
+            snapped = snap_rate(rate)
+            assert lo <= snapped <= hi
+            assert 490 / snapped == round(490 / snapped)
+        assert snap_rate(lo) == 490 / 612
+        assert snap_rate(hi) == 490 / 495
+
+    def test_nearest_grid_rate(self):
+        assert RATE_GRID == 490
+        assert snap_rate(490 / 550.4) == 490 / 550
+        assert snap_rate(490 / 550.6) == 490 / 551
+
+    def test_augment_six_applies_grid_rates(self):
+        seg = sine(700, seconds=0.5)
+        rates = [o.parameter for seed in range(8) for o in augment_six(seg, "sZ", seed)
+                 if o.method == "pitch_speed"]
+        assert len(set(rates)) > 1
+        for rate in rates:
+            k = 490 / rate
+            assert k == round(k) and 495 <= k <= 612
+            assert 490 % Fraction(round(SR / rate), SR).denominator == 0
 
 
 def test_derived_seed_is_stable():

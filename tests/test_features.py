@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import get_window
 
-from respscreen import dsp
+from respscreen import dsp, synth
 from respscreen.audio_io import AudioSegment
 from respscreen.dsp import frame_signal
 from respscreen.errors import EmptySeries, TooShort
@@ -25,7 +25,7 @@ from respscreen.features import (
 )
 
 from .conftest import click_train, sine
-from .oracles import centroid_oracle, rolloff_oracle, stats_oracle, zcr_oracle
+from .oracles import centroid_oracle, rolloff_oracle, stats_oracle, summarize_oracle, zcr_oracle
 
 SR = 22050
 
@@ -84,6 +84,22 @@ class TestSummarize:
             for name, expected in want.items():
                 value = got[name]
                 assert value == pytest.approx(expected, rel=1e-9, abs=1e-12), name
+
+    def test_matrix_rows_bitwise_equal_oracle(self):
+        rng = np.random.default_rng(8)
+        stacks = [np.full((3, 5), 2.5), rng.normal(size=(7, 1)), rng.normal(size=(1, 9))]
+        for _ in range(60):
+            rows, n = int(rng.choice([2, 43])), int(rng.integers(1, 400))
+            X = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-4, 4, size=(rows, 1))
+            X[0] = X[0, 0]  # constant row
+            X[1] *= 1e-160  # squared variance underflows to 0
+            stacks.append(X)
+        for X in stacks:
+            got = summarize(X)
+            assert got.shape == (len(X), len(STAT_NAMES))
+            for row, stats_row in zip(X, got, strict=True):
+                assert stats_row.tobytes() == summarize_oracle(row).tobytes()
+                assert summarize(row).tobytes() == stats_row.tobytes()
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
     @example([0.0, 3.804734908287693e-154])  # variance squared underflows to 0
@@ -268,6 +284,19 @@ class TestExtract:
             assert scaled[f"{fam}_mean"] == pytest.approx(full[f"{fam}_mean"], rel=1e-6)
         assert scaled["onsets"] == full["onsets"]
         assert scaled["rms_mean"] == pytest.approx(0.5 * full["rms_mean"], rel=1e-6)
+
+    def test_bitwise_equal_per_row_summaries(self):
+        rng = np.random.default_rng(9)
+        for i in range(20):
+            seg = synth.burst_clip(rng, freq=300.0 + 70.0 * i, seconds=0.5 + 0.1 * i)
+            a = analyze(seg)
+            env = onset_envelope(a)
+            series = frame_features(a)
+            head = [seg.duration, float(onset_count(env, a.frame_rate)), tempo(env, a.frame_rate),
+                    envelope_period(series[0], a.frame_rate)]
+            rows = [*series, *(row for m in mfcc_features(a) for row in m)]
+            expected = np.concatenate([head, *(summarize_oracle(r) for r in rows)])
+            assert extract_handcrafted(seg).tobytes() == expected.tobytes()
 
     def test_one_spectral_analysis_per_recording(self, monkeypatch):
         calls = {"stft": 0, "mel_filterbank": 0}

@@ -361,6 +361,23 @@ class TestSvm:
                         else:
                             assert repr(ours) == repr(theirs)
 
+    def test_one_kernel_per_distinct_x_and_gamma(self, monkeypatch):
+        built = []
+
+        def counting(A, B, gamma):
+            if A is B:  # a training kernel
+                built.append((id(A), gamma))
+            return rbf_kernel(A, B, gamma)
+
+        monkeypatch.setattr(model, "rbf_kernel", counting)
+        problems = list(self.grid_problems())
+        X, y = blobs(n_per=8, d=2, sep=1.0, seed=12)  # equal to one X above, a distinct array
+        problems += [(X, y, {"C": 1.0, "gamma": "scale"}), (X, y, {"C": 10.0, "gamma": "scale"})]
+        fit_svm_rbf(*map(list, zip(*problems)))
+        distinct = {(id(X), resolve_gamma(cell["gamma"], X)) for X, _, cell in problems}
+        assert len(distinct) == 2 * len(SVM_GAMMA_GRID) + 1 < len(problems)
+        assert sorted(built) == sorted(distinct)
+
     def test_batch_with_a_bad_problem_raises(self):
         X, y = blobs(seed=5)
         cell = {"C": 1.0, "gamma": "scale"}
