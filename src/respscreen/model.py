@@ -25,6 +25,8 @@ MODEL_FORMAT_VERSION = 1
 PCA_CUTOFFS = (0.7, 0.8, 0.9, 0.95)
 
 LR_GRADIENT_TOL = 1e-8
+# Newton-decrement stop: lambda^2 / 2 <= LR_DECREMENT_TOL * eps * |loss|
+LR_DECREMENT_TOL = 0.25
 SVM_KKT_TOL = 1e-3
 STD_FLOOR = 1e-12
 
@@ -172,13 +174,20 @@ def lr_loss_grad(w, X, y01, C: float):
 def fit_lr(Xs, ys, Cs, max_iter: int = 200) -> list[Classifier]:
     """L2-regularized logistic regression of each problem (Xs[i], ys[i],
     Cs[i]) via damped Newton from zero init, run until the gradient norm
-    drops below 1e-8.
+    drops below 1e-8 or the Newton decrement shows a floating-point optimum.
 
     Problems of one shape are solved in lockstep as a stack: one stacked
     Newton solve per step, each problem with its own backtracking step size,
     and a problem leaves the stack when it stops. Every stacked operation
     computes each problem as a lone fit would, so a problem's result does
     not depend on the others in its batch.
+
+    Rounding can hold the gradient norm just above its tolerance at the
+    optimum. A problem whose last accepted step did not lower the loss, and
+    whose squared Newton decrement lambda^2 = g'H^-1g (the line search's
+    `descent`) meets lambda^2 / 2 <= LR_DECREMENT_TOL * eps * |loss|, can
+    gain nothing from another step in floating point; it stops there with
+    `converged=True` (Boyd & Vandenberghe, Convex Optimization, 9.5.1).
 
     Line-search trials evaluate the loss only; the gradient is computed at
     the accepted point. An iteration is a deterministic function of the
@@ -216,17 +225,19 @@ def _newton_lockstep(X, Y_pm, C, max_iter: int):
     Xb = np.concatenate([X, np.ones((m, n, 1))], axis=2)
     ridge = np.eye(d) / C[:, None, None]
     jitter = 1e-12 * np.eye(d + 1)  # guard against exact singularity
+    floor = LR_DECREMENT_TOL * np.finfo(np.float64).eps  # bound on lambda^2 / 2 per unit |loss|
 
     act = np.arange(m)  # stack positions of the problems still running
     W = np.zeros((m, d + 1))
     loss, Z = _lr_loss(W, X, Y_pm, C)
     grad = _lr_grad(W, Z, X.transpose(0, 2, 1), -Y_pm, C)
+    flat = np.zeros(m, dtype=bool)  # the last accepted step did not lower the loss
     for k in range(max_iter):
         done = np.sqrt(_dot(grad, grad)) < LR_GRADIENT_TOL
         if done.any():
             converged[act[done]], n_iter[act[done]], W_out[act[done]] = True, k, W[done]
-            act, W, loss, grad, X, Xb, Y_pm, C, ridge = (
-                a[~done] for a in (act, W, loss, grad, X, Xb, Y_pm, C, ridge))
+            act, W, loss, grad, flat, X, Xb, Y_pm, C, ridge = (
+                a[~done] for a in (act, W, loss, grad, flat, X, Xb, Y_pm, C, ridge))
             if not len(act):
                 break
         P = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum((Xb @ W[:, :, None])[:, :, 0],
@@ -235,10 +246,19 @@ def _newton_lockstep(X, Y_pm, C, max_iter: int):
         H[:, :d, :d] += ridge
         H += jitter
         step = np.linalg.solve(H, grad[:, :, None])[:, :, 0]
+        descent = _dot(grad, step)  # the squared Newton decrement
+        # At a floating-point optimum no step lowers the loss: the last one
+        # did not, and the decrement predicts less than rounding can resolve.
+        done = flat & (0.5 * descent <= floor * np.abs(loss))
+        if done.any():
+            converged[act[done]], n_iter[act[done]], W_out[act[done]] = True, k, W[done]
+            act, W, loss, grad, step, descent, X, Xb, Y_pm, C, ridge = (
+                a[~done] for a in (act, W, loss, grad, step, descent, X, Xb, Y_pm, C, ridge))
+            if not len(act):
+                break
         # backtracking keeps Newton globally convergent on this convex loss;
         # each problem halves its own t until its loss decreases enough
         t = np.ones(len(act))
-        descent = _dot(grad, step)
         W_next, next_loss, Z = np.empty_like(W), np.empty_like(loss), np.empty((len(act), n))
         trial = np.arange(len(act))  # problems still searching
         for _ls in range(60):
@@ -251,11 +271,12 @@ def _newton_lockstep(X, Y_pm, C, max_iter: int):
         else:  # no sufficient decrease: step by the last, unevaluated halving
             W_next[trial] = W[trial] - t[trial, None] * step[trial]
             next_loss[trial], Z[trial] = _lr_loss(W_next[trial], X[trial], Y_pm[trial], C[trial])
+        flat = next_loss >= loss
         fixed = (W_next == W).all(axis=1)
         if fixed.any():
             n_iter[act[fixed]], W_out[act[fixed]] = k, W[fixed]
-            act, W_next, next_loss, Z, X, Xb, Y_pm, C, ridge = (
-                a[~fixed] for a in (act, W_next, next_loss, Z, X, Xb, Y_pm, C, ridge))
+            act, W_next, next_loss, flat, Z, X, Xb, Y_pm, C, ridge = (
+                a[~fixed] for a in (act, W_next, next_loss, flat, Z, X, Xb, Y_pm, C, ridge))
             if not len(act):
                 break
         W, loss, grad = W_next, next_loss, _lr_grad(W_next, Z, X.transpose(0, 2, 1), -Y_pm, C)

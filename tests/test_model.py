@@ -9,6 +9,7 @@ from respscreen.metrics import roc_auc
 from respscreen import model
 from respscreen.model import (
     LR_C_GRID,
+    LR_DECREMENT_TOL,
     LR_GRADIENT_TOL,
     PCA_CUTOFFS,
     SVM_C_GRID,
@@ -221,6 +222,58 @@ class TestLogisticRegression:
         X, y = blobs(**self.STALL)
         fit_lr([X], [y], [1.0])
         assert 0 < len(calls) <= 100  # 5,692 when the stall ran to max_iter
+
+    def rounding_stall_problem(self):
+        """A sweep-shaped C = 0.01 problem (10 x 5) at its optimum after a
+        few Newton steps, where rounding then holds ||g|| at 1.5e-8, above
+        the gradient tolerance: without the decrement stop it took 69 tiny
+        accepted steps to a bitwise fixed point and reported
+        `converged=False`."""
+        rng = np.random.default_rng(2230)
+        d, n = int(rng.integers(3, 10)), int(rng.choice([8, 10]))
+        y = np.arange(n) % 2
+        X = (rng.normal(size=(n, d)) * np.linspace(12.0, 3.0, d)
+             + y[:, None] * rng.uniform(0.0, 20.0, size=d))
+        return X, y, 0.01
+
+    def test_rounding_stall_stops_converged(self):
+        X, y, C = self.rounding_stall_problem()
+        [clf] = fit_lr([X], [y], [C])
+        assert clf.converged is True and clf.n_iter <= 10
+        fixed_point = newton_lr_oracle(X, y, C)  # the stall's end: 200 steps, no early exit
+        assert np.max(np.abs(clf.weights - fixed_point)) <= 2e-8
+        loss, _ = lr_loss_grad(clf.weights, X, y, C)
+        fixed_loss, _ = lr_loss_grad(fixed_point, X, y, C)
+        assert abs(loss - fixed_loss) <= np.finfo(float).eps * abs(fixed_loss)
+        # the stop is per problem: in a lockstep group it stops as when alone
+        problems = [*self.sweep_shaped_problems(), (X, y, C)]
+        assert sum(P.shape == X.shape for P, _, _ in problems) > 1
+        in_batch = fit_lr(*map(list, zip(*problems)))[-1]
+        assert in_batch.weights.tobytes() == clf.weights.tobytes()
+        assert (in_batch.n_iter, in_batch.converged) == (clf.n_iter, clf.converged)
+
+    def test_converged_is_earned(self):
+        """Every `converged=True` model meets the gradient tolerance or the
+        Newton-decrement stop at its returned weights."""
+        X, y = blobs(**self.STALL)
+        problems = [(X, y, 1.0), *self.random_problems(), *self.sweep_shaped_problems(),
+                    self.rounding_stall_problem()]
+        by_decrement = 0
+        for X, y, C in problems:
+            [clf] = fit_lr([X], [y], [C])
+            if not clf.converged:
+                continue
+            loss, grad = lr_loss_grad(clf.weights, X, y, C)
+            if np.linalg.norm(grad) < LR_GRADIENT_TOL:
+                continue
+            n, d = X.shape
+            Xb = np.hstack([X, np.ones((n, 1))])
+            p = 1.0 / (1.0 + np.exp(-(Xb @ clf.weights)))
+            H = (Xb * (p * (1.0 - p) / n)[:, None]).T @ Xb + np.diag([1.0 / C] * d + [0.0])
+            decrement = grad @ np.linalg.solve(H, grad)  # lambda^2 = g' H^-1 g
+            assert decrement / 2 <= LR_DECREMENT_TOL * np.finfo(float).eps * abs(loss)
+            by_decrement += 1
+        assert by_decrement >= 1
 
     def test_reports_solver_status(self):
         X, y = blobs(seed=5)
