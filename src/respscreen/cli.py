@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: synth-manifest, extract, augment, train, evaluate, sweep.
-Exit codes: 0 success, 2 I/O failure, 3 empty cohort, 4 config error.
+Exit codes: 0 success, 2 I/O failure, 3 empty or too small cohort, 4 config error.
 Defaults may come from a JSON config file (--config or $RESPSCREEN_CONFIG);
 explicit flags always win, and a key that no subcommand has exits 4.
 """
@@ -27,6 +27,7 @@ from .errors import (
     EmptyCohort,
     RespScreenError,
     SilentSample,
+    SingleClass,
     TooFewUsers,
     TooShort,
     skip_reason,
@@ -175,13 +176,11 @@ def cmd_train(args) -> int:
     records, base, embeddings = _load_inputs(args)
     cohort = evaluate.build_cohort(records, config, evaluate.FeatureStore(base, embeddings))
     users = [u.user_id for u in cohort.units]
-    kind = config.classifier_kind
-    [[params]] = model.grid_search([(cohort.X, cohort.y, users, config.seed)], kind,
-                                   model.GridSpec(), pca_cutoffs=[config.pca_cutoff])
-    [[pipeline]] = model.fit_pipeline([(cohort.X, cohort.y, [(config.pca_cutoff, params)])], kind)
+    [[(params, pipeline)]] = evaluate.select_and_fit(
+        [(cohort.X, cohort.y, users, config.seed)], config.classifier_kind, [config.pca_cutoff])
     model.save_pipeline(pipeline, args.out)
-    print(f"wrote {args.out} ({kind}, params {params}, pca_k {pipeline.pca.k}, "
-          f"{len(cohort.skipped)} skipped)")
+    print(f"wrote {args.out} ({pipeline.classifier.kind}, params {params}, "
+          f"pca_k {pipeline.pca.k}, {len(cohort.skipped)} skipped)")
     return EXIT_OK
 
 
@@ -316,7 +315,7 @@ def main(argv=None) -> int:
         if config:
             args = _parse_with_config(parser, argv, args.command, config)
         return args.func(args)
-    except (EmptyCohort, TooFewUsers) as exc:
+    except (EmptyCohort, TooFewUsers, SingleClass) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_COHORT
     except ConfigError as exc:

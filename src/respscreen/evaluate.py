@@ -237,6 +237,16 @@ def build_cohort(records: list[SampleRecord], config: RunConfig, store: FeatureS
                   np.asarray(augmented), np.asarray(augmented_unit, dtype=int))
 
 
+def select_and_fit(slices: list, kind: str, cutoffs, grid: GridSpec = GridSpec()):
+    """Per training slice `(X, y, users, seed)` and PCA cutoff, the cell an
+    inner user-disjoint grid search picks and the pipeline refit on the whole
+    slice with it, as `(cell, pipeline)`: one `grid_search`, one `fit_pipeline`."""
+    params = grid_search(slices, kind, grid, pca_cutoffs=cutoffs)
+    pipelines = fit_pipeline([(X, y, list(zip(cutoffs, cells)))
+                              for (X, y, _, _), cells in zip(slices, params)], kind)
+    return [list(zip(cells, pipes, strict=True)) for cells, pipes in zip(params, pipelines)]
+
+
 def run_nested_cv(
     records: list[SampleRecord],
     config: RunConfig,
@@ -248,10 +258,9 @@ def run_nested_cv(
 ) -> EvaluationReport | tuple[EvaluationReport, ...]:
     """User-disjoint nested CV of `config`, reported at `config.pca_cutoff`.
 
-    Given `cutoffs`, the run reports each of them instead and returns one
-    report per cutoff, in order. The cutoffs share the cohort, the splits
-    and, in every training slice, one standardizer and SVD; each cutoff
-    selects its own hyperparameters.
+    Given `cutoffs`, it returns one report per cutoff, in order. The cutoffs
+    share the cohort, the splits and each training slice's standardizer and
+    SVD; each cutoff selects its own hyperparameters.
     """
     configs = [config] if cutoffs is None else [replace(config, pca_cutoff=c) for c in cutoffs]
     pca_cutoffs = [c.pca_cutoff for c in configs]
@@ -284,16 +293,11 @@ def run_nested_cv(
         train_slices.append((X_train, y_train, users_train, config.seed + fold_idx))
         tests.append(test)
 
-    # every fold's grid search, then every fold's refit, each as one batch
-    kind = config.classifier_kind
-    params = grid_search(train_slices, kind, grid, pca_cutoffs=pca_cutoffs)
-    pipelines = fit_pipeline([(X_train, y_train, list(zip(pca_cutoffs, cells)))
-                              for (X_train, y_train, _, _), cells in zip(train_slices, params)],
-                             kind)
+    fits = select_and_fit(train_slices, config.classifier_kind, pca_cutoffs, grid)
     folds: list[list[FoldResult]] = [[] for _ in configs]  # per cutoff
-    for (_, y_train, _, _), test, fold_pipes, cells in zip(train_slices, tests, pipelines, params):
+    for (_, y_train, _, _), test, fold_fits in zip(train_slices, tests, fits):
         X_test, y_test = X[test], y[test]
-        for cutoff_folds, pipeline, cell in zip(folds, fold_pipes, cells, strict=True):
+        for cutoff_folds, (cell, pipeline) in zip(folds, fold_fits, strict=True):
             scores = pipeline.decision_scores(X_test)
             pr = precision_recall(scores, y_test, pipeline.classifier.threshold)
             cutoff_folds.append(

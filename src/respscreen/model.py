@@ -102,6 +102,25 @@ def _check_labels(y) -> np.ndarray:
     return y.astype(np.float64)
 
 
+def _intake(Xs, ys, group_key):
+    """A solver batch as (X finite float64, y in {-1, +1}) problems, and the
+    problem indices grouped by `group_key(X)`. Each distinct X and y object
+    is converted and checked once, and its problems share the result."""
+    Xs, ys = list(Xs), list(ys)  # held for the whole call, so each id stays unique
+    X_of, y_of = {}, {}  # id of an input -> its checked array
+    problems, groups = [], {}
+    for i, (X, y) in enumerate(zip(Xs, ys, strict=True)):
+        if id(X) not in X_of:
+            X_of[id(X)] = np.asarray(X, dtype=np.float64)
+            if not np.all(np.isfinite(X_of[id(X)])):
+                raise NonFiniteFeature("non-finite feature value")
+        if id(y) not in y_of:
+            y_of[id(y)] = 2.0 * _check_labels(y) - 1.0
+        problems.append((X_of[id(X)], y_of[id(y)]))
+        groups.setdefault(group_key(problems[i][0]), []).append(i)
+    return problems, groups
+
+
 @dataclass
 class Classifier:
     """A fitted shallow classifier with a real-valued decision score.
@@ -195,14 +214,7 @@ def fit_lr(Xs, ys, Cs, max_iter: int = 200) -> list[Classifier]:
     every further iteration would repeat it, and the solver stops there
     with `converged=False`.
     """
-    problems = []
-    groups: dict[tuple, list[int]] = {}  # shape -> problem indices
-    for i, (X, y) in enumerate(zip(Xs, ys, strict=True)):
-        X = np.asarray(X, dtype=np.float64)
-        if not np.all(np.isfinite(X)):
-            raise NonFiniteFeature("non-finite feature value")
-        problems.append((X, 2.0 * _check_labels(y) - 1.0))
-        groups.setdefault(X.shape, []).append(i)
+    problems, groups = _intake(Xs, ys, lambda X: X.shape)
     classifiers: list = [None] * len(problems)
     for idx in groups.values():
         X = np.stack([problems[i][0] for i in idx])
@@ -315,14 +327,7 @@ def fit_svm_rbf(Xs, ys, cells, max_iter: int = 200_000) -> list[Classifier]:
     `converged=False` when SMO stops at `max_iter` or on an empty clipped
     step.
     """
-    problems = []
-    groups: dict[int, list[int]] = {}  # row count -> problem indices
-    for i, (X, y) in enumerate(zip(Xs, ys, strict=True)):
-        X = np.asarray(X, dtype=np.float64)
-        if not np.all(np.isfinite(X)):
-            raise NonFiniteFeature("non-finite feature value")
-        problems.append((X, 2.0 * _check_labels(y) - 1.0))
-        groups.setdefault(X.shape[0], []).append(i)
+    problems, groups = _intake(Xs, ys, lambda X: X.shape[0])
     classifiers: list = [None] * len(problems)
     for n, idx in groups.items():
         gammas = [resolve_gamma(cells[i]["gamma"], problems[i][0]) for i in idx]
@@ -452,15 +457,6 @@ class GridSpec:
         return [{"C": c, "gamma": g} for c in self.svm_c for g in self.svm_gamma]
 
 
-def fit_classifiers(kind: str, problems) -> list[Classifier]:
-    """One classifier per (X, y, cell) problem, all of them in one lockstep
-    call of the kind's solver: `fit_lr` or `fit_svm_rbf`."""
-    Xs, ys, cells = ([problem[k] for problem in problems] for k in range(3))
-    if kind == "lr":
-        return fit_lr(Xs, ys, [cell["C"] for cell in cells])
-    return fit_svm_rbf(Xs, ys, cells)
-
-
 def _inner_user_folds(users, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """User-disjoint inner folds as (train_mask, val_mask) index arrays."""
     unique_users = sorted(set(users))
@@ -565,18 +561,17 @@ def fit_pipeline(slices, kind: str) -> list[list[Pipeline]]:
     truncates that SVD. The slice is projected once per distinct k, and
     each distinct (k, cell) is one classifier problem: cutoffs that keep the
     same k share their classifier objects. All pipelines of a slice share
-    its standardizer, and those of one cutoff share its PCA model. The
-    problems of every slice are fit in one `fit_classifiers` call. `slices`
-    may be a generator: a slice's standardized matrix is dropped once it is
-    projected.
+    its standardizer, and those of one cutoff share its PCA model. Every
+    slice's problems go to one `fit_lr` or `fit_svm_rbf` call. `slices` may
+    be a generator: a slice's standardized matrix is dropped once projected.
     """
     problems = []  # (projected slice, y, cell)
     plans = []  # per slice, (standardizer, pca, problem index) per fit
     for X, y, fits in slices:
         std = Standardizer.fit(X)
-        Xs = std.transform(X)
+        Z = std.transform(X)
         cutoffs = list(dict.fromkeys(cutoff for cutoff, _ in fits))
-        pcas = dict(zip(cutoffs, fit_pca(Xs, cutoffs)))
+        pcas = dict(zip(cutoffs, fit_pca(Z, cutoffs)))
         projected: dict[int, np.ndarray] = {}  # pca.k -> projected slice
         index: dict[tuple, int] = {}  # (pca.k, cell) -> problem index
         plan = []
@@ -585,12 +580,14 @@ def fit_pipeline(slices, kind: str) -> list[list[Pipeline]]:
             key = (pca.k, *sorted(params.items()))
             if key not in index:
                 if pca.k not in projected:
-                    projected[pca.k] = pca.transform(Xs)
+                    projected[pca.k] = pca.transform(Z)
                 index[key] = len(problems)
                 problems.append((projected[pca.k], y, params))
             plan.append((std, pca, index[key]))
         plans.append(plan)
-    classifiers = fit_classifiers(kind, problems)
+    Xs, ys, cells = ([problem[k] for problem in problems] for k in range(3))
+    classifiers = (fit_lr(Xs, ys, [cell["C"] for cell in cells]) if kind == "lr"
+                   else fit_svm_rbf(Xs, ys, cells))
     return [[Pipeline(std, pca, classifiers[i]) for std, pca, i in plan] for plan in plans]
 
 

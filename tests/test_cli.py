@@ -140,7 +140,7 @@ class TestTrain:
 
     def test_fits_on_the_cohort_matrix(self, cohort_dir, tmp_path, monkeypatch):
         cohorts, fitted = [], []
-        build, fit = evaluate.build_cohort, model.fit_pipeline
+        build, fit = evaluate.build_cohort, evaluate.fit_pipeline
         monkeypatch.setattr(evaluate, "build_cohort",
                             lambda *args: cohorts.append(build(*args)) or cohorts[-1])
 
@@ -149,11 +149,40 @@ class TestTrain:
             fitted.append(slices[0][:2])
             return fit(slices, *args)
 
-        monkeypatch.setattr(model, "fit_pipeline", spy)
+        monkeypatch.setattr(evaluate, "fit_pipeline", spy)
         assert main(["train", "--manifest", str(cohort_dir / "manifest.csv"),
                      "--task", "2", "--out", str(tmp_path / "m.json")]) == EXIT_OK
         [cohort] = cohorts
         assert fitted[-1][0] is cohort.X and fitted[-1][1] is cohort.y
+
+    @pytest.mark.parametrize("task", [1, 2])  # LR, SVM
+    def test_model_file_is_grid_search_then_refit(self, cohort_dir, tmp_path, task):
+        out = tmp_path / "m.json"
+        assert main(["train", "--manifest", str(cohort_dir / "manifest.csv"),
+                     "--task", str(task), "--out", str(out)]) == EXIT_OK
+        # the reference: model selection, then the refit, on the one cohort slice
+        config = evaluate.RunConfig(task_id=task)
+        cohort = evaluate.build_cohort(load_manifest(cohort_dir / "manifest.csv"), config,
+                                       evaluate.FeatureStore(cohort_dir))
+        users = [u.user_id for u in cohort.units]
+        kind = config.classifier_kind
+        [[params]] = model.grid_search([(cohort.X, cohort.y, users, config.seed)], kind,
+                                       model.GridSpec(), pca_cutoffs=[config.pca_cutoff])
+        [[pipeline]] = model.fit_pipeline([(cohort.X, cohort.y, [(config.pca_cutoff, params)])],
+                                          kind)
+        assert out.read_text() == json.dumps(model.pipeline_to_dict(pipeline))
+
+    def test_no_inner_fold_with_both_classes_exit_code(self, tmp_path, capsys):
+        # one positive user: every inner fold of model selection lacks a class
+        d = tmp_path / "c"
+        assert main(["synth-manifest", "--out", str(d), "--seed", "3",
+                     "--covid-users", "1", "--healthy-users", "4",
+                     "--cough-users", "0", "--asthma-users", "0",
+                     "--clip-seconds", "1"]) == EXIT_OK
+        code = main(["train", "--manifest", str(d / "manifest.csv"), "--task", "1",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == EXIT_EMPTY_COHORT
+        assert "no inner fold had both classes" in capsys.readouterr().err
 
     def test_embedding_features_without_file(self, cohort_dir, tmp_path):
         code = main(["train", "--manifest", str(cohort_dir / "manifest.csv"),

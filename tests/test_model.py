@@ -442,6 +442,35 @@ class TestSvm:
             fit_svm_rbf([X, bad], [y, [0, 1, 0, 1]], [cell] * 2)
 
 
+class TestIntake:
+    @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
+    def test_shared_x_and_y_checked_once(self, kind, monkeypatch):
+        # both solvers convert and check each distinct X and y object once
+        checked = []
+        check_labels = model._check_labels
+        monkeypatch.setattr(model, "_check_labels",
+                            lambda y: checked.append(1) or check_labels(y))
+        X, y = blobs(n_per=10, seed=16)
+        cells = [{"C": c, "gamma": "scale"} for c in (0.1, 1.0, 10.0)]
+        if kind == "lr":
+            def fit(Xs, ys):
+                return fit_lr(Xs, ys, [cell["C"] for cell in cells])
+        else:
+            def fit(Xs, ys):
+                return fit_svm_rbf(Xs, ys, cells)
+        shared = fit([X] * len(cells), [y] * len(cells))
+        assert len(checked) == 1
+        separate = fit([X.copy() for _ in cells], [y.copy() for _ in cells])
+        assert len(checked) == 1 + len(cells)
+        for ours, theirs in zip(shared, separate, strict=True):
+            for field in dataclasses.fields(Classifier):
+                a, b = getattr(ours, field.name), getattr(theirs, field.name)
+                if isinstance(b, np.ndarray):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                else:
+                    assert repr(a) == repr(b)
+
+
 class TestGridSearch:
     def users(self, n):
         # two samples per user so folds stay user-disjoint but non-trivial
