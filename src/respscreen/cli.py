@@ -23,13 +23,12 @@ from . import dataset, evaluate, features, model, synth
 from .audio_io import TARGET_SAMPLE_RATE, decode_wav, encode_wav, resample, trim_silence
 from .embeddings import load_embeddings
 from .errors import (
+    UNUSABLE_RECORDING,
     ConfigError,
     EmptyCohort,
     RespScreenError,
-    SilentSample,
     SingleClass,
     TooFewUsers,
-    TooShort,
     skip_reason,
 )
 from .util import format_float, write_bytes_atomic, write_text_atomic
@@ -42,7 +41,7 @@ EXIT_CONFIG = 4
 CONFIG_ENV_VAR = "RESPSCREEN_CONFIG"
 
 # Header of the skip CSV written beside an output: one (sample_id,
-# "Type: message") row per recording left out as silent or too short.
+# "Type: message") row per recording left out as unusable.
 SKIP_HEADER = ("sample_id", "reason")
 
 
@@ -73,7 +72,7 @@ def _extract_one(args):
     try:
         seg = trim_silence(resample(decode_wav(Path(wav_path).read_bytes()), TARGET_SAMPLE_RATE))
         return sample_id, features.extract_handcrafted(seg), None
-    except (SilentSample, TooShort) as exc:
+    except UNUSABLE_RECORDING as exc:
         return sample_id, None, skip_reason(exc)
 
 
@@ -129,7 +128,7 @@ def cmd_augment(args) -> int:
             continue  # augmentation is training-only by protocol
         try:
             seg = evaluate.load_segment(base / r.audio_path)  # the segment evaluation augments
-        except (SilentSample, TooShort) as exc:
+        except UNUSABLE_RECORDING as exc:
             skipped.append((r.sample_id, skip_reason(exc)))
             continue
         for variant in aug.augment_six(seg, r.sample_id, args.seed):

@@ -101,6 +101,10 @@ def parse_manifest_rows(rows, columns) -> list[SampleRecord]:
     records: list[SampleRecord] = []
     seen: set[str] = set()
     for line_no, row in enumerate(rows, start=2):
+        # csv.DictReader pads a short row with None and files a long row's extras under None
+        values = [v for k, v in row.items() if k is not None and v is not None] + row.get(None, [])
+        if len(values) != len(columns):
+            raise SchemaError(f"row {line_no}: expected {len(columns)} fields, got {len(values)}")
         modality = row["modality"].strip()
         if modality not in MODALITIES:
             raise SchemaError(f"row {line_no}: unknown modality {modality!r}")

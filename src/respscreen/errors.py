@@ -65,6 +65,10 @@ class ConfigError(RespScreenError):
     """Invalid run configuration (bad flag combination, missing input)."""
 
 
+# Errors of a recording that every command skips, with its reason, rather than abort
+UNUSABLE_RECORDING = (SilentSample, TooShort, MalformedWav, UnsupportedEncoding)
+
+
 def skip_reason(exc: RespScreenError) -> str:
     """Why a recording was left out, as skip CSVs and reports write it."""
     return f"{type(exc).__name__}: {exc}"

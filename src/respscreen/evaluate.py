@@ -22,9 +22,9 @@ from . import features as feat
 from .audio_io import TARGET_SAMPLE_RATE, AudioSegment, decode_wav, resample, trim_silence
 from .dataset import SampleRecord, apply_task, balance, split_users
 from .embeddings import combine, pool
-from .errors import ConfigError, EmptyCohort, RespScreenError, SilentSample, TooShort, skip_reason
+from .errors import UNUSABLE_RECORDING, ConfigError, EmptyCohort, RespScreenError, skip_reason
 from .metrics import precision_recall, roc_auc
-from .model import GridSpec, PCA_CUTOFFS, fit_pipeline, grid_search
+from .model import PCA_CUTOFFS, fit_pipeline, grid_search
 from .util import write_text_atomic
 
 MODALITY_CHOICES = ("cough", "breath", "combined")
@@ -111,18 +111,18 @@ class FeatureStore:
     def __init__(self, base_dir, embeddings: dict[str, np.ndarray] | None = None):
         self.base_dir = Path(base_dir)
         self.embeddings = embeddings
-        self._segments: dict[str, AudioSegment | SilentSample | TooShort] = {}
+        self._segments: dict[str, AudioSegment | RespScreenError] = {}
         self._handcrafted: dict[str, np.ndarray] = {}
         self._pooled: dict[str, np.ndarray] = {}
 
     def segment(self, record: SampleRecord):
-        """The recording's segment; a silent or too-short recording raises its
-        `SilentSample`/`TooShort` again on every request without reloading."""
+        """The recording's segment; an unusable recording (`UNUSABLE_RECORDING`)
+        raises its error again on every request without reloading."""
         key = record.sample_id
         if key not in self._segments:
             try:
                 self._segments[key] = load_segment(self.base_dir / record.audio_path)
-            except (SilentSample, TooShort) as exc:
+            except UNUSABLE_RECORDING as exc:
                 self._segments[key] = exc
         segment = self._segments[key]
         if isinstance(segment, Exception):
@@ -206,8 +206,8 @@ class Cohort:
 def build_cohort(records: list[SampleRecord], config: RunConfig, store: FeatureStore) -> Cohort:
     """The task's units for the configured modality and one feature row per unit.
 
-    A unit with a silent or too-short recording is dropped and listed in
-    `skipped`, as `extract` does with such recordings. A multi-record
+    A unit with an unusable recording (`UNUSABLE_RECORDING`) is dropped and
+    listed in `skipped`, as `extract` does with such recordings. A multi-record
     unit's augmented row j joins variant j of each of its records.
     """
     modalities = ("cough", "breath") if config.modality == "combined" else (config.modality,)
@@ -216,7 +216,7 @@ def build_cohort(records: list[SampleRecord], config: RunConfig, store: FeatureS
     for unit in build_units(positives, negatives, config.modality):
         try:
             rows.append(unit_vector(unit, store, config.feature_type))
-        except (SilentSample, TooShort) as exc:
+        except UNUSABLE_RECORDING as exc:
             skipped.append((unit.key, skip_reason(exc)))
             continue
         units.append(unit)
@@ -237,11 +237,11 @@ def build_cohort(records: list[SampleRecord], config: RunConfig, store: FeatureS
                   np.asarray(augmented), np.asarray(augmented_unit, dtype=int))
 
 
-def select_and_fit(slices: list, kind: str, cutoffs, grid: GridSpec = GridSpec()):
+def select_and_fit(slices: list, kind: str, cutoffs):
     """Per training slice `(X, y, users, seed)` and PCA cutoff, the cell an
     inner user-disjoint grid search picks and the pipeline refit on the whole
     slice with it, as `(cell, pipeline)`: one `grid_search`, one `fit_pipeline`."""
-    params = grid_search(slices, kind, grid, pca_cutoffs=cutoffs)
+    params = grid_search(slices, kind, pca_cutoffs=cutoffs)
     pipelines = fit_pipeline([(X, y, list(zip(cutoffs, cells)))
                               for (X, y, _, _), cells in zip(slices, params)], kind)
     return [list(zip(cells, pipes, strict=True)) for cells, pipes in zip(params, pipelines)]
@@ -252,7 +252,6 @@ def run_nested_cv(
     config: RunConfig,
     base_dir=".",
     embeddings: dict[str, np.ndarray] | None = None,
-    grid: GridSpec = GridSpec(),
     store: FeatureStore | None = None,
     cutoffs: tuple[float, ...] | None = None,
 ) -> EvaluationReport | tuple[EvaluationReport, ...]:
@@ -293,7 +292,7 @@ def run_nested_cv(
         train_slices.append((X_train, y_train, users_train, config.seed + fold_idx))
         tests.append(test)
 
-    fits = select_and_fit(train_slices, config.classifier_kind, pca_cutoffs, grid)
+    fits = select_and_fit(train_slices, config.classifier_kind, pca_cutoffs)
     folds: list[list[FoldResult]] = [[] for _ in configs]  # per cutoff
     for (_, y_train, _, _), test, fold_fits in zip(train_slices, tests, fits):
         X_test, y_test = X[test], y[test]
@@ -361,12 +360,8 @@ def sweep(
     seed: int,
     base_dir=".",
     embeddings: dict[str, np.ndarray] | None = None,
-    grid: GridSpec = GridSpec(),
-    feature_types=FEATURE_TYPES,
-    modalities=MODALITY_CHOICES,
-    cutoffs=PCA_CUTOFFS,
 ) -> list[SweepRow]:
-    """Cross product over modalities x cutoffs x feature types.
+    """Cross product over `MODALITY_CHOICES` x `PCA_CUTOFFS` x `FEATURE_TYPES`.
 
     Each (modality, feature type) is one nested CV that reports all the
     cutoffs. Cells needing embeddings are marked `skipped` when none are
@@ -374,25 +369,23 @@ def sweep(
     is recorded as `error:<type>: <message>` in each of its cutoffs and the
     sweep continues. Other exceptions are bugs and propagate.
     """
-    for cutoff in cutoffs:  # an unknown cutoff is the caller's error, not a row
-        RunConfig(task_id=task_id, pca_cutoff=cutoff)
     store = FeatureStore(base_dir, embeddings)
     rows = []
-    for modality in modalities:
+    for modality in MODALITY_CHOICES:
         outcomes = {}  # feature type -> one report per cutoff, or a status
-        for feature_type in feature_types:
+        for feature_type in FEATURE_TYPES:
             if feature_type in EMBEDDING_FEATURE_TYPES and embeddings is None:
                 outcomes[feature_type] = "skipped"
                 continue
             config = RunConfig(task_id=task_id, modality=modality, feature_type=feature_type,
                                seed=seed)
             try:
-                outcomes[feature_type] = run_nested_cv(records, config, grid=grid, store=store,
-                                                       cutoffs=tuple(cutoffs))
+                outcomes[feature_type] = run_nested_cv(records, config, store=store,
+                                                       cutoffs=PCA_CUTOFFS)
             except RespScreenError as exc:  # record and continue
                 outcomes[feature_type] = f"error:{skip_reason(exc)}"
-        for i, cutoff in enumerate(cutoffs):
-            for feature_type in feature_types:
+        for i, cutoff in enumerate(PCA_CUTOFFS):
+            for feature_type in FEATURE_TYPES:
                 base = dict(task=task_id, modality=modality, feature_type=feature_type,
                             pca_cutoff=cutoff)
                 outcome = outcomes[feature_type]

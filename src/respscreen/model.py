@@ -25,9 +25,11 @@ MODEL_FORMAT_VERSION = 1
 PCA_CUTOFFS = (0.7, 0.8, 0.9, 0.95)
 
 LR_GRADIENT_TOL = 1e-8
+LR_MAX_ITER = 200  # Newton steps; a problem stopped by this cap reports converged=False
 # Newton-decrement stop: lambda^2 / 2 <= LR_DECREMENT_TOL * eps * |loss|
 LR_DECREMENT_TOL = 0.25
 SVM_KKT_TOL = 1e-3
+SVM_MAX_ITER = 200_000  # SMO steps; likewise
 STD_FLOOR = 1e-12
 
 N_INNER_FOLDS = 5
@@ -190,7 +192,7 @@ def lr_loss_grad(w, X, y01, C: float):
     return float(loss[0]), _lr_grad(W, Z, X.transpose(0, 2, 1), -y_pm, Cs)[0]
 
 
-def fit_lr(Xs, ys, Cs, max_iter: int = 200) -> list[Classifier]:
+def fit_lr(Xs, ys, Cs) -> list[Classifier]:
     """L2-regularized logistic regression of each problem (Xs[i], ys[i],
     Cs[i]) via damped Newton from zero init, run until the gradient norm
     drops below 1e-8 or the Newton decrement shows a floating-point optimum.
@@ -220,19 +222,19 @@ def fit_lr(Xs, ys, Cs, max_iter: int = 200) -> list[Classifier]:
         X = np.stack([problems[i][0] for i in idx])
         Y_pm = np.stack([problems[i][1] for i in idx])
         C = np.array([Cs[i] for i in idx], dtype=np.float64)
-        W, n_iter, converged = _newton_lockstep(X, Y_pm, C, max_iter)
+        W, n_iter, converged = _newton_lockstep(X, Y_pm, C)
         for j, i in enumerate(idx):
             classifiers[i] = Classifier(kind="lr", hyperparameters={"C": Cs[i]}, weights=W[j],
                                         n_iter=int(n_iter[j]), converged=bool(converged[j]))
     return classifiers
 
 
-def _newton_lockstep(X, Y_pm, C, max_iter: int):
+def _newton_lockstep(X, Y_pm, C):
     """Damped Newton on a stack of same-shape problems; returns the weights
     [m x d+1], iteration counts and convergence flags."""
     m, n, d = X.shape
     W_out = np.zeros((m, d + 1))
-    n_iter = np.full(m, max_iter)
+    n_iter = np.full(m, LR_MAX_ITER)
     converged = np.zeros(m, dtype=bool)
     Xb = np.concatenate([X, np.ones((m, n, 1))], axis=2)
     ridge = np.eye(d) / C[:, None, None]
@@ -244,7 +246,7 @@ def _newton_lockstep(X, Y_pm, C, max_iter: int):
     loss, Z = _lr_loss(W, X, Y_pm, C)
     grad = _lr_grad(W, Z, X.transpose(0, 2, 1), -Y_pm, C)
     flat = np.zeros(m, dtype=bool)  # the last accepted step did not lower the loss
-    for k in range(max_iter):
+    for k in range(LR_MAX_ITER):
         done = np.sqrt(_dot(grad, grad)) < LR_GRADIENT_TOL
         if done.any():
             converged[act[done]], n_iter[act[done]], W_out[act[done]] = True, k, W[done]
@@ -313,7 +315,7 @@ def resolve_gamma(gamma, X: np.ndarray) -> float:
     return float(gamma)
 
 
-def fit_svm_rbf(Xs, ys, cells, max_iter: int = 200_000) -> list[Classifier]:
+def fit_svm_rbf(Xs, ys, cells) -> list[Classifier]:
     """RBF-kernel SVM of each problem (Xs[i], ys[i]) with the hyperparameters
     `cells[i]` ({"C": ..., "gamma": ...}), trained by most-violating-pair SMO
     (KKT tolerance 1e-3).
@@ -324,8 +326,8 @@ def fit_svm_rbf(Xs, ys, cells, max_iter: int = 200_000) -> list[Classifier]:
     and a problem leaves the lockstep when it stops. Every stacked step is
     elementwise or a first-index argmax/argmin per problem, so a problem's
     model does not depend on the others in its batch. A model reports
-    `converged=False` when SMO stops at `max_iter` or on an empty clipped
-    step.
+    `converged=False` when SMO stops at `SVM_MAX_ITER` or on an empty
+    clipped step.
     """
     problems, groups = _intake(Xs, ys, lambda X: X.shape[0])
     classifiers: list = [None] * len(problems)
@@ -342,7 +344,7 @@ def fit_svm_rbf(Xs, ys, cells, max_iter: int = 200_000) -> list[Classifier]:
             KT[p] = rbf_kernel(X, X, gamma).T
         Y_pm = np.stack([problems[i][1] for i in idx])
         C = np.array([cells[i]["C"] for i in idx], dtype=np.float64)
-        alpha, grad, n_iter, converged = _smo_lockstep(KT, kernel_of, Y_pm, C, max_iter)
+        alpha, grad, n_iter, converged = _smo_lockstep(KT, kernel_of, Y_pm, C)
         for p, (i, gamma) in enumerate(zip(idx, gammas)):
             classifiers[i] = _svm_classifier(problems[i][0], Y_pm[p], cells[i]["C"], gamma,
                                              alpha[p], grad[p], int(n_iter[p]),
@@ -350,7 +352,7 @@ def fit_svm_rbf(Xs, ys, cells, max_iter: int = 200_000) -> list[Classifier]:
     return classifiers
 
 
-def _smo_lockstep(KT, kernel_of, Y_pm, C, max_iter: int):
+def _smo_lockstep(KT, kernel_of, Y_pm, C):
     """Most-violating-pair SMO on m problems whose kernels are in the stack
     KT [kernels x n x n], problem r's at KT[kernel_of[r]], each transposed
     so that row t of a kernel is its column t; returns alpha and the dual
@@ -362,7 +364,7 @@ def _smo_lockstep(KT, kernel_of, Y_pm, C, max_iter: int):
     """
     m, n = Y_pm.shape
     alpha_out, grad_out = np.empty((m, n)), np.empty((m, n))
-    n_iter = np.full(m, max_iter)
+    n_iter = np.full(m, SVM_MAX_ITER)
     converged = np.zeros(m, dtype=bool)
 
     act = np.arange(m)  # stack positions of the problems still running
@@ -372,7 +374,7 @@ def _smo_lockstep(KT, kernel_of, Y_pm, C, max_iter: int):
     C_row = np.repeat(C, n).reshape(m, n)  # C per entry: a same-shape compare beats broadcasting
     base, kernel_base = act * n, kernel_of * n
     rows = KT.reshape(-1, n)
-    for k in range(max_iter):
+    for k in range(SVM_MAX_ITER):
         # m_t = -y_t * grad_t; pick the most violating pair
         mt = neg_Y * grad
         below_c, above_0 = alpha < C_row, alpha > 0.0
@@ -443,18 +445,11 @@ def _svm_classifier(X, y_pm, C, gamma, alpha, grad, n_iter: int, converged: bool
     )
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Hyperparameter grids for model selection."""
-
-    lr_c: tuple[float, ...] = LR_C_GRID
-    svm_c: tuple[float, ...] = SVM_C_GRID
-    svm_gamma: tuple = SVM_GAMMA_GRID
-
-    def cells(self, kind: str) -> list[dict]:
-        if kind == "lr":
-            return [{"C": c} for c in self.lr_c]
-        return [{"C": c, "gamma": g} for c in self.svm_c for g in self.svm_gamma]
+def grid_cells(kind: str) -> list[dict]:
+    """The model-selection cells of a classifier kind, in `grid_search`'s tie-break order."""
+    if kind == "lr":
+        return [{"C": c} for c in LR_C_GRID]
+    return [{"C": c, "gamma": g} for c in SVM_C_GRID for g in SVM_GAMMA_GRID]
 
 
 def _inner_user_folds(users, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -473,9 +468,9 @@ def _inner_user_folds(users, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return folds
 
 
-def grid_search(slices, kind: str, grid: GridSpec, pca_cutoffs) -> list[list[dict]]:
+def grid_search(slices, kind: str, pca_cutoffs) -> list[list[dict]]:
     """For each training slice `(X, y, users, seed)`, pick per PCA cutoff the
-    hyperparameters maximizing mean inner-fold ROC-AUC.
+    cell of `grid_cells(kind)` maximizing mean inner-fold ROC-AUC.
 
     Plan, solve, select: the usable inner folds of every slice are planned
     first, all of them are fit in one `fit_pipeline` call, and each slice
@@ -484,19 +479,11 @@ def grid_search(slices, kind: str, grid: GridSpec, pca_cutoffs) -> list[list[dic
     gets one standardize -> SVD fit, shared by every cutoff and grid cell,
     so selection sees the same preprocessing as the outer fit and never
     leaks validation rows. Ties break toward smaller C then smaller gamma
-    ('scale' is evaluated on each fold's projected training slice).
+    ('scale' first, resolved on each fold's projected training slice).
     """
     slices = [(np.asarray(X, dtype=np.float64), np.asarray(y), _inner_user_folds(users, seed))
               for X, y, users, seed in slices]
-    cells = grid.cells(kind)
-    if len(cells) == 1:
-        return [[cells[0] for _ in pca_cutoffs] for _ in slices]
-
-    def sort_key(cell):
-        gamma = cell.get("gamma", 0.0)
-        return (cell["C"], -1.0 if gamma == "scale" else float(gamma))
-
-    cells = sorted(cells, key=sort_key)
+    cells = grid_cells(kind)
     fits = [(cutoff, cell) for cutoff in pca_cutoffs for cell in cells]
     # degenerate folds at desk scale are left out; each slice scores on the rest
     inner = [(s, train_idx, val_idx) for s, (_, y, folds) in enumerate(slices)

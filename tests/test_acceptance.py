@@ -23,14 +23,12 @@ from respscreen.features import (
     frame_features,
     summarize,
 )
-from respscreen.model import PCA_CUTOFFS, GridSpec, fit_lr, fit_pca, fit_svm_rbf, lr_loss_grad
+from respscreen.model import PCA_CUTOFFS, fit_lr, fit_pca, fit_svm_rbf, lr_loss_grad
 from respscreen.augment import augment_six
 from respscreen.cli import EXIT_OK, main
 
 from . import oracles
 from .conftest import SR, sine
-
-FAST_GRID = GridSpec(lr_c=(1.0,), svm_c=(1.0,), svm_gamma=("scale",))
 
 
 def _report(name, detail):
@@ -149,10 +147,8 @@ def test_criterion_04_augmentation_protocol(cohort):
 
     # no augmented rows ever reach a test partition: augmented unit counts
     # appear only in n_train, and n_test matches the unaugmented run exactly
-    base = run_nested_cv(records, RunConfig(task_id=2, seed=0),
-                         base_dir=d, grid=FAST_GRID)
-    augd = run_nested_cv(records, RunConfig(task_id=2, seed=0, augment=True),
-                         base_dir=d, grid=FAST_GRID)
+    base = run_nested_cv(records, RunConfig(task_id=2, seed=0), base_dir=d)
+    augd = run_nested_cv(records, RunConfig(task_id=2, seed=0, augment=True), base_dir=d)
     for b, a in zip(base.folds, augd.folds):
         assert a.n_test == b.n_test
         assert a.n_train > b.n_train
@@ -236,16 +232,14 @@ def test_criterion_08_end_to_end_discrimination(tmp_path):
     spec = synth.CohortSpec(n_covid=24, n_healthy=24, clip_seconds=1.5)
     d1 = tmp_path / "sep"
     records = load_manifest(synth.generate_cohort(d1, seed=3, spec=spec))
-    sep = run_nested_cv(records, RunConfig(task_id=1, seed=0), base_dir=d1,
-                        grid=FAST_GRID)
+    sep = run_nested_cv(records, RunConfig(task_id=1, seed=0), base_dir=d1)
     assert sep.aggregate["auc"]["mean"] >= 0.95
 
     d2 = tmp_path / "null"
     null_spec = synth.CohortSpec(n_covid=24, n_healthy=24, clip_seconds=1.5,
                                  informative=False)
     null_records = load_manifest(synth.generate_cohort(d2, seed=3, spec=null_spec))
-    null = run_nested_cv(null_records, RunConfig(task_id=1, seed=0), base_dir=d2,
-                         grid=FAST_GRID)
+    null = run_nested_cv(null_records, RunConfig(task_id=1, seed=0), base_dir=d2)
     assert 0.35 <= null.aggregate["auc"]["mean"] <= 0.65
     elapsed = time.perf_counter() - start
     assert elapsed < 300
@@ -281,8 +275,7 @@ def test_criterion_09_cli_determinism(tmp_path):
 
 def test_criterion_10_sweep_completeness(cohort):
     d, records, embeddings = cohort
-    rows = sweep(records, task_id=1, seed=0, base_dir=d, embeddings=embeddings,
-                 grid=FAST_GRID)
+    rows = sweep(records, task_id=1, seed=0, base_dir=d, embeddings=embeddings)
     assert len(rows) == 60  # 3 modalities x 4 cutoffs x 5 feature types
     combos = {(r.modality, r.pca_cutoff, r.feature_type) for r in rows}
     assert len(combos) == 60

@@ -87,6 +87,13 @@ class TestExtract:
         assert main(["extract", "--manifest", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o.csv")]) == EXIT_IO
 
+    def test_short_manifest_row_is_schema_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(MANIFEST_HEADER + "s1,u1,cough\n")
+        assert main(["extract", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_IO
+        assert "row 2: expected 10 fields, got 3" in capsys.readouterr().err
+
 
 class TestAugment:
     def test_writes_six_per_recording(self, cohort_dir, tmp_path):
@@ -167,7 +174,7 @@ class TestTrain:
         users = [u.user_id for u in cohort.units]
         kind = config.classifier_kind
         [[params]] = model.grid_search([(cohort.X, cohort.y, users, config.seed)], kind,
-                                       model.GridSpec(), pca_cutoffs=[config.pca_cutoff])
+                                       pca_cutoffs=[config.pca_cutoff])
         [[pipeline]] = model.fit_pipeline([(cohort.X, cohort.y, [(config.pca_cutoff, params)])],
                                           kind)
         assert out.read_text() == json.dumps(model.pipeline_to_dict(pipeline))
@@ -298,6 +305,48 @@ class TestUnusableRecordings:
         assert not list(out_dir.glob(f"{short}_*.wav"))
         with open(out_dir / "provenance.skipped.csv") as fh:
             assert [short, reason] in list(csv.reader(fh))
+
+
+class TestCorruptRecording:
+    """A WAV that cannot be decoded is skipped with its reason, like a silent one."""
+
+    @pytest.fixture(scope="class")
+    def corrupt(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("corrupt")
+        assert main(["synth-manifest", "--out", str(d), "--seed", "2",
+                     "--covid-users", "6", "--healthy-users", "6",
+                     "--cough-users", "0", "--asthma-users", "0",
+                     "--clip-seconds", "0.5"]) == EXIT_OK
+        records = load_manifest(d / "manifest.csv")
+        bad = min((r for r in records if r.modality == "cough" and not r.covid_tested_positive),
+                  key=lambda r: r.sample_id)
+        (d / bad.audio_path).write_bytes(b"RIFFxxxxWAVEjunk")
+        return d, bad
+
+    def test_every_command_skips_it(self, corrupt, tmp_path, capsys):
+        d, bad = corrupt
+        manifest = str(d / "manifest.csv")
+        features_csv = tmp_path / "f.csv"
+        assert main(["extract", "--manifest", manifest, "--out", str(features_csv)]) == EXIT_OK
+        with open(features_csv.with_suffix(".skipped.csv")) as fh:
+            [(sample_id, reason)] = list(csv.reader(fh))[1:]
+        assert sample_id == bad.sample_id and reason.startswith("MalformedWav: ")
+        report = tmp_path / "r.json"
+        assert main(["evaluate", "--manifest", manifest, "--task", "1",
+                     "--report", str(report)]) == EXIT_OK
+        assert json.loads(report.read_text())["skipped"] == [[bad.sample_id, reason]]
+        capsys.readouterr()
+        assert main(["train", "--manifest", manifest, "--task", "1",
+                     "--out", str(tmp_path / "m.json")]) == EXIT_OK
+        assert "1 skipped" in capsys.readouterr().out
+
+    def test_missing_recording_is_io_error(self, corrupt, tmp_path):
+        d, bad = corrupt
+        manifest = d / "missing.csv"  # beside the cohort's audio, one row pointing nowhere
+        text = (d / "manifest.csv").read_text()
+        manifest.write_text(text.replace(bad.audio_path, "audio/absent.wav"))
+        assert main(["extract", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "f.csv")]) == EXIT_IO
 
 
 class TestConfigFile:

@@ -86,6 +86,15 @@ class TestLoadManifest:
         with pytest.raises(SchemaError):
             parse_manifest_rows([], COLUMNS[:-1])
 
+    @pytest.mark.parametrize("n_fields", [3, 11])
+    def test_row_with_wrong_field_count(self, tmp_path, n_fields):
+        fields = list(row().values())
+        p = tmp_path / "m.csv"
+        p.write_text(",".join(COLUMNS) + "\n" + ",".join(fields) + "\n"
+                     + ",".join((fields + ["extra"])[:n_fields]) + "\n")
+        with pytest.raises(SchemaError, match=f"row 3: expected 10 fields, got {n_fields}"):
+            load_manifest(p)
+
     def test_symptom_tokens(self):
         r = parse_manifest_rows([row(symptoms="cough; fever")], COLUMNS)[0]
         assert r.symptoms == {"cough", "fever"}

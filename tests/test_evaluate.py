@@ -24,9 +24,7 @@ from respscreen.evaluate import (
     sweep_rows_from_csv,
     sweep_rows_to_csv,
 )
-from respscreen.model import PCA_CUTOFFS, GridSpec, Standardizer, _inner_user_folds
-
-FAST_GRID = GridSpec(lr_c=(1.0,), svm_c=(1.0,), svm_gamma=("scale",))
+from respscreen.model import PCA_CUTOFFS, Standardizer, _inner_user_folds
 
 
 @pytest.fixture(scope="module")
@@ -87,22 +85,20 @@ class TestBuildUnits:
 class TestNestedCv:
     def test_separable_cohort_scores_high(self, small_cohort):
         d, records, _ = small_cohort
-        report = run_nested_cv(records, RunConfig(task_id=1, seed=0),
-                               base_dir=d, grid=FAST_GRID)
+        report = run_nested_cv(records, RunConfig(task_id=1, seed=0), base_dir=d)
         assert len(report.folds) == 10
         assert report.aggregate["auc"]["mean"] >= 0.95
 
     def test_deterministic(self, small_cohort):
         d, records, _ = small_cohort
         cfg = RunConfig(task_id=1, seed=3)
-        r1 = run_nested_cv(records, cfg, base_dir=d, grid=FAST_GRID)
-        r2 = run_nested_cv(records, cfg, base_dir=d, grid=FAST_GRID)
+        r1 = run_nested_cv(records, cfg, base_dir=d)
+        r2 = run_nested_cv(records, cfg, base_dir=d)
         assert report_to_dict(r1) == report_to_dict(r2)
 
     def test_test_side_balanced(self, small_cohort):
         d, records, _ = small_cohort
-        report = run_nested_cv(records, RunConfig(task_id=1, seed=0),
-                               base_dir=d, grid=FAST_GRID)
+        report = run_nested_cv(records, RunConfig(task_id=1, seed=0), base_dir=d)
         for fold in report.folds:
             assert fold.n_test % 2 == 0
 
@@ -116,8 +112,7 @@ class TestNestedCv:
             return orig(X)
 
         monkeypatch.setattr(Standardizer, "fit", spy)
-        report = run_nested_cv(records, RunConfig(task_id=1, seed=0),
-                               base_dir=d, grid=FAST_GRID)
+        report = run_nested_cv(records, RunConfig(task_id=1, seed=0), base_dir=d)
         total = sum(f.n_train + f.n_test for f in report.folds)
         # every fit call is on a training slice, never the full fold
         assert seen and max(seen) <= max(f.n_train for f in report.folds)
@@ -125,10 +120,8 @@ class TestNestedCv:
 
     def test_augmentation_expands_training_negatives(self, small_cohort):
         d, records, _ = small_cohort
-        base = run_nested_cv(records, RunConfig(task_id=2, seed=0, augment=False),
-                             base_dir=d, grid=FAST_GRID)
-        augd = run_nested_cv(records, RunConfig(task_id=2, seed=0, augment=True),
-                             base_dir=d, grid=FAST_GRID)
+        base = run_nested_cv(records, RunConfig(task_id=2, seed=0, augment=False), base_dir=d)
+        augd = run_nested_cv(records, RunConfig(task_id=2, seed=0, augment=True), base_dir=d)
         for b, a in zip(base.folds, augd.folds):
             # unaugmented training is balanced; augmented keeps all originals
             # and adds 6 variants per negative
@@ -139,19 +132,17 @@ class TestNestedCv:
         d, records, embeddings = small_cohort
         with pytest.raises(ConfigError):
             cfg = RunConfig(task_id=2, augment=True, feature_type="vggish")
-            run_nested_cv(records, cfg, base_dir=d, embeddings=embeddings,
-                          grid=FAST_GRID)
+            run_nested_cv(records, cfg, base_dir=d, embeddings=embeddings)
 
     def test_embedding_feature_types_need_embeddings(self, small_cohort):
         d, records, _ = small_cohort
         with pytest.raises(ConfigError):
-            run_nested_cv(records, RunConfig(task_id=1, feature_type="vggish"),
-                          base_dir=d, grid=FAST_GRID)
+            run_nested_cv(records, RunConfig(task_id=1, feature_type="vggish"), base_dir=d)
 
     def test_vggish_run(self, small_cohort):
         d, records, embeddings = small_cohort
         report = run_nested_cv(records, RunConfig(task_id=1, feature_type="vggish"),
-                               base_dir=d, embeddings=embeddings, grid=FAST_GRID)
+                               base_dir=d, embeddings=embeddings)
         assert report.aggregate["auc"]["mean"] >= 0.9
 
     def test_one_row_and_one_augmentation_per_unit(self, small_cohort, monkeypatch):
@@ -165,7 +156,7 @@ class TestNestedCv:
         monkeypatch.setattr(evaluate.aug, "augment_six",
                             lambda seg, sample_id, cfg: augmented.append(sample_id)
                             or augment_six(seg, sample_id, cfg))
-        run_nested_cv(records, cfg, base_dir=d, grid=FAST_GRID)
+        run_nested_cv(records, cfg, base_dir=d)
         assert len(rows) == len(set(rows)) == n_units
         assert augmented and len(augmented) == len(set(augmented))
 
@@ -192,8 +183,7 @@ class TestNestedCv:
 
     def test_aggregate_recomputation(self, small_cohort):
         d, records, _ = small_cohort
-        report = run_nested_cv(records, RunConfig(task_id=1, seed=1),
-                               base_dir=d, grid=FAST_GRID)
+        report = run_nested_cv(records, RunConfig(task_id=1, seed=1), base_dir=d)
         aucs = np.array([f.auc for f in report.folds])
         assert report.aggregate["auc"]["mean"] == pytest.approx(aucs.mean(), abs=1e-12)
         assert report.aggregate["auc"]["std"] == pytest.approx(aucs.std(), abs=1e-12)
@@ -213,8 +203,7 @@ class TestAggregate:
 class TestSweep:
     def test_grid_shape_and_skips(self, small_cohort):
         d, records, _ = small_cohort
-        rows = sweep(records, task_id=1, seed=0, base_dir=d, embeddings=None,
-                     grid=FAST_GRID)
+        rows = sweep(records, task_id=1, seed=0, base_dir=d, embeddings=None)
         assert len(rows) == 60  # 3 modalities x 4 cutoffs x 5 feature types
         skipped = [r for r in rows if r.status == "skipped"]
         assert len(skipped) == 48  # the 4 embedding-based types per cell
@@ -224,9 +213,8 @@ class TestSweep:
 
     def test_with_embeddings_no_skips(self, small_cohort):
         d, records, embeddings = small_cohort
-        rows = sweep(records, task_id=1, seed=0, base_dir=d, embeddings=embeddings,
-                     grid=FAST_GRID, modalities=("cough",), cutoffs=(0.9,))
-        assert len(rows) == len(FEATURE_TYPES)
+        rows = sweep(records, task_id=1, seed=0, base_dir=d, embeddings=embeddings)
+        assert len(rows) == 3 * len(PCA_CUTOFFS) * len(FEATURE_TYPES)
         assert all(r.status == "ok" for r in rows)
 
     def test_pipeline_errors_become_rows(self, small_cohort, monkeypatch):
@@ -235,24 +223,26 @@ class TestSweep:
 
         d, records, _ = small_cohort
         monkeypatch.setattr(evaluate, "run_nested_cv", fail)
-        rows = sweep(records, task_id=1, seed=0, base_dir=d, feature_types=("handcrafted",),
-                     modalities=("cough",), cutoffs=(0.9,))
-        assert [r.status for r in rows] == ["error:EmptyCohort: no users"]
+        rows = sweep(records, task_id=1, seed=0, base_dir=d)
+        assert len(rows) == 60
+        assert {r.status for r in rows if r.feature_type == "handcrafted"} == {
+            "error:EmptyCohort: no users"}
+        assert {r.status for r in rows if r.feature_type != "handcrafted"} == {"skipped"}
 
     def test_error_rows_keep_the_message(self, small_cohort, monkeypatch):
         d, records, _ = small_cohort
         negatives = [r for r in records if not is_positive(r, 1)]
-        [row] = sweep(negatives, task_id=1, seed=0, base_dir=d, feature_types=("handcrafted",),
-                      modalities=("cough",), cutoffs=(0.9,))
-        assert row.status == "error:EmptyCohort: task 1: no positive users"
+        rows = sweep(negatives, task_id=1, seed=0, base_dir=d)
+        assert {r.status for r in rows if r.feature_type == "handcrafted"} == {
+            "error:EmptyCohort: task 1: no positive users"}
 
         def fail(*args, **kwargs):
             raise EmptyCohort("no users, no units")
 
         monkeypatch.setattr(evaluate, "run_nested_cv", fail)
-        rows = sweep(records, task_id=1, seed=0, base_dir=d, feature_types=("handcrafted",),
-                     modalities=("cough",), cutoffs=(0.9,))
-        assert [r.status for r in rows] == ["error:EmptyCohort: no users, no units"]
+        rows = sweep(records, task_id=1, seed=0, base_dir=d)
+        assert {r.status for r in rows if r.feature_type == "handcrafted"} == {
+            "error:EmptyCohort: no users, no units"}
         assert sweep_rows_from_csv(sweep_rows_to_csv(rows)) == rows
 
     def test_programming_errors_propagate(self, small_cohort, monkeypatch):
@@ -262,8 +252,7 @@ class TestSweep:
         d, records, _ = small_cohort
         monkeypatch.setattr(evaluate, "run_nested_cv", fail)
         with pytest.raises(TypeError, match="a bug"):
-            sweep(records, task_id=1, seed=0, base_dir=d, feature_types=("handcrafted",),
-                  modalities=("cough",), cutoffs=(0.9,))
+            sweep(records, task_id=1, seed=0, base_dir=d)
 
     def test_rows_equal_single_cutoff_runs(self, small_cohort, monkeypatch):
         d, records, embeddings = small_cohort
@@ -281,12 +270,10 @@ class TestSweep:
 
         monkeypatch.setattr(evaluate, "run_nested_cv", spy_run)
         monkeypatch.setattr(model, "fit_pca", spy_pca)
-        rows = sweep(records, task_id=1, seed=0, base_dir=d, embeddings=embeddings,
-                     modalities=("cough", "combined"),
-                     feature_types=("handcrafted", "vggish", "combined-B"))
+        rows = sweep(records, task_id=1, seed=0, base_dir=d, embeddings=embeddings)
         assert any(len(set(ks)) < len(ks) for ks in slice_ks)  # two cutoffs share k
         monkeypatch.setattr(evaluate, "run_nested_cv", run)
-        assert len(rows) == 2 * 4 * 3
+        assert len(rows) == 60
         for row in rows:
             cfg = RunConfig(task_id=1, modality=row.modality, feature_type=row.feature_type,
                             pca_cutoff=row.pca_cutoff)
@@ -312,26 +299,20 @@ class TestSweep:
         monkeypatch.setattr(model, "fit_pca", lambda X, cutoffs: bases.append(tuple(cutoffs))
                             or fit_pca(X, cutoffs))
 
-        def spy(slices, kind, grid, pca_cutoffs):
+        def spy(slices, kind, pca_cutoffs):
             for X, y, users, seed in slices:
                 usable_inner.extend(f for f in _inner_user_folds(users, seed)
                                     if all(len(np.unique(y[idx])) == 2 for idx in f))
-            return grid_search(slices, kind, grid, pca_cutoffs=pca_cutoffs)
+            return grid_search(slices, kind, pca_cutoffs=pca_cutoffs)
 
         monkeypatch.setattr(evaluate, "grid_search", spy)
-        sweep(records, task_id=1, seed=0, base_dir=d, embeddings=embeddings,
-              grid=GridSpec(lr_c=(0.1, 1.0)), modalities=("cough", "breath"),
-              feature_types=("handcrafted", "vggish"))
-        assert sorted(runs) == [(m, f, PCA_CUTOFFS) for m in ("breath", "cough")
-                                for f in ("handcrafted", "vggish")]
+        monkeypatch.setattr(model, "LR_C_GRID", (0.1, 1.0))
+        sweep(records, task_id=1, seed=0, base_dir=d, embeddings=embeddings)
+        assert sorted(runs) == [(m, f, PCA_CUTOFFS) for m in sorted(evaluate.MODALITY_CHOICES)
+                                for f in sorted(FEATURE_TYPES)]
         n_outer = N_OUTER_FOLDS * len(runs)
         assert len(bases) == n_outer + len(usable_inner)  # 4 per slice, one per cutoff, before
         assert set(bases) == {PCA_CUTOFFS}
-
-    def test_unknown_cutoff_raises(self, small_cohort):
-        d, records, _ = small_cohort
-        with pytest.raises(ConfigError):
-            sweep(records, task_id=1, seed=0, base_dir=d, cutoffs=(0.9, 0.5))
 
     def test_csv_round_trip(self):
         rows = [
@@ -362,8 +343,7 @@ class TestFeatureStore:
         monkeypatch.setattr(evaluate, "load_segment",
                             lambda path: loads.append(path.name) or load_segment(path))
         rows = sweep(records, task_id=1, seed=0, base_dir=tmp_path,
-                     embeddings=load_embeddings(tmp_path / "embeddings.csv"), grid=FAST_GRID,
-                     modalities=("cough", "combined"), feature_types=("handcrafted", "combined-A"))
+                     embeddings=load_embeddings(tmp_path / "embeddings.csv"))
         assert {r.status for r in rows} == {"ok"}
         assert loads.count(Path(silent.audio_path).name) == 1
         assert len(loads) == len(set(loads))
@@ -388,8 +368,7 @@ class TestFeatureStore:
         store = FeatureStore(d, embeddings)
         cfg = RunConfig(task_id=1, feature_type="vggish")
         for _ in range(2):
-            run_nested_cv(records, cfg, base_dir=d, embeddings=embeddings, grid=FAST_GRID,
-                          store=store)
+            run_nested_cv(records, cfg, base_dir=d, embeddings=embeddings, store=store)
         assert pooled and len(pooled) == len(set(pooled))
 
     def test_pools_each_recording_once_across_feature_types(self, small_cohort, monkeypatch):

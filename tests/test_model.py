@@ -15,7 +15,6 @@ from respscreen.model import (
     SVM_C_GRID,
     SVM_GAMMA_GRID,
     Classifier,
-    GridSpec,
     PcaModel,
     Pipeline,
     Standardizer,
@@ -24,6 +23,7 @@ from respscreen.model import (
     fit_pipeline,
     fit_svm_rbf,
     _inner_user_folds,
+    grid_cells,
     grid_search,
     load_pipeline,
     lr_loss_grad,
@@ -189,15 +189,16 @@ class TestLogisticRegression:
             w = fit_lr([X], [y], [C])[0].weights
             assert w.tobytes() == newton_lr_oracle(X, y, C).tobytes()
 
-    def test_batch_bitwise_equal_to_lone_fits(self):
+    def test_batch_bitwise_equal_to_lone_fits(self, monkeypatch):
         X, y = blobs(**self.STALL)
         problems = [(X, y, 1.0), (*blobs(seed=5), 1.0), *self.random_problems(),
                     *self.sweep_shaped_problems()]
         assert len({X.shape for X, _, _ in problems}) > 1
-        for max_iter in (200, 1):  # max_iter=1 stops each solve after one step
-            batch = fit_lr(*map(list, zip(*problems)), max_iter=max_iter)
+        for max_iter in (200, 1):  # a cap of 1 stops each solve after one step
+            monkeypatch.setattr(model, "LR_MAX_ITER", max_iter)
+            batch = fit_lr(*map(list, zip(*problems)))
             for (X, y, C), clf in zip(problems, batch, strict=True):
-                [alone] = fit_lr([X], [y], [C], max_iter=max_iter)
+                [alone] = fit_lr([X], [y], [C])
                 assert clf.weights.tobytes() == alone.weights.tobytes()
                 assert (clf.n_iter, clf.converged) == (alone.n_iter, alone.converged)
 
@@ -275,7 +276,7 @@ class TestLogisticRegression:
             by_decrement += 1
         assert by_decrement >= 1
 
-    def test_reports_solver_status(self):
+    def test_reports_solver_status(self, monkeypatch):
         X, y = blobs(seed=5)
         [clf] = fit_lr([X], [y], [1.0])
         assert clf.converged is True and 0 < clf.n_iter < 200
@@ -287,7 +288,8 @@ class TestLogisticRegression:
         assert clf.converged is False and clf.n_iter < 200
 
         X, y = blobs(seed=5)
-        [clf] = fit_lr([X], [y], [1.0], max_iter=1)
+        monkeypatch.setattr(model, "LR_MAX_ITER", 1)
+        [clf] = fit_lr([X], [y], [1.0])
         assert (clf.n_iter, clf.converged) == (1, False)
 
 
@@ -368,11 +370,12 @@ class TestSvm:
         with pytest.raises(SingleClass):
             fit_svm_rbf([np.ones((4, 2))], [[0, 0, 0, 0]], [{"C": 1.0, "gamma": "scale"}])
 
-    def test_reports_solver_status(self):
+    def test_reports_solver_status(self, monkeypatch):
         X, y = blobs(n_per=15, d=3, sep=2.0, seed=11)
         [clf] = fit_svm_rbf([X], [y], [{"C": 1.0, "gamma": 0.5}])
         assert clf.converged is True and clf.n_iter > 1
-        [capped] = fit_svm_rbf([X], [y], [{"C": 1.0, "gamma": 0.5}], max_iter=1)
+        monkeypatch.setattr(model, "SVM_MAX_ITER", 1)
+        [capped] = fit_svm_rbf([X], [y], [{"C": 1.0, "gamma": 0.5}])
         assert (capped.n_iter, capped.converged) == (1, False)
 
     def grid_problems(self):
@@ -387,7 +390,7 @@ class TestSvm:
                 for gamma in SVM_GAMMA_GRID:
                     yield X, y, {"C": C, "gamma": gamma}
 
-    def test_batch_bitwise_equal_to_lone_fits(self):
+    def test_batch_bitwise_equal_to_lone_fits(self, monkeypatch):
         rng = np.random.default_rng(10)
         centers = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=float)
         xor = np.vstack([c + rng.normal(0, 0.08, size=(10, 2)) for c in centers])
@@ -399,11 +402,12 @@ class TestSvm:
                     (X, y, {"C": 1.0, "gamma": 0.2}), (X[perm], y[perm], {"C": 1.0, "gamma": 0.2}),
                     *self.grid_problems()]
         assert len({len(X) for X, _, _ in problems}) > 1
-        # max_iter=1 stops each solve after one step; 25 stops some of a batch
+        # a cap of 1 stops each solve after one step; 25 stops some of a batch
         for max_iter in (200_000, 25, 1):
-            batch = fit_svm_rbf(*map(list, zip(*problems)), max_iter=max_iter)
+            monkeypatch.setattr(model, "SVM_MAX_ITER", max_iter)
+            batch = fit_svm_rbf(*map(list, zip(*problems)))
             for (X, y, cell), clf in zip(problems, batch, strict=True):
-                [alone] = fit_svm_rbf([X], [y], [cell], max_iter=max_iter)
+                [alone] = fit_svm_rbf([X], [y], [cell])
                 expected = smo_oracle(X, y, cell["C"], cell["gamma"], max_iter=max_iter)
                 for fitted in (clf, alone):
                     for field in dataclasses.fields(Classifier):
@@ -476,7 +480,17 @@ class TestGridSearch:
         # two samples per user so folds stay user-disjoint but non-trivial
         return [f"u{i // 2}" for i in range(n)]
 
-    def test_planted_best_cell(self):
+    @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
+    def test_cells_in_tie_break_order(self, kind):
+        # `_select` keeps the first best cell: smaller C, then smaller gamma, 'scale' first
+        cells = grid_cells(kind)
+        keys = [(cell["C"], -1 if cell.get("gamma") == "scale" else cell.get("gamma", 0))
+                for cell in cells]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert len(cells) == (len(LR_C_GRID) if kind == "lr"
+                              else len(SVM_C_GRID) * len(SVM_GAMMA_GRID))
+
+    def test_planted_best_cell(self, monkeypatch):
         # XOR layout: a near-linear kernel (tiny gamma) cannot rank it, so
         # the moderate gamma must win on inner-fold AUC despite sorting last
         rng = np.random.default_rng(17)
@@ -484,41 +498,35 @@ class TestGridSearch:
         X = np.vstack([c + rng.normal(0, 0.08, size=(15, 2)) for c in centers])
         y = np.array([0] * 30 + [1] * 30)
         users = self.users(len(X))
-        grid = GridSpec(svm_c=(1.0,), svm_gamma=(1e-5, 1.0))
-        [[best]] = grid_search([(X, y, users, 0)], "svm-rbf", grid, pca_cutoffs=[0.95])
+        monkeypatch.setattr(model, "SVM_C_GRID", (1.0,))
+        monkeypatch.setattr(model, "SVM_GAMMA_GRID", (1e-5, 1.0))
+        [[best]] = grid_search([(X, y, users, 0)], "svm-rbf", pca_cutoffs=[0.95])
         assert best == {"C": 1.0, "gamma": 1.0}
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         X, y = blobs(n_per=20, d=3, seed=18)
         users = self.users(len(X))
-        grid = GridSpec(svm_c=(0.1, 1.0), svm_gamma=("scale", 0.01))
-        [[a]] = grid_search([(X, y, users, 0)], "svm-rbf", grid, pca_cutoffs=[0.95])
-        [[b]] = grid_search([(X, y, users, 0)], "svm-rbf", grid, pca_cutoffs=[0.95])
+        monkeypatch.setattr(model, "SVM_C_GRID", (0.1, 1.0))
+        monkeypatch.setattr(model, "SVM_GAMMA_GRID", ("scale", 0.01))
+        [[a]] = grid_search([(X, y, users, 0)], "svm-rbf", pca_cutoffs=[0.95])
+        [[b]] = grid_search([(X, y, users, 0)], "svm-rbf", pca_cutoffs=[0.95])
         assert a == b
-
-    def test_single_cell_short_circuit(self):
-        X, y = blobs(n_per=5, seed=19)
-        [[best]] = grid_search([(X, y, self.users(len(X)), 0)], "lr", GridSpec(lr_c=(0.5,)),
-                               pca_cutoffs=[0.95])
-        assert best == {"C": 0.5}
 
     def test_too_few_users(self):
         X, y = blobs(n_per=4, seed=20)
         with pytest.raises(TooFewUsers):
-            grid_search([(X, y, ["u0"] * 4 + ["u1"] * 4, 0)], "lr", GridSpec(),
-                        pca_cutoffs=[0.95])
+            grid_search([(X, y, ["u0"] * 4 + ["u1"] * 4, 0)], "lr", pca_cutoffs=[0.95])
 
     def test_tie_breaks_toward_smaller_c(self):
         # perfectly separable data: every C wins, smallest must be chosen
         X, y = blobs(n_per=30, d=2, sep=10.0, seed=21)
-        [[best]] = grid_search([(X, y, self.users(len(X)), 0)], "lr", GridSpec(),
-                               pca_cutoffs=[0.95])
+        [[best]] = grid_search([(X, y, self.users(len(X)), 0)], "lr", pca_cutoffs=[0.95])
         assert best == {"C": 0.01}
 
-    def test_pipeline_mode_runs(self):
+    def test_pipeline_mode_runs(self, monkeypatch):
         X, y = blobs(n_per=30, d=6, sep=3.0, seed=22)
-        [[best]] = grid_search([(X, y, self.users(len(X)), 0)], "lr", GridSpec(lr_c=(0.1, 1.0)),
-                               pca_cutoffs=[0.9])
+        monkeypatch.setattr(model, "LR_C_GRID", (0.1, 1.0))
+        [[best]] = grid_search([(X, y, self.users(len(X)), 0)], "lr", pca_cutoffs=[0.9])
         assert best["C"] in (0.1, 1.0)
 
     def test_one_basis_per_usable_inner_fold(self, monkeypatch):
@@ -526,11 +534,10 @@ class TestGridSearch:
         monkeypatch.setattr(model, "fit_pca", lambda *a, **k: calls.append(1) or fit_pca(*a, **k))
         X, y = blobs(n_per=20, d=6, seed=24)
         users = self.users(len(X))
-        grid = GridSpec()
-        assert len(grid.cells("lr")) == 4
+        assert len(grid_cells("lr")) == 4
         usable = [f for f in _inner_user_folds(users, 0)
                   if all(len(np.unique(y[idx])) == 2 for idx in f)]
-        grid_search([(X, y, users, 0)], "lr", grid, pca_cutoffs=[0.9])
+        grid_search([(X, y, users, 0)], "lr", pca_cutoffs=[0.9])
         assert len(calls) == len(usable) > 0  # 4 per fold, one per C, before
 
 
@@ -539,11 +546,10 @@ class TestGridSearch:
         X = rng.normal(size=(40, 8))
         y = (X[:, 5] + X[:, 6] + rng.normal(0, 1.0, 40) > 0).astype(int)
         users = self.users(len(X))
-        [best] = grid_search([(X, y, users, 0)], "lr", GridSpec(), pca_cutoffs=PCA_CUTOFFS)
+        [best] = grid_search([(X, y, users, 0)], "lr", pca_cutoffs=PCA_CUTOFFS)
         assert len({cell["C"] for cell in best}) == 3  # the cutoffs disagree
         for cutoff, cell in zip(PCA_CUTOFFS, best):
-            assert grid_search([(X, y, users, 0)], "lr", GridSpec(),
-                               pca_cutoffs=[cutoff]) == [[cell]]
+            assert grid_search([(X, y, users, 0)], "lr", pca_cutoffs=[cutoff]) == [[cell]]
 
 
 class TestFitPipeline:
@@ -555,8 +561,8 @@ class TestFitPipeline:
         y = (z[:, 0] + rng.normal(0, 0.5, 24) > 0).astype(int)
         lr_fits = []
         fit_lr = model.fit_lr
-        monkeypatch.setattr(model, "fit_lr", lambda Xs, ys, Cs, **k: lr_fits.append(len(Cs))
-                            or fit_lr(Xs, ys, Cs, **k))
+        monkeypatch.setattr(model, "fit_lr", lambda Xs, ys, Cs: lr_fits.append(len(Cs))
+                            or fit_lr(Xs, ys, Cs))
         fits = [(cutoff, {"C": c}) for cutoff in PCA_CUTOFFS for c in (0.1, 1.0)]
         [pipes] = fit_pipeline([(X, y, fits)], "lr")
         assert [p.pca.k for p in pipes] == [1, 1, 1, 1, 2, 2, 3, 3]
