@@ -148,16 +148,18 @@ def resample(seg: AudioSegment, target_rate: int) -> AudioSegment:
     return AudioSegment(np.clip(out, -1.0, 1.0), target_rate)
 
 
-def _frame_rms(x: np.ndarray, frame_length: int, hop_length: int) -> np.ndarray:
-    """RMS per frame over non-centered frames covering the signal."""
+def _frame_rms(x: np.ndarray) -> np.ndarray:
+    """RMS per frame over non-centered TRIM_FRAME_LENGTH frames, every
+    TRIM_HOP_LENGTH samples, covering the signal."""
     sq = x**2
-    if len(x) >= frame_length:
-        full = np.sqrt(np.mean(sliding_window_view(sq, frame_length)[::hop_length], axis=1))
+    if len(x) >= TRIM_FRAME_LENGTH:
+        windows = sliding_window_view(sq, TRIM_FRAME_LENGTH)[::TRIM_HOP_LENGTH]
+        full = np.sqrt(np.mean(windows, axis=1))
     else:
         full = np.empty(0)
-    # partial tail frames, at most frame_length / hop_length of them
-    tail = [math.sqrt(float(np.mean(sq[s : s + frame_length])))
-            for s in range(len(full) * hop_length, max(len(x), 1), hop_length)]
+    # partial tail frames, at most TRIM_FRAME_LENGTH / TRIM_HOP_LENGTH of them
+    tail = [math.sqrt(float(np.mean(sq[s : s + TRIM_FRAME_LENGTH])))
+            for s in range(len(full) * TRIM_HOP_LENGTH, max(len(x), 1), TRIM_HOP_LENGTH)]
     return np.concatenate([full, tail])
 
 
@@ -166,7 +168,7 @@ def trim_silence(seg: AudioSegment) -> AudioSegment:
 
     Raises SilentSample when nothing remains.
     """
-    rms = _frame_rms(seg.samples, TRIM_FRAME_LENGTH, TRIM_HOP_LENGTH)
+    rms = _frame_rms(seg.samples)
     peak = rms.max()
     if peak <= 0:
         raise SilentSample("all-zero signal")

@@ -98,8 +98,9 @@ def cmd_extract(args) -> int:
     base = Path(args.manifest).parent
     jobs = [(f"{r.sample_id}", base / r.audio_path) for r in sorted(records, key=lambda r: r.sample_id)]
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs))  # a pool forks all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_extract_one, jobs))
     else:
         results = [_extract_one(j) for j in jobs]
@@ -174,9 +175,9 @@ def cmd_train(args) -> int:
     config = _run_config_from_args(args)
     records, base, embeddings = _load_inputs(args)
     cohort = evaluate.build_cohort(records, config, evaluate.FeatureStore(base, embeddings))
-    users = [u.user_id for u in cohort.units]
     [[(params, pipeline)]] = evaluate.select_and_fit(
-        [(cohort.X, cohort.y, users, config.seed)], config.classifier_kind, [config.pca_cutoff])
+        [(cohort.X, cohort.y, cohort.users, config.seed)], config.classifier_kind,
+        [config.pca_cutoff])
     model.save_pipeline(pipeline, args.out)
     print(f"wrote {args.out} ({pipeline.classifier.kind}, params {params}, "
           f"pca_k {pipeline.pca.k}, {len(cohort.skipped)} skipped)")

@@ -22,6 +22,7 @@ LOG_FLOOR = 1e-10  # added to power before taking log
 FRAME_LENGTH = 2048
 HOP_LENGTH = 512
 WINDOW = "hann"
+N_MELS = 128
 
 
 @dataclass(frozen=True)
@@ -32,16 +33,16 @@ class Spectrogram:
     bin_frequencies: np.ndarray
 
 
-def _pad_centered(x: np.ndarray, frame_length: int) -> np.ndarray:
+def _pad_centered(x: np.ndarray) -> np.ndarray:
     # reflect mirrors again where the pad exceeds len(x) - 1
     mode = "reflect" if len(x) > 1 else "constant"
-    return np.pad(x, frame_length // 2, mode=mode)
+    return np.pad(x, FRAME_LENGTH // 2, mode=mode)
 
 
 def frame_signal(x: np.ndarray) -> np.ndarray:
     """Centered, reflect-padded frames as a read-only strided view
     [FRAME_LENGTH x n_frames] of the padded signal."""
-    padded = _pad_centered(np.asarray(x, dtype=np.float64), FRAME_LENGTH)
+    padded = _pad_centered(np.asarray(x, dtype=np.float64))
     windows = np.lib.stride_tricks.sliding_window_view(padded, FRAME_LENGTH)
     return windows[::HOP_LENGTH].T
 
@@ -79,21 +80,18 @@ def _mel_to_hz(mel):
 
 
 @lru_cache(maxsize=16)
-def mel_filterbank(sr: int, frame_length: int, n_mels: int) -> np.ndarray:
-    """Triangular filters equally spaced on the Slaney mel scale, 0..sr/2,
-    as read-only weights [n_mels x (frame_length // 2 + 1)].
+def mel_filterbank(sr: int) -> np.ndarray:
+    """N_MELS triangular filters equally spaced on the Slaney mel scale,
+    0..sr/2, as read-only weights [N_MELS x (FRAME_LENGTH // 2 + 1)].
 
-    Built once per (sr, frame_length, n_mels) and shared.
+    Built once per sample rate and shared.
     """
-    if n_mels < 1:
-        raise ValueError("n_mels must be >= 1")
-    n_bins = frame_length // 2 + 1
-    fft_freqs = np.fft.rfftfreq(frame_length, d=1.0 / sr)
-    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sr / 2.0), n_mels + 2)
+    fft_freqs = np.fft.rfftfreq(FRAME_LENGTH, d=1.0 / sr)
+    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sr / 2.0), N_MELS + 2)
     hz_pts = _mel_to_hz(mel_pts)
 
-    weights = np.zeros((n_mels, n_bins))
-    for m in range(n_mels):
+    weights = np.zeros((N_MELS, len(fft_freqs)))
+    for m in range(N_MELS):
         lower, center, upper = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
         up = (fft_freqs - lower) / max(center - lower, 1e-12)
         down = (upper - fft_freqs) / max(upper - center, 1e-12)
@@ -105,7 +103,7 @@ def mel_filterbank(sr: int, frame_length: int, n_mels: int) -> np.ndarray:
 
 
 def mel_power(spec: Spectrogram, fb: np.ndarray) -> np.ndarray:
-    """Mel-band power [n_mels x n_frames] under filterbank weights `fb`."""
+    """Mel-band power [N_MELS x n_frames] under filterbank weights `fb`."""
     return fb @ (spec.magnitudes**2)
 
 

@@ -190,17 +190,16 @@ def unit_vector(unit: Unit, store: FeatureStore, feature_type: str) -> np.ndarra
 
 @dataclass(frozen=True)
 class Cohort:
-    """A run's classification units and their feature rows, `X[i]` and
-    `y[i]` belonging to `units[i]`, plus the units dropped as unusable.
-    With augmentation, `augmented[j]` is a variant row of the negative unit
-    `units[augmented_unit[j]]`; without, both are empty."""
+    """A run's classification units and feature rows, plus the units dropped
+    as unusable. Row `i < len(units)` is `units[i]`'s own; with augmentation,
+    the six variant rows of each negative unit follow, in unit order. Every
+    row has a label `y[i]` and the user `users[i]` who owns it."""
 
     units: tuple[Unit, ...]
     X: np.ndarray
     y: np.ndarray
+    users: np.ndarray
     skipped: tuple[tuple[str, str], ...]  # (unit key, "Type: message")
-    augmented: np.ndarray
-    augmented_unit: np.ndarray
 
 
 def build_cohort(records: list[SampleRecord], config: RunConfig, store: FeatureStore) -> Cohort:
@@ -224,17 +223,17 @@ def build_cohort(records: list[SampleRecord], config: RunConfig, store: FeatureS
     for label, name in ((1, "positive"), (0, "negative")):
         if not np.any(y == label):
             raise EmptyCohort(f"task {config.task_id}: no usable {name} units")
-    augmented, augmented_unit = [], []
-    if config.augment:  # every negative's variants; each fold takes its training ones
+    owners = list(range(len(units)))  # the unit each row belongs to
+    if config.augment:  # every negative's variants; each fold takes its training users' rows
         for i in np.flatnonzero(y == 0):
             per_record = [[feat.extract_handcrafted(v.segment)
                            for v in aug.augment_six(store.segment(r), r.sample_id, config.seed)]
                           for r in units[i].records]
             for variant_rows in zip(*per_record):
-                augmented.append(np.concatenate(variant_rows))
-                augmented_unit.append(i)
-    return Cohort(tuple(units), np.asarray(rows), y, tuple(skipped),
-                  np.asarray(augmented), np.asarray(augmented_unit, dtype=int))
+                rows.append(np.concatenate(variant_rows))
+                owners.append(i)
+    users = np.asarray([units[i].user_id for i in owners])
+    return Cohort(tuple(units), np.asarray(rows), y[owners], users, tuple(skipped))
 
 
 def select_and_fit(slices: list, kind: str, cutoffs):
@@ -266,30 +265,21 @@ def run_nested_cv(
     if store is None:
         store = FeatureStore(base_dir, embeddings)
     cohort = build_cohort(records, config, store)
-    units, X, y = cohort.units, cohort.X, cohort.y
-    users = np.asarray([u.user_id for u in units])
+    units, X, y, users = cohort.units, cohort.X, cohort.y, cohort.users
     splits = split_users([u for u in units if u.label == 1], [u for u in units if u.label == 0],
                          config.seed)
 
     train_slices, tests = [], []  # per outer fold
     for fold_idx, (train_users, test_users) in enumerate(splits):
-        assert not train_users & test_users
+        # training takes every row of its users, variants included; test only originals
         train = np.flatnonzero(np.isin(users, list(train_users)))
-        test = np.flatnonzero(np.isin(users, list(test_users)))
+        test = np.flatnonzero(np.isin(users[:len(units)], list(test_users)))
         assert not set(users[test]) & train_users
 
         test = test[balance(y[test], seed=hash((config.seed, fold_idx)) % 2**32)]
-        if not config.augment:
+        if not config.augment:  # augmented training keeps every original and variant
             train = train[balance(y[train], seed=hash((config.seed, fold_idx, 1)) % 2**32)]
-
-        X_train, y_train, users_train = X[train], y[train], users[train]
-        if config.augment:
-            # negatives only, training only; originals are retained
-            extra = np.isin(cohort.augmented_unit, train)
-            X_train = np.vstack([X_train, cohort.augmented[extra]])
-            y_train = np.concatenate([y_train, np.zeros(np.count_nonzero(extra), dtype=y.dtype)])
-            users_train = np.concatenate([users_train, users[cohort.augmented_unit[extra]]])
-        train_slices.append((X_train, y_train, users_train, config.seed + fold_idx))
+        train_slices.append((X[train], y[train], users[train], config.seed + fold_idx))
         tests.append(test)
 
     fits = select_and_fit(train_slices, config.classifier_kind, pca_cutoffs)

@@ -23,7 +23,6 @@ from .audio_io import AudioSegment
 from .errors import EmptySeries, TooShort
 
 N_MFCC = 13
-N_MELS = 128
 DELTA_WIDTH = 9  # frames in the local linear-regression window
 
 STAT_NAMES = ("mean", "median", "rms", "max", "min", "q1", "q3", "iqr", "std", "skew", "kurt")
@@ -96,14 +95,14 @@ class Analysis:
 
     segment: AudioSegment
     spectrogram: dsp.Spectrogram
-    logmel: np.ndarray  # [N_MELS x n_frames], natural log of mel power
+    logmel: np.ndarray  # [dsp.N_MELS x n_frames], natural log of mel power
     frame_rate: float  # frames per second
 
 
 def analyze(seg: AudioSegment) -> Analysis:
     """One STFT and one log-mel of a trimmed segment."""
     spec = dsp.stft(seg)
-    fb = dsp.mel_filterbank(seg.sample_rate, dsp.FRAME_LENGTH, N_MELS)
+    fb = dsp.mel_filterbank(seg.sample_rate)
     logmel = dsp.log_compress(dsp.mel_power(spec, fb))
     return Analysis(seg, spec, logmel, seg.sample_rate / dsp.HOP_LENGTH)
 

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 
 def write_bytes_atomic(path, data: bytes) -> None:
     """Write via a temp file in the same directory plus rename, so a
-    crashed run never leaves a partial artifact at the target path."""
+    crashed run never leaves a partial artifact at the target path; a new
+    file's mode is 0o666 less the umask, as with `open(path, "wb")`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

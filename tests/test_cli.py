@@ -83,6 +83,33 @@ class TestExtract:
                      "--jobs", "2"]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_no_more_workers_than_recordings(self, cohort, tmp_path, monkeypatch):
+        # a process pool forks all its workers at once, so --jobs is capped by
+        # the recording count; the fake pool starts no process
+        _, manifest, records = cohort
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["extract", "--manifest", str(manifest), "--out", str(a),
+                     "--jobs", "1000"]) == EXIT_OK
+        assert main(["extract", "--manifest", str(manifest), "--out", str(b)]) == EXIT_OK
+        assert asked == [len(records)]
+        assert a.read_bytes() == b.read_bytes()
+
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert main(["extract", "--manifest", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o.csv")]) == EXIT_IO

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from respscreen import evaluate, model, synth
+from respscreen import evaluate, features, model, synth
 from respscreen.audio_io import AudioSegment, encode_wav
+from respscreen.augment import augment_six
 from respscreen.dataset import N_OUTER_FOLDS, is_positive, load_manifest
 from respscreen.embeddings import load_embeddings
 from respscreen.errors import ConfigError, EmptyCohort
@@ -127,6 +128,42 @@ class TestNestedCv:
             # and adds 6 variants per negative
             assert a.n_train > b.n_train
             assert a.n_test == b.n_test  # the test side is untouched
+
+    def test_augmented_training_slice_is_its_users_rows(self, small_cohort, monkeypatch):
+        # each fold trains on its training units' rows, then six variant rows
+        # per training negative, and on no row of a test user
+        d, records, _ = small_cohort
+        cfg = RunConfig(task_id=2, seed=0, augment=True)
+        splits, slices = [], []
+        split_users, select_and_fit = evaluate.split_users, evaluate.select_and_fit
+        monkeypatch.setattr(evaluate, "split_users",
+                            lambda *a: splits.extend(split_users(*a)) or tuple(splits))
+        monkeypatch.setattr(evaluate, "select_and_fit",
+                            lambda s, *a: slices.extend(s) or select_and_fit(s, *a))
+        report = run_nested_cv(records, cfg, base_dir=d)
+
+        units = build_cohort(records, RunConfig(task_id=2), FeatureStore(d)).units
+        rows, variants = {}, {}  # unit key -> its row, its variant rows
+        for u in units:
+            [r] = u.records
+            seg = evaluate.load_segment(d / r.audio_path)
+            rows[u.key] = features.extract_handcrafted(seg)
+            variants[u.key] = [] if u.label else [
+                features.extract_handcrafted(v.segment)
+                for v in augment_six(seg, r.sample_id, cfg.seed)]
+        assert len(slices) == len(splits) == N_OUTER_FOLDS
+        for (X, y, users, _), (train_users, test_users), fold in zip(slices, splits,
+                                                                     report.folds):
+            train = [u for u in units if u.user_id in train_users]
+            owners = train + [u for u in train for _ in variants[u.key]]
+            expected = np.asarray([rows[u.key] for u in train]
+                                  + [v for u in train for v in variants[u.key]])
+            assert X.shape == expected.shape and X.tobytes() == expected.tobytes()
+            assert len(owners) == len(train) + 6 * sum(u.label == 0 for u in train)
+            assert list(y) == [u.label for u in train] + [0] * (len(owners) - len(train))
+            assert list(users) == [u.user_id for u in owners]
+            assert not set(users) & test_users
+            assert fold.n_train == len(owners)
 
     def test_augment_requires_handcrafted(self, small_cohort):
         d, records, embeddings = small_cohort

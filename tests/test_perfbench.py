@@ -2,14 +2,33 @@
 
 `perfbench/run.py --trace 1` fails a workload whose listed binding is not
 bound to a wrapped function, or is wrapped but never called. The first test
-is the static half of that check and the second runs one nested CV traced,
-so a refactor that renames, folds away or stops calling a traced binding
-fails here first.
+is the static half of that check and the others run a job traced, so a
+refactor that renames, folds away or stops calling a traced binding fails
+here first.
 """
+
+import pytest
 
 from perfbench.tracing import Tracer
 from perfbench.workloads import NESTED_CV_BINDINGS, WORKLOADS
-from respscreen import evaluate
+from respscreen import cli, dataset, evaluate, synth
+
+# Called by a workload's set-up, not by its job.
+SETUP_BINDINGS = ("synth.generate_cohort", "dataset.load_manifest")
+
+
+@pytest.fixture(scope="module")
+def task2_cohort(tmp_path_factory):
+    """Six covid and six cough users with 1 s clips, the evaluate-augment
+    workload's users at shorter clips."""
+    d = tmp_path_factory.mktemp("traced")
+    spec = synth.CohortSpec(n_covid=6, n_healthy=0, n_cough=6, n_asthma=0, clip_seconds=1.0)
+    manifest = synth.generate_cohort(d, seed=2, spec=spec)
+    return manifest, dataset.load_manifest(manifest)
+
+
+def job_bindings(workload: str) -> list[str]:
+    return [b for b in WORKLOADS[workload].bindings if b not in SETUP_BINDINGS]
 
 
 def test_every_workload_binding_is_bound():
@@ -26,3 +45,21 @@ def test_nested_cv_calls_every_traced_binding(cohort):
     with tracer.recording("nested-cv"):
         evaluate.run_nested_cv(records, evaluate.RunConfig(task_id=1), base_dir=d)
     assert tracer.coverage_problems(NESTED_CV_BINDINGS) == []
+
+
+def test_augmented_nested_cv_calls_every_traced_binding(task2_cohort):
+    manifest, records = task2_cohort
+    tracer = Tracer()
+    with tracer.recording("evaluate-augment"):
+        evaluate.run_nested_cv(records, evaluate.RunConfig(task_id=2, augment=True),
+                               base_dir=manifest.parent)
+    assert tracer.coverage_problems(job_bindings("evaluate-augment")) == []
+
+
+def test_extract_calls_every_traced_binding(task2_cohort, tmp_path):
+    manifest, _ = task2_cohort
+    tracer = Tracer()
+    with tracer.recording("extract-long"):
+        code = cli.main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")])
+    assert code == cli.EXIT_OK
+    assert tracer.coverage_problems(job_bindings("extract-long")) == []
