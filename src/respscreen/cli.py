@@ -208,6 +208,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: a flag is spelled out in full, as a config key is
     make_parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
@@ -232,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="handcrafted feature CSV from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("augment", help="write six augmented WAVs per recording")

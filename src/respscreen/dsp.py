@@ -7,14 +7,11 @@ mel bands spanning 0 Hz to Nyquist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.fft
 from scipy.signal import get_window
-
-from .audio_io import AudioSegment
 
 LOG_FLOOR = 1e-10  # added to power before taking log
 
@@ -24,13 +21,12 @@ HOP_LENGTH = 512
 WINDOW = "hann"
 N_MELS = 128
 
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """Magnitude spectrogram [n_bins x n_frames] with bin frequencies in Hz."""
-
-    magnitudes: np.ndarray
-    bin_frequencies: np.ndarray
+# Slaney mel scale: linear at 200/3 Hz per mel below the 1 kHz break,
+# logarithmic above it with ln(6.4)/27 per mel
+MEL_HZ_PER_MEL = 200.0 / 3
+MEL_BREAK_HZ = 1000.0
+MEL_BREAK = MEL_BREAK_HZ / MEL_HZ_PER_MEL  # the break on the mel axis
+MEL_LOG_STEP = np.log(6.4) / 27.0
 
 
 def _pad_centered(x: np.ndarray) -> np.ndarray:
@@ -47,36 +43,29 @@ def frame_signal(x: np.ndarray) -> np.ndarray:
     return windows[::HOP_LENGTH].T
 
 
-def stft(seg: AudioSegment) -> Spectrogram:
-    """Magnitude STFT of a segment."""
-    frames = frame_signal(seg.samples)
+def bin_frequencies(sr: int) -> np.ndarray:
+    """Frequency in Hz of each of the FRAME_LENGTH // 2 + 1 STFT bins at rate `sr`."""
+    return np.fft.rfftfreq(FRAME_LENGTH, d=1.0 / sr)
+
+
+def stft(frames: np.ndarray) -> np.ndarray:
+    """Magnitudes [FRAME_LENGTH // 2 + 1 x n_frames] of the Hann-windowed
+    DFT of each column of `frames`, as `frame_signal` lays them out."""
     window = get_window(WINDOW, FRAME_LENGTH, fftbins=True)
-    mags = np.abs(np.fft.rfft(frames * window[:, None], axis=0))
-    freqs = np.fft.rfftfreq(FRAME_LENGTH, d=1.0 / seg.sample_rate)
-    return Spectrogram(mags, freqs)
+    return np.abs(np.fft.rfft(frames * window[:, None], axis=0))
 
 
 def _hz_to_mel(hz):
     """Slaney mel: linear below 1 kHz, logarithmic above."""
     hz = np.asarray(hz, dtype=np.float64)
-    f_sp = 200.0 / 3
-    min_log_hz = 1000.0
-    logstep = np.log(6.4) / 27.0
-    mel = hz / f_sp
-    above = hz >= min_log_hz
-    mel = np.where(above, min_log_hz / f_sp + np.log(np.maximum(hz, min_log_hz) / min_log_hz) / logstep, mel)
-    return mel
+    above = MEL_BREAK + np.log(np.maximum(hz, MEL_BREAK_HZ) / MEL_BREAK_HZ) / MEL_LOG_STEP
+    return np.where(hz >= MEL_BREAK_HZ, above, hz / MEL_HZ_PER_MEL)
 
 
 def _mel_to_hz(mel):
     mel = np.asarray(mel, dtype=np.float64)
-    f_sp = 200.0 / 3
-    min_log_mel = 1000.0 / f_sp
-    logstep = np.log(6.4) / 27.0
-    hz = mel * f_sp
-    above = mel >= min_log_mel
-    hz = np.where(above, 1000.0 * np.exp(logstep * (mel - min_log_mel)), hz)
-    return hz
+    above = MEL_BREAK_HZ * np.exp(MEL_LOG_STEP * (mel - MEL_BREAK))
+    return np.where(mel >= MEL_BREAK, above, mel * MEL_HZ_PER_MEL)
 
 
 @lru_cache(maxsize=16)
@@ -86,7 +75,7 @@ def mel_filterbank(sr: int) -> np.ndarray:
 
     Built once per sample rate and shared.
     """
-    fft_freqs = np.fft.rfftfreq(FRAME_LENGTH, d=1.0 / sr)
+    fft_freqs = bin_frequencies(sr)
     mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sr / 2.0), N_MELS + 2)
     hz_pts = _mel_to_hz(mel_pts)
 
@@ -100,16 +89,6 @@ def mel_filterbank(sr: int) -> np.ndarray:
         weights[m] *= 2.0 / (upper - lower)
     weights.flags.writeable = False
     return weights
-
-
-def mel_power(spec: Spectrogram, fb: np.ndarray) -> np.ndarray:
-    """Mel-band power [N_MELS x n_frames] under filterbank weights `fb`."""
-    return fb @ (spec.magnitudes**2)
-
-
-def log_compress(power: np.ndarray) -> np.ndarray:
-    """Natural log of power with a small floor to avoid -inf."""
-    return np.log(power + LOG_FLOOR)
 
 
 def dct_ii(matrix: np.ndarray, n_out: int) -> np.ndarray:

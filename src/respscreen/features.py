@@ -5,11 +5,11 @@ Layout (canonical order, 4 + 4*11 + 3*13*11 = 477):
   then 11 statistics for each of rms, centroid, rolloff, zcr,
   then 11 statistics for each of 13 MFCC, 13 delta-MFCC, 13 delta2-MFCC.
 
-Data flow: `analyze` makes a recording's one spectral analysis (one STFT,
-one log-mel); each family is a pure function of that `Analysis` or of a
-series from it (onset envelope -> onsets, tempo; RMS -> period), and
-`extract_handcrafted` chains analyze -> families -> one `summarize` of
-the [43 x n_frames] stack of series.
+Data flow: `analyze` makes a recording's one short-time analysis (one
+framing, one power spectrum, one log-mel); each family is a pure function
+of that `Analysis` or of a series from it (onset envelope -> onsets,
+tempo; RMS -> period), and `extract_handcrafted` chains analyze ->
+families -> one `summarize` of the [43 x n_frames] stack of series.
 """
 
 from __future__ import annotations
@@ -94,17 +94,20 @@ class Analysis:
     """One recording's short-time analysis at the `dsp` framing."""
 
     segment: AudioSegment
-    spectrogram: dsp.Spectrogram
+    frames: np.ndarray  # [dsp.FRAME_LENGTH x n_frames], from dsp.frame_signal
+    magnitudes: np.ndarray  # [FRAME_LENGTH // 2 + 1 x n_frames], from dsp.stft
+    power: np.ndarray  # magnitudes**2
     logmel: np.ndarray  # [dsp.N_MELS x n_frames], natural log of mel power
     frame_rate: float  # frames per second
 
 
 def analyze(seg: AudioSegment) -> Analysis:
-    """One STFT and one log-mel of a trimmed segment."""
-    spec = dsp.stft(seg)
-    fb = dsp.mel_filterbank(seg.sample_rate)
-    logmel = dsp.log_compress(dsp.mel_power(spec, fb))
-    return Analysis(seg, spec, logmel, seg.sample_rate / dsp.HOP_LENGTH)
+    """One framing, one power spectrum and one log-mel of a trimmed segment."""
+    frames = dsp.frame_signal(seg.samples)
+    mags = dsp.stft(frames)
+    power = mags**2
+    logmel = np.log(dsp.mel_filterbank(seg.sample_rate) @ power + dsp.LOG_FLOOR)
+    return Analysis(seg, frames, mags, power, logmel, seg.sample_rate / dsp.HOP_LENGTH)
 
 
 def check_length(seg: AudioSegment) -> None:
@@ -190,19 +193,18 @@ def envelope_period(rms: np.ndarray, frame_rate: float) -> float:
 
 def frame_features(a: Analysis) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-frame (rms, centroid, rolloff, zcr) time series."""
-    mags = a.spectrogram.magnitudes
-    freqs = a.spectrogram.bin_frequencies
+    mags = a.magnitudes
+    freqs = dsp.bin_frequencies(a.segment.sample_rate)
 
-    energy = mags**2
-    rms = np.sqrt(np.mean(energy, axis=0))
+    rms = np.sqrt(np.mean(a.power, axis=0))
 
     col_sum = mags.sum(axis=0)
     centroid = (freqs[:, None] * mags).sum(axis=0) / np.where(col_sum > 0, col_sum, 1.0)
 
-    cum = np.cumsum(energy, axis=0)
+    cum = np.cumsum(a.power, axis=0)
     rolloff = freqs[np.argmax(cum >= ROLLOFF_FRACTION * cum[-1], axis=0)]
 
-    signs = np.signbit(dsp.frame_signal(a.segment.samples))
+    signs = np.signbit(a.frames)
     zcr = np.count_nonzero(signs[1:] != signs[:-1], axis=0) / dsp.FRAME_LENGTH
 
     return rms, centroid, rolloff, zcr

@@ -110,6 +110,14 @@ class TestExtract:
         assert asked == [len(records)]
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_a_usage_error(self, jobs, tmp_path):
+        out = tmp_path / "f.csv"
+        with pytest.raises(SystemExit) as exc:  # argparse's usage error
+            main(["extract", "--manifest", "m.csv", "--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert main(["extract", "--manifest", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o.csv")]) == EXIT_IO
@@ -432,6 +440,15 @@ class TestConfigFile:
     def test_unknown_key_exits_config(self, cohort_dir, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sede": 3}))
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        out = tmp_path / "f.csv"
+        assert main(["extract", "--manifest", str(cohort_dir / "manifest.csv"),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_jobs_below_one_exits_config(self, cohort_dir, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 0}))
         monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
         out = tmp_path / "f.csv"
         assert main(["extract", "--manifest", str(cohort_dir / "manifest.csv"),
