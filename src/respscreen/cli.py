@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -216,6 +217,22 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of a count that may be 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type of a finite length that must be above 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: a flag is spelled out in full, as a config key is
     make_parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
@@ -227,11 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-manifest", help="generate a synthetic cohort")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--covid-users", type=int, default=12)
-    p.add_argument("--healthy-users", type=int, default=12)
-    p.add_argument("--cough-users", type=int, default=8)
-    p.add_argument("--asthma-users", type=int, default=8)
-    p.add_argument("--clip-seconds", type=float, default=2.0)
+    p.add_argument("--covid-users", type=non_negative_int, default=12)
+    p.add_argument("--healthy-users", type=non_negative_int, default=12)
+    p.add_argument("--cough-users", type=non_negative_int, default=8)
+    p.add_argument("--asthma-users", type=non_negative_int, default=8)
+    p.add_argument("--clip-seconds", type=positive_float, default=2.0)
     p.add_argument("--scramble", action="store_true",
                    help="make audio uninformative of the label")
     p.add_argument("--embeddings-out", help="also write synthetic embedding frames")

@@ -258,7 +258,7 @@ def run_nested_cv(
 
     Given `cutoffs`, it returns one report per cutoff, in order. The cutoffs
     share the cohort, the splits and each training slice's standardizer and
-    SVD; each cutoff selects its own hyperparameters.
+    PCA decomposition; each cutoff selects its own hyperparameters.
     """
     configs = [config] if cutoffs is None else [replace(config, pca_cutoff=c) for c in cutoffs]
     pca_cutoffs = [c.pca_cutoff for c in configs]

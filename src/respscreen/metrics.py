@@ -9,18 +9,24 @@ import numpy as np
 from .errors import SingleClass
 
 
-def roc_auc(scores, labels) -> float:
+def roc_auc(scores, labels) -> float | np.ndarray:
     """Probability that a random positive outranks a random negative
-    (Mann-Whitney form; ties count one half)."""
+    (Mann-Whitney form; ties count one half).
+
+    `scores` is one score per row, or an [n x m] matrix whose m columns are
+    scored alike; a matrix gives an array of m AUCs, each equal to that of
+    its column alone.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     pos = scores[labels == 1]
     neg = scores[labels == 0]
     if len(pos) == 0 or len(neg) == 0:
         raise SingleClass("need both classes to compute AUC")
-    greater = (pos[:, None] > neg[None, :]).sum()
-    equal = (pos[:, None] == neg[None, :]).sum()
-    return float((greater + 0.5 * equal) / (len(pos) * len(neg)))
+    greater = (pos[:, None] > neg[None, :]).sum(axis=(0, 1))
+    equal = (pos[:, None] == neg[None, :]).sum(axis=(0, 1))
+    auc = (greater + 0.5 * equal) / (len(pos) * len(neg))
+    return float(auc) if scores.ndim == 1 else auc
 
 
 @dataclass(frozen=True)

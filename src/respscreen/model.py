@@ -1,6 +1,10 @@
 """Standardization, PCA with explained-variance cutoffs, and the two
 shallow classifiers (L2 logistic regression, SVM with RBF kernel).
 
+PCA takes an SVD of a tall slice and the eigendecomposition of the Gram
+matrix of a wide one. Model selection scores each inner fold in one pass:
+one stacked product for its LR classifiers and one `roc_auc` call.
+
 All solvers are deterministic and take a batch of problems: LR runs damped
 Newton from a zero start in lockstep over each group of one shape, and the
 SVM runs most-violating-pair SMO in lockstep over each group of one row
@@ -28,9 +32,16 @@ LR_GRADIENT_TOL = 1e-8
 LR_MAX_ITER = 200  # Newton steps; a problem stopped by this cap reports converged=False
 # Newton-decrement stop: lambda^2 / 2 <= LR_DECREMENT_TOL * eps * |loss|
 LR_DECREMENT_TOL = 0.25
+# Backtracking step sizes 2^-j after t = 1, j = 1..59, in blocks of 2, 4,
+# 8, ... that a search tries at once: a search stalled at rounding level,
+# which runs through 20-60 of them, takes a few stacked loss evaluations.
+LS_BLOCKS = [0.5**j for j in np.split(np.arange(1, 60), [2, 6, 14, 30])]
 SVM_KKT_TOL = 1e-3
 SVM_MAX_ITER = 200_000  # SMO steps; likewise
 STD_FLOOR = 1e-12
+# Gram-matrix PCA: eigenvalues below this fraction of the largest are zero
+# variance, i.e. singular values below 1e-10 of the largest
+GRAM_FLOOR = 1e-20
 
 N_INNER_FOLDS = 5
 
@@ -74,15 +85,33 @@ class PcaModel:
 
 
 def fit_pca(X: np.ndarray, cutoffs) -> list[PcaModel]:
-    """PCA by SVD of the (already standardized) data matrix, one model per
-    cutoff: each truncates the same SVD to its own minimal k, and all of
-    them share one copy of the leading components."""
+    """PCA of the (already standardized) data matrix, one model per cutoff:
+    each truncates the same decomposition to its own minimal k, and all of
+    them share one copy of the leading components.
+
+    A tall slice (n >= d rows) takes the SVD of its centered matrix Xc. A
+    wide one takes the eigendecomposition of the n x n Gram matrix
+    Xc Xc' = U S^2 U', which has the same nonzero spectrum (the method of
+    snapshots; Sirovich, Q. Appl. Math. 45, 1987), and forms only the kept
+    components, U' Xc / s. Eigenvalues below a relative floor count as zero
+    variance, so no kept component divides by a rounding residue. Squaring
+    the spectrum costs accuracy in small components: one of variance ratio
+    r agrees with the SVD's to roughly eps / r, well below 1e-10 at the
+    shipped cutoffs, where every kept r exceeds (1 - cutoff) / n.
+    """
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] < 2:
+    n, d = X.shape
+    if n < 2:
         raise ValueError("need at least 2 rows")
     mean = X.mean(axis=0)
-    _, s, vt = np.linalg.svd(X - mean, full_matrices=False)
-    variances = s**2
+    Xc = X - mean
+    if n < d:
+        eigenvalues, U = np.linalg.eigh(Xc @ Xc.T)
+        variances, U = np.maximum(eigenvalues[::-1], 0.0), U[:, ::-1]
+        variances[variances < GRAM_FLOOR * variances[0]] = 0.0
+    else:
+        _, s, vt = np.linalg.svd(Xc, full_matrices=False)
+        variances = s**2
     total = variances.sum()
     if total <= 0:
         raise DegenerateData("zero total variance")
@@ -90,7 +119,11 @@ def fit_pca(X: np.ndarray, cutoffs) -> list[PcaModel]:
     cumulative = np.cumsum(ratio)
     ks = [min(int(np.searchsorted(cumulative, cutoff - 1e-12) + 1), len(ratio))
           for cutoff in cutoffs]
-    top = vt[:max(ks, default=0)].copy()  # each cutoff's components are a prefix view
+    kmax = max(ks, default=0)
+    if n < d:
+        top = U[:, :kmax].T @ Xc / np.sqrt(variances[:kmax, None])
+    else:
+        top = vt[:kmax].copy()  # each cutoff's components are a prefix view
     return [PcaModel(top[:k], ratio[:k].copy(), cutoff, mean) for cutoff, k in zip(cutoffs, ks)]
 
 
@@ -148,10 +181,17 @@ class Classifier:
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if self.kind == "lr":
-            z = np.clip(X @ self.weights[:-1] + self.weights[-1], -500, 500)
-            return 1.0 / (1.0 + np.exp(-z))
+            return _lr_scores(X, self.weights[None])[0]
         K = rbf_kernel(X, self.support_vectors, self.hyperparameters["gamma"])
         return K @ self.dual_coef + self.intercept
+
+
+def _lr_scores(X, W) -> np.ndarray:
+    """Probabilities [m x n] of a stack of LR weights W [m x d+1] (last entry
+    intercept) on one X [n x d]. Each row is computed by the same BLAS gemv
+    as a lone `X @ w`, so a classifier's scores do not depend on the stack."""
+    z = (X[None] @ W[:, :-1, None])[:, :, 0] + W[:, -1:]
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 def _dot(a, b):
@@ -211,10 +251,12 @@ def fit_lr(Xs, ys, Cs) -> list[Classifier]:
     `converged=True` (Boyd & Vandenberghe, Convex Optimization, 9.5.1).
 
     Line-search trials evaluate the loss only; the gradient is computed at
-    the accepted point. An iteration is a deterministic function of the
-    weights, so a step that leaves them bitwise unchanged is a fixed point:
-    every further iteration would repeat it, and the solver stops there
-    with `converged=False`.
+    the accepted point. After t = 1, a searching problem tries the step
+    sizes of each of `LS_BLOCKS` as one stack and takes the first that
+    decreases its loss enough, the step a one-at-a-time search would take.
+    An iteration is a deterministic function of the weights, so a step that
+    leaves them bitwise unchanged is a fixed point: every further iteration
+    would repeat it, and the solver stops there with `converged=False`.
     """
     problems, groups = _intake(Xs, ys, lambda X: X.shape)
     classifiers: list = [None] * len(problems)
@@ -271,19 +313,25 @@ def _newton_lockstep(X, Y_pm, C):
             if not len(act):
                 break
         # backtracking keeps Newton globally convergent on this convex loss;
-        # each problem halves its own t until its loss decreases enough
-        t = np.ones(len(act))
-        W_next, next_loss, Z = np.empty_like(W), np.empty_like(loss), np.empty((len(act), n))
-        trial = np.arange(len(act))  # problems still searching
-        for _ls in range(60):
-            W_next[trial] = W[trial] - t[trial, None] * step[trial]
-            next_loss[trial], Z[trial] = _lr_loss(W_next[trial], X[trial], Y_pm[trial], C[trial])
-            trial = trial[~(next_loss[trial] <= loss[trial] - 1e-4 * t[trial] * descent[trial])]
+        # each problem takes the first t = 2^-j, j < 60, whose loss decreases
+        # enough: t = 1 first, then the t of each of LS_BLOCKS at once
+        W_next = W - step
+        next_loss, Z = _lr_loss(W_next, X, Y_pm, C)
+        trial = np.flatnonzero(~(next_loss <= loss - 1e-4 * descent))  # problems still searching
+        for t in LS_BLOCKS:
             if not len(trial):
                 break
-            t[trial] *= 0.5
+            W_try = (W[trial, None] - t[:, None] * step[trial, None]).reshape(-1, d + 1)
+            each = np.repeat(trial, len(t))
+            loss_try, Z_try = _lr_loss(W_try, X[each], Y_pm[each], C[each])
+            ok = loss_try.reshape(-1, len(t)) <= loss[trial, None] - 1e-4 * t * descent[trial, None]
+            hit = ok.any(axis=1)
+            rows = np.flatnonzero(hit) * len(t) + ok[hit].argmax(axis=1)  # each one's first t
+            W_next[trial[hit]], next_loss[trial[hit]], Z[trial[hit]] = (
+                W_try[rows], loss_try[rows], Z_try[rows])
+            trial = trial[~hit]
         else:  # no sufficient decrease: step by the last, unevaluated halving
-            W_next[trial] = W[trial] - t[trial, None] * step[trial]
+            W_next[trial] = W[trial] - 0.5**60 * step[trial]
             next_loss[trial], Z[trial] = _lr_loss(W_next[trial], X[trial], Y_pm[trial], C[trial])
         flat = next_loss >= loss
         fixed = (W_next == W).all(axis=1)
@@ -476,10 +524,15 @@ def grid_search(slices, kind: str, pca_cutoffs) -> list[list[dict]]:
     first, all of them are fit in one `fit_pipeline` call, and each slice
     then selects from its own folds' scores. Inner folds are user-disjoint
     and seeded by their slice's `seed`. Each inner fold's training slice
-    gets one standardize -> SVD fit, shared by every cutoff and grid cell,
+    gets one standardize -> PCA fit, shared by every cutoff and grid cell,
     so selection sees the same preprocessing as the outer fit and never
     leaks validation rows. Ties break toward smaller C then smaller gamma
     ('scale' first, resolved on each fold's projected training slice).
+
+    Each inner fold is scored in one pass: its validation slice is
+    standardized once and projected once per distinct k, the LR classifiers
+    of one k are scored by one stacked product, and every distinct
+    classifier's AUC comes from one `roc_auc` call on the fold's score matrix.
     """
     slices = [(np.asarray(X, dtype=np.float64), np.asarray(y), _inner_user_folds(users, seed))
               for X, y, users, seed in slices]
@@ -495,16 +548,27 @@ def grid_search(slices, kind: str, pca_cutoffs) -> list[list[dict]]:
     for (s, _, val_idx), fold_pipes in zip(inner, pipes, strict=True):
         X, y, _ = slices[s]
         X_val = fold_pipes[0].standardizer.transform(X[val_idx])  # every fit shares it
-        Z_val: dict[int, np.ndarray] = {}  # pca.k -> projected validation slice
-        scores: dict[int, float] = {}  # id(classifier) -> validation AUC
+        # distinct classifiers per k; cutoffs that keep one k share its projection
+        by_k: dict[int, tuple] = {}  # pca.k -> (pca, {id(classifier): classifier})
+        for pipe in fold_pipes:
+            _, classifiers = by_k.setdefault(pipe.pca.k, (pipe.pca, {}))
+            classifiers[id(pipe.classifier)] = pipe.classifier
+        scores = np.hstack([_score_columns(list(classifiers.values()), pca.transform(X_val))
+                            for pca, classifiers in by_k.values()])
+        column = {key: j for j, key in enumerate(  # id(classifier) -> its score column
+            key for _, classifiers in by_k.values() for key in classifiers)}
+        fold_aucs = roc_auc(scores, y[val_idx]).tolist()
         for fit_aucs, pipe in zip(aucs[s], fold_pipes):
-            if id(pipe.classifier) not in scores:
-                if pipe.pca.k not in Z_val:
-                    Z_val[pipe.pca.k] = pipe.pca.transform(X_val)
-                scores[id(pipe.classifier)] = roc_auc(
-                    pipe.classifier.decision_scores(Z_val[pipe.pca.k]), y[val_idx])
-            fit_aucs.append(scores[id(pipe.classifier)])
+            fit_aucs.append(fold_aucs[column[id(pipe.classifier)]])
     return [_select(cells, slice_aucs, len(pca_cutoffs)) for slice_aucs in aucs]
+
+
+def _score_columns(classifiers, Z) -> np.ndarray:
+    """Decision scores [n x m] of m classifiers of one kind on one projected
+    slice Z: LR weights as one stacked product, SVMs one by one."""
+    if classifiers[0].kind == "lr":
+        return _lr_scores(Z, np.stack([c.weights for c in classifiers])).T
+    return np.column_stack([c.decision_scores(Z) for c in classifiers])
 
 
 def _select(cells, aucs, n_cutoffs: int) -> list[dict]:
@@ -544,13 +608,14 @@ def fit_pipeline(slices, kind: str) -> list[list[Pipeline]]:
     """For each training slice `(X, y, fits)`, one pipeline per (PCA cutoff,
     hyperparameter cell) in `fits`, all on that slice's one preprocessing.
 
-    A slice's standardizer and SVD are fit once on its `X`, and each cutoff
-    truncates that SVD. The slice is projected once per distinct k, and
-    each distinct (k, cell) is one classifier problem: cutoffs that keep the
-    same k share their classifier objects. All pipelines of a slice share
-    its standardizer, and those of one cutoff share its PCA model. Every
-    slice's problems go to one `fit_lr` or `fit_svm_rbf` call. `slices` may
-    be a generator: a slice's standardized matrix is dropped once projected.
+    A slice's standardizer and PCA decomposition are fit once on its `X`,
+    and each cutoff truncates that decomposition. The slice is projected
+    once per distinct k, and each distinct (k, cell) is one classifier
+    problem: cutoffs that keep the same k share their classifier objects.
+    All pipelines of a slice share its standardizer, and those of one cutoff
+    share its PCA model. Every slice's problems go to one `fit_lr` or
+    `fit_svm_rbf` call. `slices` may be a generator: a slice's standardized
+    matrix is dropped once projected.
     """
     problems = []  # (projected slice, y, cell)
     plans = []  # per slice, (standardizer, pca, problem index) per fit

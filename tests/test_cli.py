@@ -59,6 +59,30 @@ class TestSynthManifest:
             outs.append((manifest, wavs))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("flag", ["--covid-users", "--healthy-users", "--cough-users",
+                                      "--asthma-users"])
+    def test_negative_user_count_is_a_usage_error(self, flag, tmp_path):
+        out = tmp_path / "c"
+        with pytest.raises(SystemExit) as exc:  # argparse's usage error
+            main(["synth-manifest", "--out", str(out), flag, "-2"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf"])
+    def test_clip_seconds_must_be_finite_and_positive(self, seconds, tmp_path):
+        out = tmp_path / "c"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth-manifest", "--out", str(out), "--clip-seconds", seconds])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_zero_users_of_a_class_is_allowed(self, tmp_path):
+        out = tmp_path / "c"
+        assert main(["synth-manifest", "--out", str(out), "--covid-users", "1",
+                     "--healthy-users", "1", "--cough-users", "0", "--asthma-users", "0",
+                     "--clip-seconds", "0.5"]) == EXIT_OK
+        assert len(load_manifest(out / "manifest.csv")) == 2 * 2  # cough and breath each
+
 
 class TestExtract:
     def test_feature_csv_shape(self, cohort_dir, tmp_path):

@@ -61,6 +61,25 @@ class TestRocAuc:
         u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2
         assert roc_auc(scores, labels) == pytest.approx(u / (n_pos * n_neg), abs=1e-12)
 
+    @given(st.integers(0, 2**31), st.integers(2, 40), st.integers(1, 12))
+    def test_matrix_equals_its_columns(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        # few distinct values per column make ties; the last column is continuous
+        scores = rng.integers(0, 4, size=(n, m)).astype(float) / 4.0
+        scores[:, -1] = rng.normal(size=n)
+        labels = rng.integers(0, 2, size=n)
+        labels[0], labels[1] = 0, 1
+        aucs = roc_auc(scores, labels)
+        assert aucs.shape == (m,)
+        for j in range(m):
+            alone = roc_auc(scores[:, j], labels)
+            assert type(alone) is float
+            assert aucs[j] == alone  # bitwise, ties included
+
+    def test_matrix_single_class_raises(self):
+        with pytest.raises(SingleClass):
+            roc_auc(np.zeros((3, 2)), [0, 0, 0])
+
 
 class TestPrecisionRecall:
     def test_hand_computed(self):

@@ -107,6 +107,42 @@ class TestPca:
             fit_pca(np.ones((5, 3)), [0.9])
 
 
+def sign_fixed(V):
+    """Rows of V with each row's largest-magnitude entry made positive."""
+    return V * np.sign(V[np.arange(len(V)), np.abs(V).argmax(axis=1)])[:, None]
+
+
+class TestWidePca:
+    """Slices with fewer rows than columns take the Gram-matrix path; the
+    SVD of the centered slice is the oracle."""
+
+    def slices(self):
+        rng = np.random.default_rng(61)
+        # rank-deficient: 10 distinct rows, each four times
+        duplicated = np.repeat(rng.normal(size=(10, 477)), 4, axis=0)
+        scaled = rng.normal(size=(40, 477)) * rng.uniform(0.1, 3.0, size=477)
+        return {"8x300": rng.normal(size=(8, 300)), "40x477": scaled,
+                "duplicate rows": duplicated}
+
+    @pytest.mark.parametrize("name", ["8x300", "40x477", "duplicate rows"])
+    def test_agrees_with_svd(self, name):
+        X = self.slices()[name]
+        _, s, vt = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+        ratio = s**2 / np.sum(s**2)
+        cumulative = np.cumsum(ratio)
+        cutoffs = (*PCA_CUTOFFS, 1.0)
+        for cutoff, pca in zip(cutoffs, fit_pca(X, cutoffs)):
+            k = min(int(np.searchsorted(cumulative, cutoff - 1e-12) + 1), len(ratio))
+            assert pca.k == k
+            assert np.allclose(pca.components @ pca.components.T, np.eye(k), rtol=0, atol=1e-8)
+            assert np.allclose(pca.explained_variance_ratio, ratio[:k], rtol=0, atol=1e-13)
+            assert np.allclose(sign_fixed(pca.components), sign_fixed(vt[:k]), rtol=0, atol=1e-10)
+
+    def test_degenerate_raises(self):
+        with pytest.raises(DegenerateData):
+            fit_pca(np.ones((5, 30)), [0.9])
+
+
 class TestLogisticRegression:
     def test_gradient_norm_at_solution(self):
         X, y = blobs(seed=5)
@@ -133,6 +169,22 @@ class TestLogisticRegression:
         X, y = blobs(sep=4.0, seed=7)
         [clf] = fit_lr([X], [y], [10.0])
         assert roc_auc(clf.decision_scores(X), y) == 1.0
+
+    def test_stacked_scores_bitwise_equal_lone_scores(self):
+        rng = np.random.default_rng(62)
+        for k in range(1, 10):
+            X = rng.normal(size=(30, k))
+            y = (X[:, 0] + rng.normal(0, 1.0, 30) > 0).astype(int)
+            classifiers = fit_lr([X] * len(LR_C_GRID), [y] * len(LR_C_GRID), list(LR_C_GRID))
+            for n in range(2, 41):
+                Z = rng.normal(size=(n, k))
+                stacked = model._score_columns(classifiers, Z)
+                assert stacked.shape == (n, len(classifiers))
+                for j, clf in enumerate(classifiers):
+                    w = clf.weights
+                    lone = 1.0 / (1.0 + np.exp(-np.clip(Z @ w[:-1] + w[-1], -500, 500)))
+                    assert np.array_equal(stacked[:, j], clf.decision_scores(Z))
+                    assert np.array_equal(stacked[:, j], lone)
 
     def test_scores_are_probabilities(self):
         X, y = blobs(seed=8)
@@ -182,9 +234,27 @@ class TestLogisticRegression:
                      + y[:, None] * rng.uniform(0.0, 20.0, size=d))
                 yield X, y, C
 
+    def deep_stall_problem(self):
+        """PCA scores of a sweep inner fold (8 x 4, C = 0.1): at its optimum
+        rounding holds ||g|| above the gradient tolerance, and some line
+        searches run past step size 2^-30 before one is accepted (41 Newton
+        steps to a bitwise fixed point)."""
+        X = np.array([
+            [-11.076181211087825, 9.737491294519755, -1.5649094743841363, -6.250334426096999],
+            [-13.813821984067285, -9.633403557107986, 13.594765478402362, 3.7720193307056555],
+            [-14.012390260192975, 1.495859597307792, -1.9610794794815347, 2.975344111229277],
+            [-12.20820789322417, 0.7230535301977514, -9.859955439290408, -1.6155435722407974],
+            [11.421492868637113, -15.448534452044825, -6.067373874936957, -7.818259708180957],
+            [12.423469749161658, 2.908683475188481, -4.325239937921941, 11.248501381951222],
+            [12.724687805620068, 2.0291545807690525, 1.3425493197027412, 6.601219046453759],
+            [14.54095092515342, 8.187695531169979, 8.841243407909873, -8.91294616382116],
+        ])
+        return X, np.array([1, 1, 1, 1, 0, 0, 0, 0]), 0.1
+
     def test_weights_bitwise_equal_newton_oracle(self):
         X, y = blobs(**self.STALL)
-        problems = [(X, y, 1.0), *self.random_problems(), *self.sweep_shaped_problems()]
+        problems = [(X, y, 1.0), *self.random_problems(), *self.sweep_shaped_problems(),
+                    self.deep_stall_problem()]
         for X, y, C in problems:
             w = fit_lr([X], [y], [C])[0].weights
             assert w.tobytes() == newton_lr_oracle(X, y, C).tobytes()
@@ -192,7 +262,7 @@ class TestLogisticRegression:
     def test_batch_bitwise_equal_to_lone_fits(self, monkeypatch):
         X, y = blobs(**self.STALL)
         problems = [(X, y, 1.0), (*blobs(seed=5), 1.0), *self.random_problems(),
-                    *self.sweep_shaped_problems()]
+                    *self.sweep_shaped_problems(), self.deep_stall_problem()]
         assert len({X.shape for X, _, _ in problems}) > 1
         for max_iter in (200, 1):  # a cap of 1 stops each solve after one step
             monkeypatch.setattr(model, "LR_MAX_ITER", max_iter)
@@ -539,6 +609,18 @@ class TestGridSearch:
                   if all(len(np.unique(y[idx])) == 2 for idx in f)]
         grid_search([(X, y, users, 0)], "lr", pca_cutoffs=[0.9])
         assert len(calls) == len(usable) > 0  # 4 per fold, one per C, before
+
+    @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
+    def test_one_auc_call_per_usable_inner_fold(self, kind, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "roc_auc", lambda *a: calls.append(1) or roc_auc(*a))
+        monkeypatch.setattr(model, "SVM_C_GRID", (0.1, 1.0))
+        X, y = blobs(n_per=20, d=6, seed=24)
+        users = self.users(len(X))
+        usable = [f for f in _inner_user_folds(users, 0)
+                  if all(len(np.unique(y[idx])) == 2 for idx in f)]
+        grid_search([(X, y, users, 0)], kind, pca_cutoffs=PCA_CUTOFFS)
+        assert len(calls) == len(usable) > 0  # one per distinct classifier, before
 
 
     def test_each_cutoff_selects_as_if_alone(self):
