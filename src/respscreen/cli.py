@@ -225,11 +225,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def positive_float(text: str) -> float:
-    """argparse type of a finite length that must be above 0."""
+def clip_seconds(text: str) -> float:
+    """argparse type of a finite synthetic clip length of at least one sample."""
     value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    samples = value * synth.SAMPLE_RATE  # as many as `synth.burst_clip` takes
+    if not (samples < math.inf and int(samples) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite length of at least one sample ({1 / synth.SAMPLE_RATE:.3g} s), "
+            f"got {text}")
     return value
 
 
@@ -248,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--healthy-users", type=non_negative_int, default=12)
     p.add_argument("--cough-users", type=non_negative_int, default=8)
     p.add_argument("--asthma-users", type=non_negative_int, default=8)
-    p.add_argument("--clip-seconds", type=positive_float, default=2.0)
+    p.add_argument("--clip-seconds", type=clip_seconds, default=2.0)
     p.add_argument("--scramble", action="store_true",
                    help="make audio uninformative of the label")
     p.add_argument("--embeddings-out", help="also write synthetic embedding frames")

@@ -3,7 +3,8 @@ shallow classifiers (L2 logistic regression, SVM with RBF kernel).
 
 PCA takes an SVD of a tall slice and the eigendecomposition of the Gram
 matrix of a wide one. Model selection scores each inner fold in one pass:
-one stacked product for its LR classifiers and one `roc_auc` call.
+one projection and one stacked LR product per PCA cutoff, and one
+`roc_auc` call that gives the fold's row of AUCs.
 
 All solvers are deterministic and take a batch of problems: LR runs damped
 Newton from a zero start in lockstep over each group of one shape, and the
@@ -201,35 +202,23 @@ def _dot(a, b):
 
 
 def _lr_loss(W, X, Y_pm, C):
-    """(losses, margins Z = Y_pm * f(X)) of `lr_loss_grad` over a stack of
-    problems, without the gradient: W [m x d+1], X [m x n x d], Y_pm [m x n],
-    C [m]."""
+    """(losses, margins Z = Y_pm * f(X)) over a stack of problems: the mean
+    logistic loss plus ||w||^2 / (2C), intercept unpenalized. W [m x d+1],
+    X [m x n x d], Y_pm [m x n] in {-1, +1}, C [m]."""
     Z = Y_pm * ((X @ W[:, :-1, None])[:, :, 0] + W[:, -1:])
     loss = np.logaddexp(0.0, -Z).sum(axis=1) / Z.shape[1] + 0.5 * _dot(W[:, :-1], W[:, :-1]) / C
     return loss, Z
 
 
 def _lr_grad(W, Z, XT, neg_Y_pm, C):
-    """Gradients of `lr_loss_grad` over a stack, from the margins `Z`; XT is
-    X transposed per problem."""
+    """Gradients of `_lr_loss` over a stack, from its margins `Z`; XT is X
+    transposed per problem."""
     sig = 1.0 / (1.0 + np.exp(np.minimum(np.maximum(Z, -500.0), 500.0)))  # sigmoid(-z)
     coef = neg_Y_pm * sig / Z.shape[1]
     grad = np.empty_like(W)
     grad[:, :-1] = (XT @ coef[:, :, None])[:, :, 0] + W[:, :-1] / C[:, None]
     grad[:, -1] = coef.sum(axis=1)
     return grad
-
-
-def lr_loss_grad(w, X, y01, C: float):
-    """Mean logistic loss plus ||w||^2 / (2C); intercept unpenalized.
-
-    Exposed for the finite-difference checks in the test suite.
-    """
-    X = np.asarray(X, dtype=np.float64)[None]
-    y_pm = 2.0 * np.asarray(y01, dtype=np.float64)[None] - 1.0
-    W, Cs = np.asarray(w, dtype=np.float64)[None], np.array([float(C)])
-    loss, Z = _lr_loss(W, X, y_pm, Cs)
-    return float(loss[0]), _lr_grad(W, Z, X.transpose(0, 2, 1), -y_pm, Cs)[0]
 
 
 def fit_lr(Xs, ys, Cs) -> list[Classifier]:
@@ -530,9 +519,10 @@ def grid_search(slices, kind: str, pca_cutoffs) -> list[list[dict]]:
     ('scale' first, resolved on each fold's projected training slice).
 
     Each inner fold is scored in one pass: its validation slice is
-    standardized once and projected once per distinct k, the LR classifiers
-    of one k are scored by one stacked product, and every distinct
-    classifier's AUC comes from one `roc_auc` call on the fold's score matrix.
+    standardized once, each cutoff's block of pipelines is projected once
+    with that block's PCA and scored by one `_score_columns` call (one
+    stacked product for LR), and one `roc_auc` call on the blocks' score
+    columns gives the fold's row of AUCs, one per fit.
     """
     slices = [(np.asarray(X, dtype=np.float64), np.asarray(y), _inner_user_folds(users, seed))
               for X, y, users, seed in slices]
@@ -544,23 +534,16 @@ def grid_search(slices, kind: str, pca_cutoffs) -> list[list[dict]]:
              if len(np.unique(y[train_idx])) >= 2 and len(np.unique(y[val_idx])) >= 2]
     pipes = fit_pipeline(((slices[s][0][train_idx], slices[s][1][train_idx], fits)
                           for s, train_idx, _ in inner), kind)
-    aucs = [[[] for _ in fits] for _ in slices]  # per slice, per fit
+    rows = [[] for _ in slices]  # per slice, one AUC row over `fits` per usable fold
     for (s, _, val_idx), fold_pipes in zip(inner, pipes, strict=True):
         X, y, _ = slices[s]
         X_val = fold_pipes[0].standardizer.transform(X[val_idx])  # every fit shares it
-        # distinct classifiers per k; cutoffs that keep one k share its projection
-        by_k: dict[int, tuple] = {}  # pca.k -> (pca, {id(classifier): classifier})
-        for pipe in fold_pipes:
-            _, classifiers = by_k.setdefault(pipe.pca.k, (pipe.pca, {}))
-            classifiers[id(pipe.classifier)] = pipe.classifier
-        scores = np.hstack([_score_columns(list(classifiers.values()), pca.transform(X_val))
-                            for pca, classifiers in by_k.values()])
-        column = {key: j for j, key in enumerate(  # id(classifier) -> its score column
-            key for _, classifiers in by_k.values() for key in classifiers)}
-        fold_aucs = roc_auc(scores, y[val_idx]).tolist()
-        for fit_aucs, pipe in zip(aucs[s], fold_pipes):
-            fit_aucs.append(fold_aucs[column[id(pipe.classifier)]])
-    return [_select(cells, slice_aucs, len(pca_cutoffs)) for slice_aucs in aucs]
+        # fits are cutoff-major, and one cutoff's block shares its PCA
+        blocks = [fold_pipes[i:i + len(cells)] for i in range(0, len(fits), len(cells))]
+        scores = np.hstack([_score_columns([p.classifier for p in block],
+                                           block[0].pca.transform(X_val)) for block in blocks])
+        rows[s].append(roc_auc(scores, y[val_idx]))
+    return [_select(cells, slice_rows, len(pca_cutoffs)) for slice_rows in rows]
 
 
 def _score_columns(classifiers, Z) -> np.ndarray:
@@ -571,17 +554,18 @@ def _score_columns(classifiers, Z) -> np.ndarray:
     return np.column_stack([c.decision_scores(Z) for c in classifiers])
 
 
-def _select(cells, aucs, n_cutoffs: int) -> list[dict]:
-    """Per cutoff, the first cell (in tie-break order) with the best mean AUC."""
+def _select(cells, rows, n_cutoffs: int) -> list[dict]:
+    """Per cutoff, the first cell (in tie-break order) with the best mean AUC
+    over the fold rows; a later cell wins only by more than 1e-12."""
+    if not rows:
+        raise SingleClass("no inner fold had both classes")
+    means = np.mean(rows, axis=0).reshape(n_cutoffs, len(cells)).tolist()
     best = []
-    for i in range(n_cutoffs):
-        best_cell, best_auc = None, -np.inf
-        for cell, cell_aucs in zip(cells, aucs[i * len(cells):(i + 1) * len(cells)]):
-            mean_auc = float(np.mean(cell_aucs)) if cell_aucs else -np.inf
+    for cutoff_means in means:
+        best_auc = -np.inf
+        for cell, mean_auc in zip(cells, cutoff_means):
             if mean_auc > best_auc + 1e-12:
                 best_auc, best_cell = mean_auc, cell
-        if best_cell is None:
-            raise SingleClass("no inner fold had both classes")
         best.append(best_cell)
     return best
 

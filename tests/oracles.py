@@ -1,12 +1,16 @@
 """Independent brute-force oracles used to check the DSP and stats paths.
 
 Everything here is deliberately naive (O(n^2) DFTs, direct formula
-evaluation) and shares no code with the implementation under test.
+evaluation) and shares no code with the implementation under test, except
+`lr_loss_grad`, which is the solver's own loss and gradient for the
+finite-difference checks.
 """
 
 import math
 
 import numpy as np
+
+from respscreen import model
 
 
 def naive_dft_magnitudes(x):
@@ -233,6 +237,17 @@ def newton_lr_oracle(X, y01, C, max_iter=200):
             t *= 0.5
         w = w - t * step
     return w
+
+
+def lr_loss_grad(w, X, y01, C: float):
+    """Mean logistic loss plus ||w||^2 / (2C) and its gradient at `w` (last
+    entry the unpenalized intercept), from the solver's stacked
+    `model._lr_loss` and `model._lr_grad` on a stack of one problem."""
+    X = np.asarray(X, dtype=np.float64)[None]
+    y_pm = 2.0 * np.asarray(y01, dtype=np.float64)[None] - 1.0
+    W, Cs = np.asarray(w, dtype=np.float64)[None], np.array([float(C)])
+    loss, Z = model._lr_loss(W, X, y_pm, Cs)
+    return float(loss[0]), model._lr_grad(W, Z, X.transpose(0, 2, 1), -y_pm, Cs)[0]
 
 
 def smo_oracle(X, y01, C, gamma, max_iter=200_000):

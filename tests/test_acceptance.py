@@ -23,7 +23,7 @@ from respscreen.features import (
     frame_features,
     summarize,
 )
-from respscreen.model import PCA_CUTOFFS, fit_lr, fit_pca, fit_svm_rbf, lr_loss_grad
+from respscreen.model import PCA_CUTOFFS, fit_lr, fit_pca, fit_svm_rbf
 from respscreen.augment import augment_six
 from respscreen.cli import EXIT_OK, main
 
@@ -212,15 +212,15 @@ def test_criterion_07_classifier_sanity():
     Xl, yl = rng.normal(size=(40, 3)), rng.integers(0, 2, size=40)
     yl[:2] = [0, 1]
     [lr] = fit_lr([Xl], [yl], [1.0])
-    _, grad = lr_loss_grad(lr.weights, Xl, yl.astype(float), 1.0)
+    _, grad = oracles.lr_loss_grad(lr.weights, Xl, yl.astype(float), 1.0)
     gnorm = float(np.linalg.norm(grad))
     assert gnorm < 1e-6
     eps = 1e-6
     for j in range(len(lr.weights)):
         e = np.zeros(len(lr.weights))
         e[j] = eps
-        lp, _ = lr_loss_grad(lr.weights + e, Xl, yl.astype(float), 1.0)
-        lm, _ = lr_loss_grad(lr.weights - e, Xl, yl.astype(float), 1.0)
+        lp, _ = oracles.lr_loss_grad(lr.weights + e, Xl, yl.astype(float), 1.0)
+        lm, _ = oracles.lr_loss_grad(lr.weights - e, Xl, yl.astype(float), 1.0)
         fd = (lp - lm) / (2 * eps)
         assert grad[j] == pytest.approx(fd, abs=1e-4)
     _report("classifier-sanity",

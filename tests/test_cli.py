@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from respscreen import cli, evaluate, features, model
-from respscreen.audio_io import AudioSegment, encode_wav
+from respscreen.audio_io import AudioSegment, decode_wav, encode_wav
 from respscreen.augment import augment_six
 from respscreen.dataset import load_manifest
 from respscreen.cli import (
@@ -68,13 +68,21 @@ class TestSynthManifest:
         assert exc.value.code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf", "1e-9", "4e-5"])
     def test_clip_seconds_must_be_finite_and_positive(self, seconds, tmp_path):
         out = tmp_path / "c"
         with pytest.raises(SystemExit) as exc:
             main(["synth-manifest", "--out", str(out), "--clip-seconds", seconds])
         assert exc.value.code == 2
         assert not out.exists()
+
+    def test_one_sample_clip_is_allowed(self, tmp_path):
+        out = tmp_path / "c"
+        assert main(["synth-manifest", "--out", str(out), "--covid-users", "1",
+                     "--healthy-users", "0", "--cough-users", "0", "--asthma-users", "0",
+                     "--clip-seconds", "5e-5"]) == EXIT_OK
+        for record in load_manifest(out / "manifest.csv"):
+            assert len(decode_wav((out / record.audio_path).read_bytes()).samples) == 1
 
     def test_zero_users_of_a_class_is_allowed(self, tmp_path):
         out = tmp_path / "c"

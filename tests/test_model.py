@@ -26,7 +26,6 @@ from respscreen.model import (
     grid_cells,
     grid_search,
     load_pipeline,
-    lr_loss_grad,
     pipeline_from_dict,
     pipeline_to_dict,
     rbf_kernel,
@@ -34,7 +33,7 @@ from respscreen.model import (
     save_pipeline,
 )
 
-from .oracles import newton_lr_oracle, smo_oracle, svm_dual_qp_oracle
+from .oracles import lr_loss_grad, newton_lr_oracle, smo_oracle, svm_dual_qp_oracle
 
 
 def blobs(n_per=20, d=5, sep=3.0, seed=0):
@@ -622,6 +621,11 @@ class TestGridSearch:
         grid_search([(X, y, users, 0)], kind, pca_cutoffs=PCA_CUTOFFS)
         assert len(calls) == len(usable) > 0  # one per distinct classifier, before
 
+    def test_near_tie_moves_only_past_1e_12(self):
+        # a later cell wins only by more than 1e-12 over the best so far: an
+        # argmax would pick C=10, "first within 1e-12 of the max" C=0.1
+        row = np.array([0.5, 0.5 + 6e-13, 0.5 + 1.2e-12, 0.5 + 1.5e-12])
+        assert model._select(grid_cells("lr"), [row], 1) == [{"C": 1.0}]
 
     def test_each_cutoff_selects_as_if_alone(self):
         rng = np.random.default_rng(40)

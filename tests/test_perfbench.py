@@ -11,10 +11,11 @@ import pytest
 
 from perfbench.tracing import Tracer
 from perfbench.workloads import NESTED_CV_BINDINGS, WORKLOADS
-from respscreen import cli, dataset, evaluate, synth
+from respscreen import cli, dataset, embeddings, evaluate, synth
 
 # Called by a workload's set-up, not by its job.
-SETUP_BINDINGS = ("synth.generate_cohort", "dataset.load_manifest")
+SETUP_BINDINGS = ("synth.generate_cohort", "synth.generate_embeddings", "dataset.load_manifest",
+                  "embeddings.load_embeddings")
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +26,17 @@ def task2_cohort(tmp_path_factory):
     spec = synth.CohortSpec(n_covid=6, n_healthy=0, n_cough=6, n_asthma=0, clip_seconds=1.0)
     manifest = synth.generate_cohort(d, seed=2, spec=spec)
     return manifest, dataset.load_manifest(manifest)
+
+
+@pytest.fixture(scope="module")
+def task1_cohort(tmp_path_factory):
+    """Six covid and six healthy users with 1 s clips and synthetic
+    embeddings, the sweep-embed workload's inputs."""
+    d = tmp_path_factory.mktemp("traced-sweep")
+    spec = synth.CohortSpec(n_covid=6, n_healthy=6, n_cough=0, n_asthma=0, clip_seconds=1.0)
+    records = dataset.load_manifest(synth.generate_cohort(d, seed=3, spec=spec))
+    emb = embeddings.load_embeddings(synth.generate_embeddings(records, d / "emb.csv", seed=3))
+    return d, records, emb
 
 
 def job_bindings(workload: str) -> list[str]:
@@ -45,6 +57,14 @@ def test_nested_cv_calls_every_traced_binding(cohort):
     with tracer.recording("nested-cv"):
         evaluate.run_nested_cv(records, evaluate.RunConfig(task_id=1), base_dir=d)
     assert tracer.coverage_problems(NESTED_CV_BINDINGS) == []
+
+
+def test_sweep_calls_every_traced_binding(task1_cohort):
+    d, records, emb = task1_cohort
+    tracer = Tracer()
+    with tracer.recording("sweep-embed"):
+        evaluate.sweep(records, 1, 0, base_dir=d, embeddings=emb)
+    assert tracer.coverage_problems(job_bindings("sweep-embed")) == []
 
 
 def test_augmented_nested_cv_calls_every_traced_binding(task2_cohort):
