@@ -131,8 +131,9 @@ def encode_wav(seg: AudioSegment) -> bytes:
 def resample(seg: AudioSegment, target_rate: int) -> AudioSegment:
     """Band-limited resampling (polyphase windowed-sinc).
 
-    Output length is round(len * target / source); identity when the
-    rates are already equal.
+    Output length is round(len * target / source), and at least one
+    sample for a nonempty segment; identity when the rates are already
+    equal.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
@@ -140,7 +141,7 @@ def resample(seg: AudioSegment, target_rate: int) -> AudioSegment:
         return seg
     ratio = Fraction(target_rate, seg.sample_rate)
     out = resample_poly(seg.samples, ratio.numerator, ratio.denominator)
-    n_out = round(len(seg.samples) * target_rate / seg.sample_rate)
+    n_out = max(min(len(seg), 1), round(len(seg) * target_rate / seg.sample_rate))
     if len(out) > n_out:
         out = out[:n_out]
     elif len(out) < n_out:

@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-manifest", help="generate a synthetic cohort")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--covid-users", type=non_negative_int, default=12)
     p.add_argument("--healthy-users", type=non_negative_int, default=12)
     p.add_argument("--cough-users", type=non_negative_int, default=8)
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="write six augmented WAVs per recording")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_augment)
 
     def add_run_flags(p, with_augment=True):
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--modality", default="cough", choices=evaluate.MODALITY_CHOICES)
         p.add_argument("--feature-type", default="handcrafted", choices=evaluate.FEATURE_TYPES)
         p.add_argument("--pca-cutoff", type=float, default=0.95, choices=model.PCA_CUTOFFS)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=non_negative_int, default=0)
         p.add_argument("--classifier", choices=("lr", "svm-rbf"))
         p.add_argument("--embeddings")
         if with_augment:
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="modality x cutoff x feature-type sweep CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--task", type=int, required=True, choices=(1, 2, 3))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--embeddings")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

@@ -124,9 +124,10 @@ def onset_envelope(a: Analysis) -> np.ndarray:
     return np.concatenate(([0.0], rises))
 
 
-def _pick_peaks(env: np.ndarray, frame_rate: float) -> list[int]:
+def onset_count(env: np.ndarray, frame_rate: float) -> int:
+    """Number of picked peaks in the onset strength envelope."""
     if env.size == 0 or env.max() <= 0:
-        return []
+        return 0
     threshold = ONSET_THRESHOLD_FRACTION * env.max()
     half = ONSET_MEAN_WINDOW // 2
     padded = np.pad(env, half, mode="edge")
@@ -147,12 +148,7 @@ def _pick_peaks(env: np.ndarray, frame_rate: float) -> list[int]:
                 peaks[-1] = t
             continue
         peaks.append(t)
-    return peaks
-
-
-def onset_count(env: np.ndarray, frame_rate: float) -> int:
-    """Number of picked peaks in the onset strength envelope."""
-    return len(_pick_peaks(env, frame_rate))
+    return len(peaks)
 
 
 def tempo(env: np.ndarray, frame_rate: float) -> float:

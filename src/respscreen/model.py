@@ -6,10 +6,11 @@ matrix of a wide one. Model selection scores each inner fold in one pass:
 one projection and one stacked LR product per PCA cutoff, and one
 `roc_auc` call that gives the fold's row of AUCs.
 
-All solvers are deterministic and take a batch of problems: LR runs damped
-Newton from a zero start in lockstep over each group of one shape, and the
-SVM runs most-violating-pair SMO in lockstep over each group of one row
-count. Either way a problem's model is bitwise that of a lone fit. Fitted
+All solvers are deterministic and take a batch of problems, each one input
+with the cells fit on it. LR runs damped Newton from a zero start in
+lockstep over the fits of one shape, and the SVM runs most-violating-pair
+SMO in lockstep over those of one row count, one kernel per problem and
+gamma. Either way a fit's model is bitwise that of a lone fit. Fitted
 pipelines serialize to versioned JSON and round-trip exactly.
 """
 
@@ -138,23 +139,19 @@ def _check_labels(y) -> np.ndarray:
     return y.astype(np.float64)
 
 
-def _intake(Xs, ys, group_key):
-    """A solver batch as (X finite float64, y in {-1, +1}) problems, and the
-    problem indices grouped by `group_key(X)`. Each distinct X and y object
-    is converted and checked once, and its problems share the result."""
-    Xs, ys = list(Xs), list(ys)  # held for the whole call, so each id stays unique
-    X_of, y_of = {}, {}  # id of an input -> its checked array
-    problems, groups = [], {}
-    for i, (X, y) in enumerate(zip(Xs, ys, strict=True)):
-        if id(X) not in X_of:
-            X_of[id(X)] = np.asarray(X, dtype=np.float64)
-            if not np.all(np.isfinite(X_of[id(X)])):
-                raise NonFiniteFeature("non-finite feature value")
-        if id(y) not in y_of:
-            y_of[id(y)] = 2.0 * _check_labels(y) - 1.0
-        problems.append((X_of[id(X)], y_of[id(y)]))
-        groups.setdefault(group_key(problems[i][0]), []).append(i)
-    return problems, groups
+def _intake(problems, group_key):
+    """A solver batch of problems `(X, y, cells)` as (X finite float64,
+    y in {-1, +1}, cells), and its fits `(problem, cell index, cell)`
+    grouped by `group_key(X)`. Each problem's X and y are converted and
+    checked once, and all of its cells share them."""
+    checked, groups = [], {}
+    for p, (X, y, cells) in enumerate(problems):
+        X = np.asarray(X, dtype=np.float64)
+        if not np.all(np.isfinite(X)):
+            raise NonFiniteFeature("non-finite feature value")
+        checked.append((X, 2.0 * _check_labels(y) - 1.0, cells))
+        groups.setdefault(group_key(X), []).extend((p, c, cell) for c, cell in enumerate(cells))
+    return checked, groups
 
 
 @dataclass
@@ -221,16 +218,18 @@ def _lr_grad(W, Z, XT, neg_Y_pm, C):
     return grad
 
 
-def fit_lr(Xs, ys, Cs) -> list[Classifier]:
-    """L2-regularized logistic regression of each problem (Xs[i], ys[i],
-    Cs[i]) via damped Newton from zero init, run until the gradient norm
-    drops below 1e-8 or the Newton decrement shows a floating-point optimum.
+def fit_lr(problems) -> list[list[Classifier]]:
+    """L2-regularized logistic regression of each problem `(X, y, cells)`
+    at each of its cells ({"C": ...}), via damped Newton from zero init, run
+    until the gradient norm drops below 1e-8 or the Newton decrement shows a
+    floating-point optimum. Returns, per problem, one classifier per cell in
+    order; its `hyperparameters` is a copy of the cell.
 
-    Problems of one shape are solved in lockstep as a stack: one stacked
-    Newton solve per step, each problem with its own backtracking step size,
-    and a problem leaves the stack when it stops. Every stacked operation
-    computes each problem as a lone fit would, so a problem's result does
-    not depend on the others in its batch.
+    The fits of all problems of one shape are solved in lockstep as a stack,
+    in (problem, cell) order: one stacked Newton solve per step, each fit
+    with its own backtracking step size, and a fit leaves the stack when it
+    stops. Every stacked operation computes each fit as a lone fit would, so
+    a fit's result does not depend on the others in its batch.
 
     Rounding can hold the gradient norm just above its tolerance at the
     optimum. A problem whose last accepted step did not lower the loss, and
@@ -247,16 +246,16 @@ def fit_lr(Xs, ys, Cs) -> list[Classifier]:
     leaves them bitwise unchanged is a fixed point: every further iteration
     would repeat it, and the solver stops there with `converged=False`.
     """
-    problems, groups = _intake(Xs, ys, lambda X: X.shape)
-    classifiers: list = [None] * len(problems)
-    for idx in groups.values():
-        X = np.stack([problems[i][0] for i in idx])
-        Y_pm = np.stack([problems[i][1] for i in idx])
-        C = np.array([Cs[i] for i in idx], dtype=np.float64)
+    problems, groups = _intake(problems, lambda X: X.shape)
+    classifiers = [[None] * len(cells) for _, _, cells in problems]
+    for fits in groups.values():
+        X = np.stack([problems[p][0] for p, _, _ in fits])
+        Y_pm = np.stack([problems[p][1] for p, _, _ in fits])
+        C = np.array([cell["C"] for _, _, cell in fits], dtype=np.float64)
         W, n_iter, converged = _newton_lockstep(X, Y_pm, C)
-        for j, i in enumerate(idx):
-            classifiers[i] = Classifier(kind="lr", hyperparameters={"C": Cs[i]}, weights=W[j],
-                                        n_iter=int(n_iter[j]), converged=bool(converged[j]))
+        for j, (p, c, cell) in enumerate(fits):
+            classifiers[p][c] = Classifier(kind="lr", hyperparameters=dict(cell), weights=W[j],
+                                           n_iter=int(n_iter[j]), converged=bool(converged[j]))
     return classifiers
 
 
@@ -352,40 +351,38 @@ def resolve_gamma(gamma, X: np.ndarray) -> float:
     return float(gamma)
 
 
-def fit_svm_rbf(Xs, ys, cells) -> list[Classifier]:
-    """RBF-kernel SVM of each problem (Xs[i], ys[i]) with the hyperparameters
-    `cells[i]` ({"C": ..., "gamma": ...}), trained by most-violating-pair SMO
-    (KKT tolerance 1e-3).
+def fit_svm_rbf(problems) -> list[list[Classifier]]:
+    """RBF-kernel SVM of each problem `(X, y, cells)` at each of its cells
+    ({"C": ..., "gamma": ...}), trained by most-violating-pair SMO (KKT
+    tolerance 1e-3). Returns, per problem, one classifier per cell in order;
+    its `hyperparameters` is a copy of the cell with gamma resolved.
 
     Solves the standard dual: min 1/2 a'Qa - e'a subject to 0 <= a <= C and
-    y'a = 0, with Q_ij = y_i y_j K_ij. Problems with the same row count are
-    solved in lockstep over a stack of kernels, one per distinct (X, gamma),
-    and a problem leaves the lockstep when it stops. Every stacked step is
-    elementwise or a first-index argmax/argmin per problem, so a problem's
-    model does not depend on the others in its batch. A model reports
-    `converged=False` when SMO stops at `SVM_MAX_ITER` or on an empty
-    clipped step.
+    y'a = 0, with Q_ij = y_i y_j K_ij. The fits of all problems with the
+    same row count are solved in lockstep, in (problem, cell) order, over a
+    stack of kernels, one per problem and resolved gamma, and a fit leaves
+    the lockstep when it stops. Every stacked step is elementwise or a
+    first-index argmax/argmin per fit, so a fit's model does not depend on
+    the others in its batch. A model reports `converged=False` when SMO
+    stops at `SVM_MAX_ITER` or on an empty clipped step.
     """
-    problems, groups = _intake(Xs, ys, lambda X: X.shape[0])
-    classifiers: list = [None] * len(problems)
-    for n, idx in groups.items():
-        gammas = [resolve_gamma(cells[i]["gamma"], problems[i][0]) for i in idx]
-        # One kernel per distinct (X, gamma): (id(X), gamma) -> (stack position, X).
-        # An id stays unique while `problems` holds every X.
-        kernels: dict = {}
-        kernel_of = np.array([
-            kernels.setdefault((id(problems[i][0]), gamma), (len(kernels), problems[i][0]))[0]
-            for i, gamma in zip(idx, gammas)])
+    problems, groups = _intake(problems, lambda X: X.shape[0])
+    classifiers = [[None] * len(cells) for _, _, cells in problems]
+    for n, fits in groups.items():
+        gammas = [resolve_gamma(cell["gamma"], problems[p][0]) for p, _, cell in fits]
+        kernels: dict = {}  # (problem, gamma) -> stack position
+        kernel_of = np.array([kernels.setdefault((p, gamma), len(kernels))
+                              for (p, _, _), gamma in zip(fits, gammas)])
         KT = np.empty((len(kernels), n, n))  # each kernel, transposed
-        for (_, gamma), (p, X) in kernels.items():
-            KT[p] = rbf_kernel(X, X, gamma).T
-        Y_pm = np.stack([problems[i][1] for i in idx])
-        C = np.array([cells[i]["C"] for i in idx], dtype=np.float64)
+        for (p, gamma), k in kernels.items():
+            KT[k] = rbf_kernel(problems[p][0], problems[p][0], gamma).T
+        Y_pm = np.stack([problems[p][1] for p, _, _ in fits])
+        C = np.array([cell["C"] for _, _, cell in fits], dtype=np.float64)
         alpha, grad, n_iter, converged = _smo_lockstep(KT, kernel_of, Y_pm, C)
-        for p, (i, gamma) in enumerate(zip(idx, gammas)):
-            classifiers[i] = _svm_classifier(problems[i][0], Y_pm[p], cells[i]["C"], gamma,
-                                             alpha[p], grad[p], int(n_iter[p]),
-                                             bool(converged[p]))
+        for j, ((p, c, cell), gamma) in enumerate(zip(fits, gammas)):
+            classifiers[p][c] = _svm_classifier(problems[p][0], Y_pm[j], {**cell, "gamma": gamma},
+                                                alpha[j], grad[j], int(n_iter[j]),
+                                                bool(converged[j]))
     return classifiers
 
 
@@ -455,9 +452,10 @@ def _smo_lockstep(KT, kernel_of, Y_pm, C):
     return alpha_out, grad_out, n_iter, converged
 
 
-def _svm_classifier(X, y_pm, C, gamma, alpha, grad, n_iter: int, converged: bool) -> Classifier:
-    """The fitted SVM of one problem from its SMO solution: intercept and
-    support vectors."""
+def _svm_classifier(X, y_pm, params, alpha, grad, n_iter: int, converged: bool) -> Classifier:
+    """The fitted SVM of one problem at `params` (a cell, gamma resolved)
+    from its SMO solution: intercept and support vectors."""
+    C = params["C"]
     pos = y_pm > 0
     m = -y_pm * grad  # equals y_t - f_t
     free = (alpha > 1e-10) & (alpha < C - 1e-10)
@@ -473,7 +471,7 @@ def _svm_classifier(X, y_pm, C, gamma, alpha, grad, n_iter: int, converged: bool
     sv = alpha > 1e-10
     return Classifier(
         kind="svm-rbf",
-        hyperparameters={"C": C, "gamma": gamma},
+        hyperparameters=params,
         support_vectors=X[sv].copy(),
         dual_coef=(alpha * y_pm)[sv].copy(),
         intercept=b,
@@ -593,38 +591,36 @@ def fit_pipeline(slices, kind: str) -> list[list[Pipeline]]:
     hyperparameter cell) in `fits`, all on that slice's one preprocessing.
 
     A slice's standardizer and PCA decomposition are fit once on its `X`,
-    and each cutoff truncates that decomposition. The slice is projected
-    once per distinct k, and each distinct (k, cell) is one classifier
-    problem: cutoffs that keep the same k share their classifier objects.
-    All pipelines of a slice share its standardizer, and those of one cutoff
+    and each cutoff truncates that decomposition. Each distinct k of a slice
+    is one solver problem: the slice projected once to k components, with
+    the distinct cells of the fits that keep k, in first-seen order. So
+    cutoffs that keep the same k share their classifier objects. All
+    pipelines of a slice share its standardizer, and those of one cutoff
     share its PCA model. Every slice's problems go to one `fit_lr` or
     `fit_svm_rbf` call. `slices` may be a generator: a slice's standardized
     matrix is dropped once projected.
     """
-    problems = []  # (projected slice, y, cell)
-    plans = []  # per slice, (standardizer, pca, problem index) per fit
+    problems = []  # (projected slice, y, cells) per (slice, k)
+    plans = []  # per slice, (standardizer, pca, problem index, cell index) per fit
     for X, y, fits in slices:
         std = Standardizer.fit(X)
         Z = std.transform(X)
         cutoffs = list(dict.fromkeys(cutoff for cutoff, _ in fits))
         pcas = dict(zip(cutoffs, fit_pca(Z, cutoffs)))
-        projected: dict[int, np.ndarray] = {}  # pca.k -> projected slice
-        index: dict[tuple, int] = {}  # (pca.k, cell) -> problem index
+        problem_of: dict[int, int] = {}  # pca.k -> problem index
         plan = []
-        for cutoff, params in fits:
+        for cutoff, cell in fits:
             pca = pcas[cutoff]
-            key = (pca.k, *sorted(params.items()))
-            if key not in index:
-                if pca.k not in projected:
-                    projected[pca.k] = pca.transform(Z)
-                index[key] = len(problems)
-                problems.append((projected[pca.k], y, params))
-            plan.append((std, pca, index[key]))
+            if pca.k not in problem_of:
+                problem_of[pca.k] = len(problems)
+                problems.append((pca.transform(Z), y, []))
+            cells = problems[problem_of[pca.k]][2]
+            if cell not in cells:
+                cells.append(cell)
+            plan.append((std, pca, problem_of[pca.k], cells.index(cell)))
         plans.append(plan)
-    Xs, ys, cells = ([problem[k] for problem in problems] for k in range(3))
-    classifiers = (fit_lr(Xs, ys, [cell["C"] for cell in cells]) if kind == "lr"
-                   else fit_svm_rbf(Xs, ys, cells))
-    return [[Pipeline(std, pca, classifiers[i]) for std, pca, i in plan] for plan in plans]
+    classifiers = (fit_lr if kind == "lr" else fit_svm_rbf)(problems)
+    return [[Pipeline(std, pca, classifiers[p][c]) for std, pca, p, c in plan] for plan in plans]
 
 
 # Saved fields of each pipeline part, in file order. Fields that are None

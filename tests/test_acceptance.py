@@ -202,7 +202,7 @@ def test_criterion_07_classifier_sanity():
     centers = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=float)
     X = np.vstack([c + rng.normal(0, 0.08, size=(10, 2)) for c in centers])
     y = np.array([0] * 20 + [1] * 20)
-    [clf] = fit_svm_rbf([X], [y], [{"C": 10.0, "gamma": 2.0}])
+    [[clf]] = fit_svm_rbf([(X, y, [{"C": 10.0, "gamma": 2.0}])])
     acc = float(np.mean((clf.decision_scores(X) > 0) == (y == 1)))
     assert acc >= 0.95
     _, _, oracle_decision = oracles.svm_dual_qp_oracle(X, 2.0 * y - 1.0, 10.0, 2.0)
@@ -211,7 +211,7 @@ def test_criterion_07_classifier_sanity():
 
     Xl, yl = rng.normal(size=(40, 3)), rng.integers(0, 2, size=40)
     yl[:2] = [0, 1]
-    [lr] = fit_lr([Xl], [yl], [1.0])
+    [[lr]] = fit_lr([(Xl, yl, [{"C": 1.0}])])
     _, grad = oracles.lr_loss_grad(lr.weights, Xl, yl.astype(float), 1.0)
     gnorm = float(np.linalg.norm(grad))
     assert gnorm < 1e-6

@@ -92,6 +92,30 @@ class TestSynthManifest:
         assert len(load_manifest(out / "manifest.csv")) == 2 * 2  # cough and breath each
 
 
+# every subcommand that takes --seed, with its one output path
+SEEDED_COMMANDS = {
+    "synth-manifest": ["--out", "{out}"],
+    "augment": ["--manifest", "m.csv", "--out-dir", "{out}"],
+    "evaluate": ["--manifest", "m.csv", "--task", "1", "--report", "{out}"],
+    "train": ["--manifest", "m.csv", "--task", "1", "--out", "{out}"],
+    "sweep": ["--manifest", "m.csv", "--task", "1", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+def test_negative_seed_is_refused(command, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    argv = [command, *(a.format(out=out) for a in SEEDED_COMMANDS[command])]
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+    assert main(argv) == EXIT_CONFIG
+    assert not out.exists()
+
+
 class TestExtract:
     def test_feature_csv_shape(self, cohort_dir, tmp_path):
         out = tmp_path / "features.csv"
@@ -149,6 +173,22 @@ class TestExtract:
             main(["extract", "--manifest", "m.csv", "--out", str(out), "--jobs", jobs])
         assert exc.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("rate", [44100, 48000])
+    def test_one_sample_recording_is_too_short(self, rate, tmp_path):
+        # resampled to 22.05 kHz it keeps its sample, and is skipped as it is at that rate
+        assert main(["synth-manifest", "--out", str(tmp_path), "--covid-users", "1",
+                     "--healthy-users", "0", "--cough-users", "0", "--asthma-users", "0",
+                     "--clip-seconds", "0.5"]) == EXIT_OK
+        records = load_manifest(tmp_path / "manifest.csv")
+        one = min(records, key=lambda r: r.sample_id)
+        (tmp_path / one.audio_path).write_bytes(encode_wav(AudioSegment(np.array([0.5]), rate)))
+        out = tmp_path / "f.csv"
+        assert main(["extract", "--manifest", str(tmp_path / "manifest.csv"),
+                     "--out", str(out)]) == EXIT_OK
+        with open(out.with_suffix(".skipped.csv")) as fh:
+            assert list(csv.reader(fh))[1:] == [[one.sample_id,
+                                                 "TooShort: need >= 9 frames, got 1"]]
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert main(["extract", "--manifest", str(tmp_path / "nope.csv"),

@@ -46,6 +46,16 @@ def blobs(n_per=20, d=5, sep=3.0, seed=0):
     return X, y
 
 
+def lone_lr(X, y, C) -> Classifier:
+    [[clf]] = fit_lr([(X, y, [{"C": C}])])
+    return clf
+
+
+def lone_svm(X, y, cell) -> Classifier:
+    [[clf]] = fit_svm_rbf([(X, y, [cell])])
+    return clf
+
+
 class TestStandardizer:
     def test_transform(self):
         X = np.array([[1.0, 10.0], [3.0, 30.0]])
@@ -145,7 +155,7 @@ class TestWidePca:
 class TestLogisticRegression:
     def test_gradient_norm_at_solution(self):
         X, y = blobs(seed=5)
-        [clf] = fit_lr([X], [y], [1.0])
+        clf = lone_lr(X, y, 1.0)
         _, grad = lr_loss_grad(clf.weights, X, y.astype(float), 1.0)
         assert np.linalg.norm(grad) < 1e-6
 
@@ -166,7 +176,7 @@ class TestLogisticRegression:
 
     def test_separable_high_auc(self):
         X, y = blobs(sep=4.0, seed=7)
-        [clf] = fit_lr([X], [y], [10.0])
+        clf = lone_lr(X, y, 10.0)
         assert roc_auc(clf.decision_scores(X), y) == 1.0
 
     def test_stacked_scores_bitwise_equal_lone_scores(self):
@@ -174,7 +184,7 @@ class TestLogisticRegression:
         for k in range(1, 10):
             X = rng.normal(size=(30, k))
             y = (X[:, 0] + rng.normal(0, 1.0, 30) > 0).astype(int)
-            classifiers = fit_lr([X] * len(LR_C_GRID), [y] * len(LR_C_GRID), list(LR_C_GRID))
+            [classifiers] = fit_lr([(X, y, grid_cells("lr"))])
             for n in range(2, 41):
                 Z = rng.normal(size=(n, k))
                 stacked = model._score_columns(classifiers, Z)
@@ -187,25 +197,25 @@ class TestLogisticRegression:
 
     def test_scores_are_probabilities(self):
         X, y = blobs(seed=8)
-        s = fit_lr([X], [y], [1.0])[0].decision_scores(X)
+        s = lone_lr(X, y, 1.0).decision_scores(X)
         assert np.all((s >= 0) & (s <= 1))
 
     def test_row_duplication_invariant(self):
         # mean-based loss: duplicating every row must not change the optimum
         X, y = blobs(n_per=10, seed=9)
-        w1 = fit_lr([X], [y], [1.0])[0].weights
-        w2 = fit_lr([np.vstack([X, X])], [np.concatenate([y, y])], [1.0])[0].weights
+        w1 = lone_lr(X, y, 1.0).weights
+        w2 = lone_lr(np.vstack([X, X]), np.concatenate([y, y]), 1.0).weights
         assert np.allclose(w1, w2, atol=1e-6)
 
     def test_single_class_raises(self):
         with pytest.raises(SingleClass):
-            fit_lr([np.ones((4, 2))], [[1, 1, 1, 1]], [1.0])
+            fit_lr([(np.ones((4, 2)), [1, 1, 1, 1], [{"C": 1.0}])])
 
     def test_non_finite_raises(self):
         X = np.ones((4, 2))
         X[0, 0] = np.nan
         with pytest.raises(NonFiniteFeature):
-            fit_lr([X], [[0, 1, 0, 1]], [1.0])
+            fit_lr([(X, [0, 1, 0, 1], [{"C": 1.0}])])
 
     # the line search of this input stalls at machine precision short of
     # the gradient tolerance (final norm 1.27e-8)
@@ -255,30 +265,35 @@ class TestLogisticRegression:
         problems = [(X, y, 1.0), *self.random_problems(), *self.sweep_shaped_problems(),
                     self.deep_stall_problem()]
         for X, y, C in problems:
-            w = fit_lr([X], [y], [C])[0].weights
+            w = lone_lr(X, y, C).weights
             assert w.tobytes() == newton_lr_oracle(X, y, C).tobytes()
 
     def test_batch_bitwise_equal_to_lone_fits(self, monkeypatch):
         X, y = blobs(**self.STALL)
-        problems = [(X, y, 1.0), (*blobs(seed=5), 1.0), *self.random_problems(),
-                    *self.sweep_shaped_problems(), self.deep_stall_problem()]
+        fits = [(X, y, 1.0), (*blobs(seed=5), 1.0), *self.random_problems(),
+                *self.sweep_shaped_problems(), self.deep_stall_problem()]
+        # one problem per input, and the stall input once more at every C of the grid
+        problems = [(X, y, [{"C": C}]) for X, y, C in fits] + [(X, y, grid_cells("lr"))]
         assert len({X.shape for X, _, _ in problems}) > 1
         for max_iter in (200, 1):  # a cap of 1 stops each solve after one step
             monkeypatch.setattr(model, "LR_MAX_ITER", max_iter)
-            batch = fit_lr(*map(list, zip(*problems)))
-            for (X, y, C), clf in zip(problems, batch, strict=True):
-                [alone] = fit_lr([X], [y], [C])
-                assert clf.weights.tobytes() == alone.weights.tobytes()
-                assert (clf.n_iter, clf.converged) == (alone.n_iter, alone.converged)
+            batch = fit_lr(problems)
+            for (X, y, cells), classifiers in zip(problems, batch, strict=True):
+                for cell, clf in zip(cells, classifiers, strict=True):
+                    alone = lone_lr(X, y, cell["C"])
+                    assert clf.weights.tobytes() == alone.weights.tobytes()
+                    assert (clf.n_iter, clf.converged) == (alone.n_iter, alone.converged)
+                    assert clf.hyperparameters == cell and clf.hyperparameters is not cell
 
     def test_batch_with_a_bad_problem_raises(self):
         X, y = blobs(seed=5)
+        cells = [{"C": 1.0}]
         with pytest.raises(SingleClass):
-            fit_lr([X, np.ones((4, 2)), X], [y, [1, 1, 1, 1], y], [1.0, 1.0, 1.0])
+            fit_lr([(X, y, cells), (np.ones((4, 2)), [1, 1, 1, 1], cells), (X, y, cells)])
         bad = np.ones((4, 2))
         bad[0, 0] = np.inf
         with pytest.raises(NonFiniteFeature):
-            fit_lr([X, bad], [y, [0, 1, 0, 1]], [1.0, 1.0])
+            fit_lr([(X, y, cells), (bad, [0, 1, 0, 1], cells)])
 
     def test_stalled_line_search_stops_at_fixed_point(self, monkeypatch):
         calls = []
@@ -290,7 +305,7 @@ class TestLogisticRegression:
 
         monkeypatch.setattr(model, "_lr_loss", counting)
         X, y = blobs(**self.STALL)
-        fit_lr([X], [y], [1.0])
+        lone_lr(X, y, 1.0)
         assert 0 < len(calls) <= 100  # 5,692 when the stall ran to max_iter
 
     def rounding_stall_problem(self):
@@ -308,7 +323,7 @@ class TestLogisticRegression:
 
     def test_rounding_stall_stops_converged(self):
         X, y, C = self.rounding_stall_problem()
-        [clf] = fit_lr([X], [y], [C])
+        clf = lone_lr(X, y, C)
         assert clf.converged is True and clf.n_iter <= 10
         fixed_point = newton_lr_oracle(X, y, C)  # the stall's end: 200 steps, no early exit
         assert np.max(np.abs(clf.weights - fixed_point)) <= 2e-8
@@ -318,7 +333,7 @@ class TestLogisticRegression:
         # the stop is per problem: in a lockstep group it stops as when alone
         problems = [*self.sweep_shaped_problems(), (X, y, C)]
         assert sum(P.shape == X.shape for P, _, _ in problems) > 1
-        in_batch = fit_lr(*map(list, zip(*problems)))[-1]
+        [in_batch] = fit_lr([(X, y, [{"C": C}]) for X, y, C in problems])[-1]
         assert in_batch.weights.tobytes() == clf.weights.tobytes()
         assert (in_batch.n_iter, in_batch.converged) == (clf.n_iter, clf.converged)
 
@@ -330,7 +345,7 @@ class TestLogisticRegression:
                     self.rounding_stall_problem()]
         by_decrement = 0
         for X, y, C in problems:
-            [clf] = fit_lr([X], [y], [C])
+            clf = lone_lr(X, y, C)
             if not clf.converged:
                 continue
             loss, grad = lr_loss_grad(clf.weights, X, y, C)
@@ -347,18 +362,18 @@ class TestLogisticRegression:
 
     def test_reports_solver_status(self, monkeypatch):
         X, y = blobs(seed=5)
-        [clf] = fit_lr([X], [y], [1.0])
+        clf = lone_lr(X, y, 1.0)
         assert clf.converged is True and 0 < clf.n_iter < 200
 
         X, y = blobs(**self.STALL)
-        [clf] = fit_lr([X], [y], [1.0])
+        clf = lone_lr(X, y, 1.0)
         _, grad = lr_loss_grad(clf.weights, X, y.astype(float), 1.0)
         assert np.linalg.norm(grad) >= LR_GRADIENT_TOL
         assert clf.converged is False and clf.n_iter < 200
 
         X, y = blobs(seed=5)
         monkeypatch.setattr(model, "LR_MAX_ITER", 1)
-        [clf] = fit_lr([X], [y], [1.0])
+        clf = lone_lr(X, y, 1.0)
         assert (clf.n_iter, clf.converged) == (1, False)
 
 
@@ -371,7 +386,7 @@ class TestSvm:
         y_pm = 2.0 * y - 1.0
         gamma = 2.0
 
-        [clf] = fit_svm_rbf([X], [y], [{"C": 10.0, "gamma": gamma}])
+        clf = lone_svm(X, y, {"C": 10.0, "gamma": gamma})
         _, _, oracle_decision = svm_dual_qp_oracle(X, y_pm, 10.0, gamma)
 
         grid = np.array([[a, b] for a in np.linspace(-0.3, 1.3, 9)
@@ -386,7 +401,7 @@ class TestSvm:
     def test_kkt_conditions_on_blobs(self):
         X, y = blobs(n_per=15, d=3, sep=2.0, seed=11)
         C = 1.0
-        [clf] = fit_svm_rbf([X], [y], [{"C": C, "gamma": 0.5}])
+        clf = lone_svm(X, y, {"C": C, "gamma": 0.5})
         y_pm = 2.0 * y - 1.0
         f = clf.decision_scores(X)
         m = y_pm * f  # functional margin
@@ -405,7 +420,7 @@ class TestSvm:
         X, y = blobs(n_per=8, d=2, sep=1.0, seed=12)
         y_pm = 2.0 * y - 1.0
         gamma, C = 0.7, 5.0
-        [clf] = fit_svm_rbf([X], [y], [{"C": C, "gamma": gamma}])
+        clf = lone_svm(X, y, {"C": C, "gamma": gamma})
         alpha_o, _, _ = svm_dual_qp_oracle(X, y_pm, C, gamma)
         K = rbf_kernel(X, X, gamma)
         Q = np.outer(y_pm, y_pm) * K
@@ -429,35 +444,33 @@ class TestSvm:
     def test_permutation_invariant_decisions(self):
         X, y = blobs(n_per=10, seed=14)
         perm = np.random.default_rng(15).permutation(len(X))
-        [c1] = fit_svm_rbf([X], [y], [{"C": 1.0, "gamma": 0.2}])
-        [c2] = fit_svm_rbf([X[perm]], [y[perm]], [{"C": 1.0, "gamma": 0.2}])
+        c1 = lone_svm(X, y, {"C": 1.0, "gamma": 0.2})
+        c2 = lone_svm(X[perm], y[perm], {"C": 1.0, "gamma": 0.2})
         probe = np.random.default_rng(16).normal(size=(20, X.shape[1]))
         # agreement is bounded by the SMO stopping tolerance, not exact
         assert np.allclose(c1.decision_scores(probe), c2.decision_scores(probe), atol=5e-3)
 
     def test_single_class_raises(self):
         with pytest.raises(SingleClass):
-            fit_svm_rbf([np.ones((4, 2))], [[0, 0, 0, 0]], [{"C": 1.0, "gamma": "scale"}])
+            fit_svm_rbf([(np.ones((4, 2)), [0, 0, 0, 0], [{"C": 1.0, "gamma": "scale"}])])
 
     def test_reports_solver_status(self, monkeypatch):
         X, y = blobs(n_per=15, d=3, sep=2.0, seed=11)
-        [clf] = fit_svm_rbf([X], [y], [{"C": 1.0, "gamma": 0.5}])
+        clf = lone_svm(X, y, {"C": 1.0, "gamma": 0.5})
         assert clf.converged is True and clf.n_iter > 1
         monkeypatch.setattr(model, "SVM_MAX_ITER", 1)
-        [capped] = fit_svm_rbf([X], [y], [{"C": 1.0, "gamma": 0.5}])
+        capped = lone_svm(X, y, {"C": 1.0, "gamma": 0.5})
         assert (capped.n_iter, capped.converged) == (1, False)
 
     def grid_problems(self):
-        """Every cell of the SVM grid on two row counts: a blob pair and
-        32 rows of PCA-score-like features, 8 positives as in an
-        augmented inner fold."""
+        """Two problems at every cell of the SVM grid, on two row counts: a
+        blob pair and 32 rows of PCA-score-like features, 8 positives as in
+        an augmented inner fold."""
         rng = np.random.default_rng(57)
         y = np.array([1] * 8 + [0] * 24)
         scores = rng.normal(size=(32, 6)) * np.linspace(6.0, 1.0, 6) + 1.5 * y[:, None]
         for X, y in (blobs(n_per=8, d=2, sep=1.0, seed=12), (scores, y)):
-            for C in SVM_C_GRID:
-                for gamma in SVM_GAMMA_GRID:
-                    yield X, y, {"C": C, "gamma": gamma}
+            yield X, y, grid_cells("svm-rbf")
 
     def test_batch_bitwise_equal_to_lone_fits(self, monkeypatch):
         rng = np.random.default_rng(10)
@@ -465,75 +478,78 @@ class TestSvm:
         xor = np.vstack([c + rng.normal(0, 0.08, size=(10, 2)) for c in centers])
         X, y = blobs(n_per=10, seed=14)
         perm = np.random.default_rng(15).permutation(len(X))
-        problems = [(xor, np.array([0] * 20 + [1] * 20), {"C": 10.0, "gamma": 2.0}),
-                    (*blobs(n_per=15, d=3, sep=2.0, seed=11), {"C": 1.0, "gamma": 0.5}),
-                    (*blobs(n_per=8, d=2, sep=1.0, seed=12), {"C": 5.0, "gamma": 0.7}),
-                    (X, y, {"C": 1.0, "gamma": 0.2}), (X[perm], y[perm], {"C": 1.0, "gamma": 0.2}),
+        problems = [(xor, np.array([0] * 20 + [1] * 20), [{"C": 10.0, "gamma": 2.0}]),
+                    (*blobs(n_per=15, d=3, sep=2.0, seed=11), [{"C": 1.0, "gamma": 0.5}]),
+                    (*blobs(n_per=8, d=2, sep=1.0, seed=12), [{"C": 5.0, "gamma": 0.7}]),
+                    (X, y, [{"C": 1.0, "gamma": 0.2}]),
+                    (X[perm], y[perm], [{"C": 1.0, "gamma": 0.2}]),
                     *self.grid_problems()]
         assert len({len(X) for X, _, _ in problems}) > 1
         # a cap of 1 stops each solve after one step; 25 stops some of a batch
         for max_iter in (200_000, 25, 1):
             monkeypatch.setattr(model, "SVM_MAX_ITER", max_iter)
-            batch = fit_svm_rbf(*map(list, zip(*problems)))
-            for (X, y, cell), clf in zip(problems, batch, strict=True):
-                [alone] = fit_svm_rbf([X], [y], [cell])
-                expected = smo_oracle(X, y, cell["C"], cell["gamma"], max_iter=max_iter)
-                for fitted in (clf, alone):
-                    for field in dataclasses.fields(Classifier):
-                        ours, theirs = getattr(fitted, field.name), expected[field.name]
-                        if isinstance(theirs, np.ndarray):
-                            assert ours.shape == theirs.shape
-                            assert ours.tobytes() == theirs.tobytes()
-                        else:
-                            assert repr(ours) == repr(theirs)
+            batch = fit_svm_rbf(problems)
+            for (X, y, cells), classifiers in zip(problems, batch, strict=True):
+                for cell, clf in zip(cells, classifiers, strict=True):
+                    alone = lone_svm(X, y, cell)
+                    expected = smo_oracle(X, y, cell["C"], cell["gamma"], max_iter=max_iter)
+                    for fitted in (clf, alone):
+                        for field in dataclasses.fields(Classifier):
+                            ours, theirs = getattr(fitted, field.name), expected[field.name]
+                            if isinstance(theirs, np.ndarray):
+                                assert ours.shape == theirs.shape
+                                assert ours.tobytes() == theirs.tobytes()
+                            else:
+                                assert repr(ours) == repr(theirs)
+                    assert clf.hyperparameters is not cell
 
     def test_one_kernel_per_distinct_x_and_gamma(self, monkeypatch):
+        # one training kernel per (problem, resolved gamma), shared by its cells
         built = []
 
         def counting(A, B, gamma):
             if A is B:  # a training kernel
-                built.append((id(A), gamma))
+                built.append((A.shape, gamma))
             return rbf_kernel(A, B, gamma)
 
         monkeypatch.setattr(model, "rbf_kernel", counting)
         problems = list(self.grid_problems())
-        X, y = blobs(n_per=8, d=2, sep=1.0, seed=12)  # equal to one X above, a distinct array
-        problems += [(X, y, {"C": 1.0, "gamma": "scale"}), (X, y, {"C": 10.0, "gamma": "scale"})]
-        fit_svm_rbf(*map(list, zip(*problems)))
-        distinct = {(id(X), resolve_gamma(cell["gamma"], X)) for X, _, cell in problems}
-        assert len(distinct) == 2 * len(SVM_GAMMA_GRID) + 1 < len(problems)
-        assert sorted(built) == sorted(distinct)
+        X, y = blobs(n_per=8, d=2, sep=1.0, seed=12)  # the first problem's X, in a third problem
+        problems.append((X, y, [{"C": 1.0, "gamma": "scale"}, {"C": 10.0, "gamma": "scale"}]))
+        fit_svm_rbf(problems)
+        distinct = {(p, X.shape, resolve_gamma(cell["gamma"], X))
+                    for p, (X, _, cells) in enumerate(problems) for cell in cells}
+        n_fits = sum(len(cells) for _, _, cells in problems)
+        assert len(distinct) == 2 * len(SVM_GAMMA_GRID) + 1 < n_fits
+        assert sorted(built) == sorted((shape, gamma) for _, shape, gamma in distinct)
 
     def test_batch_with_a_bad_problem_raises(self):
         X, y = blobs(seed=5)
         cell = {"C": 1.0, "gamma": "scale"}
         with pytest.raises(SingleClass):
-            fit_svm_rbf([X, np.ones((4, 2)), X], [y, [1, 1, 1, 1], y], [cell] * 3)
+            fit_svm_rbf([(X, y, [cell]), (np.ones((4, 2)), [1, 1, 1, 1], [cell]), (X, y, [cell])])
         bad = np.ones((4, 2))
         bad[0, 0] = np.inf
         with pytest.raises(NonFiniteFeature):
-            fit_svm_rbf([X, bad], [y, [0, 1, 0, 1]], [cell] * 2)
+            fit_svm_rbf([(X, y, [cell]), (bad, [0, 1, 0, 1], [cell])])
 
 
 class TestIntake:
     @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
     def test_shared_x_and_y_checked_once(self, kind, monkeypatch):
-        # both solvers convert and check each distinct X and y object once
+        # both solvers convert and check a problem's X and y once, for all its cells
         checked = []
         check_labels = model._check_labels
         monkeypatch.setattr(model, "_check_labels",
                             lambda y: checked.append(1) or check_labels(y))
         X, y = blobs(n_per=10, seed=16)
-        cells = [{"C": c, "gamma": "scale"} for c in (0.1, 1.0, 10.0)]
-        if kind == "lr":
-            def fit(Xs, ys):
-                return fit_lr(Xs, ys, [cell["C"] for cell in cells])
-        else:
-            def fit(Xs, ys):
-                return fit_svm_rbf(Xs, ys, cells)
-        shared = fit([X] * len(cells), [y] * len(cells))
-        assert len(checked) == 1
-        separate = fit([X.copy() for _ in cells], [y.copy() for _ in cells])
+        extra = {} if kind == "lr" else {"gamma": "scale"}
+        cells = [{"C": c, **extra} for c in (0.1, 1.0, 10.0)]
+        fit = fit_lr if kind == "lr" else fit_svm_rbf
+        [shared] = fit([(X, y, cells)])
+        assert len(checked) == 1 and len(shared) == len(cells)
+        # copies of the input in separate problems give identical classifiers
+        separate = [clf for [clf] in fit([(X.copy(), y.copy(), [cell]) for cell in cells])]
         assert len(checked) == 1 + len(cells)
         for ours, theirs in zip(shared, separate, strict=True):
             for field in dataclasses.fields(Classifier):
@@ -639,26 +655,59 @@ class TestGridSearch:
 
 
 class TestFitPipeline:
-    def test_cutoffs_with_one_k_share_a_classifier(self, monkeypatch):
-        # one strong common factor: cutoffs 0.7 and 0.8 both keep k = 1
+    def one_factor(self):
+        """A slice with one strong common factor: cutoffs 0.7 and 0.8 both
+        keep k = 1, 0.9 keeps 2 and 0.95 keeps 3."""
         rng = np.random.default_rng(26)
         z = rng.normal(size=(24, 1))
         X = z * np.ones(5) + rng.normal(size=(24, 5)) * np.array([0.2, 0.3, 0.5, 0.8, 1.0])
         y = (z[:, 0] + rng.normal(0, 0.5, 24) > 0).astype(int)
-        lr_fits = []
-        fit_lr = model.fit_lr
-        monkeypatch.setattr(model, "fit_lr", lambda Xs, ys, Cs: lr_fits.append(len(Cs))
-                            or fit_lr(Xs, ys, Cs))
-        fits = [(cutoff, {"C": c}) for cutoff in PCA_CUTOFFS for c in (0.1, 1.0)]
+        return X, y
+
+    def spy(self, monkeypatch, kind) -> list:
+        """Per solver call, the (k, cells) of each problem it gets."""
+        name = "fit_lr" if kind == "lr" else "fit_svm_rbf"
+        solver, calls = getattr(model, name), []
+
+        def spying(problems):
+            calls.append([(X.shape[1], list(cells)) for X, _, cells in problems])
+            return solver(problems)
+
+        monkeypatch.setattr(model, name, spying)
+        return calls
+
+    def test_cutoffs_with_one_k_share_a_classifier(self, monkeypatch):
+        X, y = self.one_factor()
+        calls = self.spy(monkeypatch, "lr")
+        cells = [{"C": 0.1}, {"C": 1.0}]
+        fits = [(cutoff, cell) for cutoff in PCA_CUTOFFS for cell in cells]
         [pipes] = fit_pipeline([(X, y, fits)], "lr")
         assert [p.pca.k for p in pipes] == [1, 1, 1, 1, 2, 2, 3, 3]
         assert [p.pca.cutoff for p in pipes] == [cutoff for cutoff, _ in fits]
-        assert sum(lr_fits) == 3 * 2  # one per distinct (k, cell)
+        assert calls == [[(1, cells), (2, cells), (3, cells)]]  # one problem per distinct k
         assert pipes[0].classifier is pipes[2].classifier
         assert pipes[1].classifier is pipes[3].classifier
         assert len({id(p.classifier) for p in pipes}) == 6
         for fit, pipe in zip(fits, pipes):
             [[alone]] = fit_pipeline([(X, y, [fit])], "lr")
+            assert json.dumps(pipeline_to_dict(alone)) == json.dumps(pipeline_to_dict(pipe))
+
+    @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
+    @pytest.mark.parametrize("same_cell", [False, True], ids=["other-cell", "same-cell"])
+    def test_refit_cutoffs_with_one_k(self, kind, same_cell, monkeypatch):
+        # a refit's fits: one selected cell per cutoff, where 0.7 and 0.8 keep
+        # k = 1 and select another cell or an equal copy of the same one; 0.8
+        # comes after 0.9, so the (problem, cell) order is not the fit order
+        X, y = self.one_factor()
+        a, b = grid_cells(kind)[0], grid_cells(kind)[-1]
+        fits = [(0.7, a), (0.9, b), (0.8, dict(a) if same_cell else b), (0.95, a)]
+        calls = self.spy(monkeypatch, kind)
+        [pipes] = fit_pipeline([(X, y, fits)], kind)
+        assert [p.pca.k for p in pipes] == [1, 2, 1, 3]
+        assert calls == [[(1, [a] if same_cell else [a, b]), (2, [b]), (3, [a])]]
+        assert (pipes[0].classifier is pipes[2].classifier) == same_cell
+        for fit, pipe in zip(fits, pipes):
+            [[alone]] = fit_pipeline([(X, y, [fit])], kind)
             assert json.dumps(pipeline_to_dict(alone)) == json.dumps(pipeline_to_dict(pipe))
 
     def test_cells_share_one_preprocessing(self):
