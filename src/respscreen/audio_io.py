@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import resample_poly
 
 from .errors import MalformedWav, SilentSample, UnsupportedEncoding
 
@@ -133,12 +132,15 @@ def resample(seg: AudioSegment, target_rate: int) -> AudioSegment:
 
     Output length is round(len * target / source), and at least one
     sample for a nonempty segment; identity when the rates are already
-    equal.
+    equal. `scipy.signal` is imported here, on the first call whose rates
+    differ, so a process that never resamples does not load it.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if target_rate == seg.sample_rate:
         return seg
+    from scipy.signal import resample_poly
+
     ratio = Fraction(target_rate, seg.sample_rate)
     out = resample_poly(seg.samples, ratio.numerator, ratio.denominator)
     n_out = max(min(len(seg), 1), round(len(seg) * target_rate / seg.sample_rate))

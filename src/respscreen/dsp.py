@@ -1,8 +1,8 @@
 """Shared spectral primitives: framing, STFT, Mel filterbank, DCT.
 
 Fixed project-wide analysis parameters: 2048-sample frames, hop 512,
-periodic Hann window, centered frames with reflect padding, 128 Slaney
-mel bands spanning 0 Hz to Nyquist.
+the periodic Hann window `HANN_WINDOW`, centered frames with reflect
+padding, 128 Slaney mel bands spanning 0 Hz to Nyquist.
 """
 
 from __future__ import annotations
@@ -11,14 +11,12 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft
-from scipy.signal import get_window
 
 LOG_FLOOR = 1e-10  # added to power before taking log
 
 # Framing of all short-time analysis
 FRAME_LENGTH = 2048
 HOP_LENGTH = 512
-WINDOW = "hann"
 N_MELS = 128
 
 # Slaney mel scale: linear at 200/3 Hz per mel below the 1 kHz break,
@@ -27,6 +25,24 @@ MEL_HZ_PER_MEL = 200.0 / 3
 MEL_BREAK_HZ = 1000.0
 MEL_BREAK = MEL_BREAK_HZ / MEL_HZ_PER_MEL  # the break on the mel axis
 MEL_LOG_STEP = np.log(6.4) / 27.0
+
+
+def _periodic_hann(n: int) -> np.ndarray:
+    # scipy's general_cosine arithmetic, so the result is bitwise equal to
+    # scipy.signal.get_window("hann", n, fftbins=True) without importing
+    # scipy.signal; np.hanning and 0.5 - 0.5 cos(2 pi k / n) differ from it
+    # in the last bit
+    fac = np.linspace(-np.pi, np.pi, n + 1)
+    w = np.zeros(n + 1)
+    for k, a in ((0, 0.5), (1, 0.5)):
+        w += a * np.cos(k * fac)
+    w = w[:-1]
+    w.flags.writeable = False
+    return w
+
+
+# Periodic Hann window of the STFT, read-only
+HANN_WINDOW = _periodic_hann(FRAME_LENGTH)
 
 
 def _pad_centered(x: np.ndarray) -> np.ndarray:
@@ -51,8 +67,7 @@ def bin_frequencies(sr: int) -> np.ndarray:
 def stft(frames: np.ndarray) -> np.ndarray:
     """Magnitudes [FRAME_LENGTH // 2 + 1 x n_frames] of the Hann-windowed
     DFT of each column of `frames`, as `frame_signal` lays them out."""
-    window = get_window(WINDOW, FRAME_LENGTH, fftbins=True)
-    return np.abs(np.fft.rfft(frames * window[:, None], axis=0))
+    return np.abs(np.fft.rfft(frames * HANN_WINDOW[:, None], axis=0))
 
 
 def _hz_to_mel(hz):
@@ -89,6 +104,30 @@ def mel_filterbank(sr: int) -> np.ndarray:
         weights[m] *= 2.0 / (upper - lower)
     weights.flags.writeable = False
     return weights
+
+
+# Sample rate -> (lo, hi) per filter of mel_filterbank(sr): the band of bins
+# outside which its weights are 0
+_MEL_BANDS: dict[int, list[tuple[int, int]]] = {}
+
+
+def mel_energies(power: np.ndarray, sr: int) -> np.ndarray:
+    """`mel_filterbank(sr) @ power` for a power spectrum [FRAME_LENGTH // 2 + 1
+    x n_frames], as [N_MELS x n_frames].
+
+    Each filter is applied over its band of nonzero weights only. The dense
+    product is rounded differently with each BLAS thread count; these
+    products of at most a few dozen bins are not.
+    """
+    weights = mel_filterbank(sr)
+    bands = _MEL_BANDS.get(sr)
+    if bands is None:
+        bands = _MEL_BANDS[sr] = [(i[0], i[-1] + 1) if len(i) else (0, 0)
+                                  for i in map(np.flatnonzero, weights)]
+    out = np.empty((N_MELS, power.shape[1]))
+    for m, (lo, hi) in enumerate(bands):
+        out[m] = weights[m, lo:hi] @ power[lo:hi]
+    return out
 
 
 def dct_ii(matrix: np.ndarray, n_out: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsp
 from .audio_io import AudioSegment
@@ -106,7 +107,7 @@ def analyze(seg: AudioSegment) -> Analysis:
     frames = dsp.frame_signal(seg.samples)
     mags = dsp.stft(frames)
     power = mags**2
-    logmel = np.log(dsp.mel_filterbank(seg.sample_rate) @ power + dsp.LOG_FLOOR)
+    logmel = np.log(dsp.mel_energies(power, seg.sample_rate) + dsp.LOG_FLOOR)
     return Analysis(seg, frames, mags, power, logmel, seg.sample_rate / dsp.HOP_LENGTH)
 
 
@@ -134,15 +135,15 @@ def onset_count(env: np.ndarray, frame_rate: float) -> int:
     moving_mean = np.convolve(padded, np.ones(ONSET_MEAN_WINDOW) / ONSET_MEAN_WINDOW, mode="valid")
     min_sep = max(1, round(ONSET_MIN_SEPARATION_SEC * frame_rate))
 
-    peaks: list[int] = []
     r = ONSET_LOCAL_MAX_RADIUS
-    for t in range(len(env)):
-        lo, hi = max(0, t - r), min(len(env), t + r + 1)
-        window = env[lo:hi]
-        if env[t] < window.max() or (window == env[t]).sum() > 1:
-            continue
-        if env[t] <= moving_mean[t] + threshold:
-            continue
+    windows = sliding_window_view(np.pad(env, r, constant_values=-np.inf), 2 * r + 1)
+    # a candidate is above the threshold and the one value of its +-r window
+    # that is at least as large as itself: a strict local maximum
+    strict_max = (windows >= env[:, None]).sum(axis=1) == 1
+    candidates = np.flatnonzero(strict_max & (env > moving_mean + threshold))
+
+    peaks: list[int] = []
+    for t in candidates.tolist():
         if peaks and t - peaks[-1] < min_sep:
             if env[t] > env[peaks[-1]]:
                 peaks[-1] = t

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +11,19 @@ from respscreen import dataset, synth
 from respscreen.audio_io import AudioSegment
 
 SR = 22050
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str, **env: str) -> str:
+    """Run the indented source `code` in a fresh interpreter that imports
+    respscreen from this checkout, with `env` set in the child's environment
+    only; returns its standard output."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path, **env}, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def sine(freq, seconds=2.0, sr=SR, amplitude=0.5):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from respscreen import model
+from respscreen import features, model
 
 
 def naive_dft_magnitudes(x):
@@ -123,6 +123,36 @@ def frame_rms_oracle(x, frame_length, hop_length):
         frame = x[s : s + frame_length]
         out.append(math.sqrt(float(np.mean(frame**2))))
     return np.array(out)
+
+
+def onset_count_oracle(env, frame_rate):
+    """Peaks picked by one pass over the frames: a strict local maximum over
+    +-ONSET_LOCAL_MAX_RADIUS frames, above the moving mean plus the
+    threshold, merged into the previous peak when closer than the minimum
+    separation (the larger one is kept)."""
+    if env.size == 0 or env.max() <= 0:
+        return 0
+    threshold = features.ONSET_THRESHOLD_FRACTION * env.max()
+    width = features.ONSET_MEAN_WINDOW
+    padded = np.pad(env, width // 2, mode="edge")
+    moving_mean = np.convolve(padded, np.ones(width) / width, mode="valid")
+    min_sep = max(1, round(features.ONSET_MIN_SEPARATION_SEC * frame_rate))
+
+    peaks = []
+    r = features.ONSET_LOCAL_MAX_RADIUS
+    for t in range(len(env)):
+        lo, hi = max(0, t - r), min(len(env), t + r + 1)
+        window = env[lo:hi]
+        if env[t] < window.max() or (window == env[t]).sum() > 1:
+            continue
+        if env[t] <= moving_mean[t] + threshold:
+            continue
+        if peaks and t - peaks[-1] < min_sep:
+            if env[t] > env[peaks[-1]]:
+                peaks[-1] = t
+            continue
+        peaks.append(t)
+    return len(peaks)
 
 
 def zcr_oracle(frame):

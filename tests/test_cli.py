@@ -21,6 +21,8 @@ from respscreen.cli import (
 )
 from respscreen.model import load_pipeline
 
+from .conftest import run_python
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 MANIFEST_HEADER = ("sample_id,user_id,modality,audio_path,covid_tested_positive,"
                    "symptoms,medical_history,smoker,country,collected_at\n")
@@ -189,6 +191,31 @@ class TestExtract:
         with open(out.with_suffix(".skipped.csv")) as fh:
             assert list(csv.reader(fh))[1:] == [[one.sample_id,
                                                  "TooShort: need >= 9 frames, got 1"]]
+
+    def test_scipy_signal_loads_on_first_resample(self, tmp_path):
+        # synth writes 22.05 kHz, where resampling is the identity
+        code = f"""
+            import contextlib, io, sys
+            import numpy as np
+            from respscreen import cli
+            from respscreen.audio_io import AudioSegment, resample
+            out = {str(tmp_path)!r}
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["synth-manifest", "--out", out, "--covid-users", "2",
+                                 "--healthy-users", "2", "--cough-users", "0",
+                                 "--asthma-users", "0", "--clip-seconds", "0.5"]) == 0
+                assert cli.main(["extract", "--manifest", out + "/manifest.csv",
+                                 "--out", out + "/f.csv"]) == 0
+            print("scipy.signal" in sys.modules)
+            x = 0.5 * np.sin(0.05 * np.arange(4410))
+            y = resample(AudioSegment(x, 44100), 22050).samples
+            print("scipy.signal" in sys.modules)
+            from scipy.signal import resample_poly
+            print(y.tobytes() == resample_poly(x, 1, 2).tobytes())
+        """
+        assert run_python(code).split() == ["False", "True", "True"]
+        with open(tmp_path / "f.csv") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 4 * 2  # header, two per user
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert main(["extract", "--manifest", str(tmp_path / "nope.csv"),

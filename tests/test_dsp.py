@@ -4,6 +4,7 @@ from scipy.signal import get_window
 
 from respscreen.dsp import (
     FRAME_LENGTH,
+    HANN_WINDOW,
     HOP_LENGTH,
     _pad_centered,
     bin_frequencies,
@@ -19,6 +20,13 @@ SR = 22050
 
 
 class TestStft:
+    def test_window_is_scipys_periodic_hann_and_read_only(self):
+        expected = get_window("hann", FRAME_LENGTH, fftbins=True)
+        assert HANN_WINDOW.dtype == expected.dtype
+        assert HANN_WINDOW.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            HANN_WINDOW[0] = 1.0
+
     def test_constant_signal_is_dc(self):
         energy = stft(frame_signal(np.full(4 * 2048, 0.5)))**2
         cols = energy[:, 2:-2]  # interior frames, unaffected by padding

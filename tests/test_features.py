@@ -24,8 +24,15 @@ from respscreen.features import (
     tempo,
 )
 
-from .conftest import click_train, sine
-from .oracles import centroid_oracle, rolloff_oracle, stats_oracle, summarize_oracle, zcr_oracle
+from .conftest import click_train, run_python, sine
+from .oracles import (
+    centroid_oracle,
+    onset_count_oracle,
+    rolloff_oracle,
+    stats_oracle,
+    summarize_oracle,
+    zcr_oracle,
+)
 
 SR = 22050
 
@@ -125,7 +132,31 @@ class TestDuration:
         assert AudioSegment(np.ones(1), SR).duration == pytest.approx(1 / 22050)
 
 
+def onset_envelopes(rng, n_rounds):
+    """Empty, all-zero and short envelopes, then `n_rounds` each of random,
+    tied, plateau and sparse ones."""
+    yield np.empty(0)
+    yield np.zeros(50)
+    for n in (1, 2, 3, 7, 8):
+        yield rng.random(n)
+    for _ in range(n_rounds):
+        n = int(rng.integers(1, 160))
+        env = rng.random(n) ** 3
+        yield env
+        yield np.round(env * 4) / 4
+        yield np.repeat(rng.random(n // 4 + 1), 4)[:n]
+        sparse = np.zeros(n)
+        sparse[rng.integers(0, n, size=n // 10 + 1)] = rng.random(n // 10 + 1)
+        yield sparse
+
+
 class TestOnsets:
+    def test_matches_frame_loop_oracle(self):
+        rng = np.random.default_rng(31)
+        for env in onset_envelopes(rng, 200):
+            for frame_rate in (10.0, SR / 512, 100.0):
+                assert onset_count(env, frame_rate) == onset_count_oracle(env, frame_rate), env
+
     def test_silence_has_none(self):
         assert onsets_of(AudioSegment(np.full(3 * SR, 0.3), SR)) == 0
 
@@ -312,3 +343,20 @@ class TestExtract:
             monkeypatch.setattr(dsp, name, counting(name, getattr(dsp, name)))
         extract_handcrafted(sine(900))
         assert calls == {"frame_signal": 1, "stft": 1, "mel_filterbank": 1}
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a large product across threads and rounds it
+        # differently with each count; full-precision vectors must not show it
+        code = """
+            import numpy as np
+            from respscreen import synth
+            from respscreen.features import extract_handcrafted
+            rng = np.random.default_rng(23)
+            for i, seconds in enumerate((1.0, 1.5, 10.0) * 4):
+                seg = synth.burst_clip(rng, freq=300.0 + 70.0 * i, seconds=seconds)
+                print(extract_handcrafted(seg).tobytes().hex())
+        """
+        one = run_python(code, OPENBLAS_NUM_THREADS="1").split()
+        two = run_python(code, OPENBLAS_NUM_THREADS="2").split()
+        assert len(one) == len(two) == 12
+        assert [i for i, (a, b) in enumerate(zip(one, two)) if a != b] == []
