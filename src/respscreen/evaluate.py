@@ -105,29 +105,29 @@ def load_segment(path) -> AudioSegment:
 
 
 class FeatureStore:
-    """Caches each recording's segment, handcrafted vector and pooled
-    embedding, by sample id, so folds and sweep cells share work."""
+    """Keeps each recording's handcrafted vector, its pooled embedding and,
+    for an unusable recording, its error, by sample id, so folds and sweep
+    cells share work. It keeps no decoded audio: a run holds one recording's
+    audio at a time, while it is extracted or augmented."""
 
     def __init__(self, base_dir, embeddings: dict[str, np.ndarray] | None = None):
         self.base_dir = Path(base_dir)
         self.embeddings = embeddings
-        self._segments: dict[str, AudioSegment | RespScreenError] = {}
+        self._errors: dict[str, RespScreenError] = {}
         self._handcrafted: dict[str, np.ndarray] = {}
         self._pooled: dict[str, np.ndarray] = {}
 
-    def segment(self, record: SampleRecord):
-        """The recording's segment; an unusable recording (`UNUSABLE_RECORDING`)
-        raises its error again on every request without reloading."""
+    def segment(self, record: SampleRecord) -> AudioSegment:
+        """The recording's segment, loaded anew on every call, so augmenting a
+        negative decodes it a second time. An unusable recording
+        (`UNUSABLE_RECORDING`) raises its error again without reloading."""
         key = record.sample_id
-        if key not in self._segments:
+        if key not in self._errors:
             try:
-                self._segments[key] = load_segment(self.base_dir / record.audio_path)
+                return load_segment(self.base_dir / record.audio_path)
             except UNUSABLE_RECORDING as exc:
-                self._segments[key] = exc
-        segment = self._segments[key]
-        if isinstance(segment, Exception):
-            raise segment.with_traceback(None)
-        return segment
+                self._errors[key] = exc
+        raise self._errors[key].with_traceback(None)
 
     def handcrafted(self, record: SampleRecord) -> np.ndarray:
         key = record.sample_id

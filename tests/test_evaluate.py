@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+import weakref
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -384,6 +388,54 @@ class TestFeatureStore:
         assert {r.status for r in rows} == {"ok"}
         assert loads.count(Path(silent.audio_path).name) == 1
         assert len(loads) == len(set(loads))
+
+    def test_keeps_no_segment(self, small_cohort, monkeypatch):
+        d, records, _ = small_cohort
+        segments = []
+        load_segment = evaluate.load_segment
+
+        def load_and_watch(path):
+            seg = load_segment(path)
+            segments.append(weakref.ref(seg))
+            return seg
+
+        monkeypatch.setattr(evaluate, "load_segment", load_and_watch)
+        store = FeatureStore(d)
+        for r in records:
+            store.vector(r, "handcrafted")
+        gc.collect()
+        assert len(segments) == len(records)
+        assert [ref() for ref in segments] == [None] * len(records)
+
+    def test_memory_after_build_cohort_is_below_two_recordings(self, tmp_path):
+        spec = synth.CohortSpec(n_covid=3, n_healthy=3, n_cough=0, n_asthma=0,
+                                clip_seconds=10.0)
+        records = load_manifest(synth.generate_cohort(tmp_path, seed=2, spec=spec))
+        two_recordings = 2 * int(spec.clip_seconds * synth.SAMPLE_RATE) * 8  # float64 samples
+        store = FeatureStore(tmp_path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cohort = build_cohort(records, RunConfig(task_id=1, modality="combined"), store)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cohort.X.shape == (6, 2 * features.N_FEATURES)
+        assert held < two_recordings
+
+    def test_augmented_run_loads_a_positive_once_and_a_negative_at_most_twice(
+            self, small_cohort, monkeypatch):
+        d, records, _ = small_cohort
+        units = build_cohort(records, RunConfig(task_id=2), FeatureStore(d)).units
+        loads = Counter()
+        load_segment = evaluate.load_segment
+        monkeypatch.setattr(evaluate, "load_segment",
+                            lambda path: loads.update([path.name]) or load_segment(path))
+        run_nested_cv(records, RunConfig(task_id=2, seed=0, augment=True), base_dir=d)
+        for u in units:
+            [r] = u.records
+            assert 1 <= loads[Path(r.audio_path).name] <= (1 if u.label else 2)
 
     def test_caches_by_sample(self, small_cohort):
         d, records, _ = small_cohort
