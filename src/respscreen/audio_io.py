@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import special
 
 from .errors import MalformedWav, SilentSample, UnsupportedEncoding
 
@@ -128,27 +129,62 @@ def encode_wav(seg: AudioSegment) -> bytes:
 
 
 def resample(seg: AudioSegment, target_rate: int) -> AudioSegment:
-    """Band-limited resampling (polyphase windowed-sinc).
+    """Band-limited resampling by polyphase FIR decimation.
 
-    Output length is round(len * target / source), and at least one
+    The low-pass filter is `scipy.signal.resample_poly`'s default (a
+    Kaiser-windowed sinc, beta 5, 20 * max(up, down) + 1 taps), so the
+    samples are resample_poly's up to summation order, computed with numpy
+    only. Output length is round(len * target / source), and at least one
     sample for a nonempty segment; identity when the rates are already
-    equal. `scipy.signal` is imported here, on the first call whose rates
-    differ, so a process that never resamples does not load it.
+    equal.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if target_rate == seg.sample_rate:
         return seg
-    from scipy.signal import resample_poly
-
     ratio = Fraction(target_rate, seg.sample_rate)
-    out = resample_poly(seg.samples, ratio.numerator, ratio.denominator)
-    n_out = max(min(len(seg), 1), round(len(seg) * target_rate / seg.sample_rate))
-    if len(out) > n_out:
-        out = out[:n_out]
-    elif len(out) < n_out:
-        out = np.pad(out, (0, n_out - len(out)), mode="edge")
+    up, down = ratio.numerator, ratio.denominator
+    n_in = len(seg)
+    n_out = max(min(n_in, 1), round(n_in * target_rate / seg.sample_rate))
+    half_len = 10 * max(up, down)
+    # zero taps in front centre the kept outputs, as in resample_poly
+    n_pre_pad = down - half_len % down
+    first = (half_len + n_pre_pad) // down
+    h = np.concatenate([np.zeros(n_pre_pad), _lowpass_taps(up, down)])
+    taps_per_phase = -(-len(h) // up)
+    # phases[p, m] = h[p + m * up], reversed along m to meet windows in time order
+    # (contiguous, so that numpy hands each product to BLAS where it can)
+    phases = np.pad(h, (0, taps_per_phase * up - len(h))).reshape(-1, up).T[:, ::-1].copy()
+    # output k is phases[(k * down) % up] . x[b - taps_per_phase + 1 : b + 1],
+    # b = (k * down) // up; xpad[i] is x[i - taps_per_phase + 1], zero outside
+    last = (first + n_out - 1) * down // up
+    xpad = np.concatenate([np.zeros(taps_per_phase - 1), seg.samples,
+                           np.zeros(max(last + 1 - n_in, 0))])
+    windows = sliding_window_view(xpad, taps_per_phase)
+    out = np.empty(n_out)
+    for r in range(min(up, n_out)):
+        t = (first + r) * down
+        rows = windows[t // up :: down][: len(range(r, n_out, up))]
+        if taps_per_phase > down:
+            # overlapping rows are no BLAS matrix, and matmul's own loop
+            # takes about twice einsum's time on them
+            out[r::up] = np.einsum("ij,j->i", rows, phases[t % up])
+        else:
+            out[r::up] = rows @ phases[t % up]
     return AudioSegment(np.clip(out, -1.0, 1.0), target_rate)
+
+
+def _lowpass_taps(up: int, down: int) -> np.ndarray:
+    """resample_poly's default anti-aliasing filter for `up`/`down`:
+    firwin(20 m + 1, 1 / m, window=("kaiser", 5.0)) * up with
+    m = max(up, down), in firwin's arithmetic so the taps are bitwise equal."""
+    m = max(up, down)
+    half_len = 10 * m
+    t = np.arange(2 * half_len + 1, dtype=np.float64) - half_len
+    h = (1.0 / m) * np.sinc((1.0 / m) * t)
+    h *= special.i0(5.0 * np.sqrt(1 - (t / half_len) ** 2.0)) / special.i0(5.0)
+    h /= np.sum(h)  # unity gain at DC
+    return h * up
 
 
 def _frame_rms(x: np.ndarray) -> np.ndarray:

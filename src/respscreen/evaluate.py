@@ -113,21 +113,24 @@ class FeatureStore:
     def __init__(self, base_dir, embeddings: dict[str, np.ndarray] | None = None):
         self.base_dir = Path(base_dir)
         self.embeddings = embeddings
-        self._errors: dict[str, RespScreenError] = {}
+        self._errors: dict[str, tuple[type[RespScreenError], tuple]] = {}
         self._handcrafted: dict[str, np.ndarray] = {}
         self._pooled: dict[str, np.ndarray] = {}
 
     def segment(self, record: SampleRecord) -> AudioSegment:
         """The recording's segment, loaded anew on every call, so augmenting a
         negative decodes it a second time. An unusable recording
-        (`UNUSABLE_RECORDING`) raises its error again without reloading."""
+        (`UNUSABLE_RECORDING`) raises its error again without reloading, as a
+        fresh exception: a stored one would keep the frames it last passed
+        through alive in its traceback."""
         key = record.sample_id
         if key not in self._errors:
             try:
                 return load_segment(self.base_dir / record.audio_path)
             except UNUSABLE_RECORDING as exc:
-                self._errors[key] = exc
-        raise self._errors[key].with_traceback(None)
+                self._errors[key] = (type(exc), exc.args)
+        error_type, args = self._errors[key]
+        raise error_type(*args)
 
     def handcrafted(self, record: SampleRecord) -> np.ndarray:
         key = record.sample_id

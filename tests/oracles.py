@@ -30,6 +30,20 @@ def dominant_frequency(x, sr):
     return k * sr / len(x)
 
 
+def resample_poly_oracle(x, source_rate, target_rate):
+    """`scipy.signal.resample_poly` at the reduced ratio, cut or edge-padded
+    to round(len * target / source) samples (at least one), then clipped."""
+    from fractions import Fraction
+
+    from scipy.signal import resample_poly
+
+    ratio = Fraction(target_rate, source_rate)
+    out = resample_poly(x, ratio.numerator, ratio.denominator)
+    n_out = max(min(len(x), 1), round(len(x) * target_rate / source_rate))
+    out = out[:n_out] if len(out) >= n_out else np.pad(out, (0, n_out - len(out)), mode="edge")
+    return np.clip(out, -1.0, 1.0)
+
+
 def naive_dct_ii(x):
     """Orthonormal DCT-II by direct cosine summation."""
     x = np.asarray(x, dtype=np.float64)

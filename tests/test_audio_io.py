@@ -1,25 +1,33 @@
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import firwin
 
 from respscreen.audio_io import (
     TRIM_FRAME_LENGTH,
     TRIM_HOP_LENGTH,
     AudioSegment,
     _frame_rms,
+    _lowpass_taps,
     decode_wav,
     encode_wav,
     resample,
     trim_silence,
 )
+from respscreen.augment import RATE_GRID, RATE_K_RANGE
 from respscreen.errors import MalformedWav, SilentSample, UnsupportedEncoding
 
-from .oracles import dominant_frequency, frame_rms_oracle
+from .oracles import dominant_frequency, frame_rms_oracle, resample_poly_oracle
 
 SR = 22050
+# Every (source, target) rate pair the program resamples at: recordings to
+# 22.05 kHz, and pitch_speed's playback rates RATE_GRID / k at 22.05 kHz.
+RATE_PAIRS = [(sr, SR) for sr in (8000, 16000, 44100, 48000)] + [
+    (SR, round(SR / (RATE_GRID / k))) for k in range(RATE_K_RANGE[0], RATE_K_RANGE[1] + 1)]
 
 
 def make_wav(samples_i16, sample_rate=SR, channels=1, fmt=1, bits=16):
@@ -170,6 +178,23 @@ class TestResample:
         chunk = back.samples[1000:1000 + 4410]
         freq = dominant_frequency(chunk, SR)
         assert abs(freq - 1000) <= SR / len(chunk)
+
+
+    @pytest.mark.parametrize("source,target", RATE_PAIRS)
+    def test_matches_scipy_resample_poly(self, source, target):
+        # the same filter, summed in another order: equal to rounding
+        ratio = Fraction(target, source)
+        up, down = ratio.numerator, ratio.denominator
+        m = max(up, down)
+        expected_taps = firwin(2 * 10 * m + 1, 1 / m, window=("kaiser", 5.0)) * up
+        assert _lowpass_taps(up, down).tobytes() == expected_taps.tobytes()
+        rng = np.random.default_rng(source + target)
+        for n in (1, 2, 3, 7, 50, 1000, int(1.5 * source)):
+            x = rng.uniform(-0.99, 0.99, n)
+            out = resample(AudioSegment(x, source), target)
+            expected = resample_poly_oracle(x, source, target)
+            assert out.sample_rate == target and len(out) == len(expected)
+            assert np.max(np.abs(out.samples - expected)) <= 1e-13
 
 
 class TestTrim:

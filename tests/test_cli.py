@@ -192,30 +192,38 @@ class TestExtract:
             assert list(csv.reader(fh))[1:] == [[one.sample_id,
                                                  "TooShort: need >= 9 frames, got 1"]]
 
-    def test_scipy_signal_loads_on_first_resample(self, tmp_path):
-        # synth writes 22.05 kHz, where resampling is the identity
+    def test_no_run_loads_scipy_signal(self, tmp_path):
+        # resampling from 44.1 and 48 kHz, and augmentation's pitch/speed
+        # change, take numpy alone; importing scipy.signal costs ~46 MB
         code = f"""
             import contextlib, io, sys
             import numpy as np
-            from respscreen import cli
-            from respscreen.audio_io import AudioSegment, resample
+            from respscreen import cli, synth
+            from respscreen.audio_io import encode_wav
+            from respscreen.dataset import load_manifest
             out = {str(tmp_path)!r}
             with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["synth-manifest", "--out", out, "--covid-users", "2",
-                                 "--healthy-users", "2", "--cough-users", "0",
-                                 "--asthma-users", "0", "--clip-seconds", "0.5"]) == 0
+                assert cli.main(["synth-manifest", "--out", out, "--covid-users", "6",
+                                 "--healthy-users", "0", "--cough-users", "6",
+                                 "--asthma-users", "0", "--clip-seconds", "1.0"]) == 0
+                # synth writes 22.05 kHz, where resampling is the identity
+                rng = np.random.default_rng(0)
+                records = sorted(load_manifest(out + "/manifest.csv"), key=lambda r: r.sample_id)
+                for i, r in enumerate(records):
+                    clip = synth.burst_clip(rng, 500.0, 1.0, sr=(44100, 48000)[i % 2])
+                    with open(out + "/" + r.audio_path, "wb") as fh:
+                        fh.write(encode_wav(clip))
                 assert cli.main(["extract", "--manifest", out + "/manifest.csv",
                                  "--out", out + "/f.csv"]) == 0
+                assert cli.main(["evaluate", "--manifest", out + "/manifest.csv", "--task", "2",
+                                 "--augment", "--report", out + "/r.json"]) == 0
             print("scipy.signal" in sys.modules)
-            x = 0.5 * np.sin(0.05 * np.arange(4410))
-            y = resample(AudioSegment(x, 44100), 22050).samples
-            print("scipy.signal" in sys.modules)
-            from scipy.signal import resample_poly
-            print(y.tobytes() == resample_poly(x, 1, 2).tobytes())
         """
-        assert run_python(code).split() == ["False", "True", "True"]
+        assert run_python(code).split() == ["False"]
         with open(tmp_path / "f.csv") as fh:
-            assert len(list(csv.reader(fh))) == 1 + 4 * 2  # header, two per user
+            assert len(list(csv.reader(fh))) == 1 + 12 * 2  # header, two per user
+        with open(tmp_path / "f.skipped.csv") as fh:
+            assert len(list(csv.reader(fh))) == 1
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert main(["extract", "--manifest", str(tmp_path / "nope.csv"),

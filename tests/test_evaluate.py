@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import types
 import weakref
 from collections import Counter
 from dataclasses import asdict
@@ -42,6 +43,21 @@ def small_cohort(tmp_path_factory):
     emb_path = d / "embeddings.csv"
     synth.generate_embeddings(records, emb_path, seed=7)
     return d, records, load_embeddings(emb_path)
+
+
+def frames_reachable_from(root) -> set[str]:
+    """Names of the functions whose frames `root` keeps alive, through any
+    chain of objects other than classes, modules and functions."""
+    names, seen, stack = set(), set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, types.FrameType):
+            names.add(obj.f_code.co_name)
+        stack.extend(gc.get_referents(obj))
+    return names
 
 
 class TestRunConfig:
@@ -388,6 +404,22 @@ class TestFeatureStore:
         assert {r.status for r in rows} == {"ok"}
         assert loads.count(Path(silent.audio_path).name) == 1
         assert len(loads) == len(set(loads))
+
+    def test_stored_error_keeps_no_caller_frame(self, tmp_path):
+        # a stored exception that is raised again carries the traceback of
+        # its last raise, and with it build_cohort's frame, rows and store
+        spec = synth.CohortSpec(n_covid=3, n_healthy=3, n_cough=0, n_asthma=0,
+                                clip_seconds=0.5)
+        records = load_manifest(synth.generate_cohort(tmp_path, seed=1, spec=spec))
+        silent = min((r for r in records if r.modality == "cough"), key=lambda r: r.sample_id)
+        (tmp_path / silent.audio_path).write_bytes(
+            encode_wav(AudioSegment(np.zeros(11025), 22050)))
+        store = FeatureStore(tmp_path)
+        config = RunConfig(task_id=1, modality="cough")
+        for _ in range(2):  # loaded, then raised again from the store
+            cohort = build_cohort(records, config, store)
+            assert cohort.skipped == ((silent.sample_id, "SilentSample: all-zero signal"),)
+        assert "build_cohort" not in frames_reachable_from(store)
 
     def test_keeps_no_segment(self, small_cohort, monkeypatch):
         d, records, _ = small_cohort

@@ -360,3 +360,24 @@ class TestExtract:
         two = run_python(code, OPENBLAS_NUM_THREADS="2").split()
         assert len(one) == len(two) == 12
         assert [i for i, (a, b) in enumerate(zip(one, two)) if a != b] == []
+
+    def test_resampled_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # resample hands each polyphase product at 48 kHz to BLAS; the
+        # resampled samples and their vectors must not show the thread count
+        code = """
+            import hashlib
+            import numpy as np
+            from respscreen import synth
+            from respscreen.audio_io import decode_wav, encode_wav, resample
+            from respscreen.features import extract_handcrafted
+            rng = np.random.default_rng(29)
+            for i, (sr, seconds) in enumerate([(44100, 1.5), (48000, 1.5), (44100, 10.0), (48000, 10.0)]):
+                wav = encode_wav(synth.burst_clip(rng, freq=300.0 + 70.0 * i, seconds=seconds, sr=sr))
+                seg = resample(decode_wav(wav), 22050)
+                print(hashlib.sha256(seg.samples.tobytes()).hexdigest(),
+                      extract_handcrafted(seg).tobytes().hex())
+        """
+        one = run_python(code, OPENBLAS_NUM_THREADS="1").split()
+        two = run_python(code, OPENBLAS_NUM_THREADS="2").split()
+        assert len(one) == len(two) == 8
+        assert [i for i, (a, b) in enumerate(zip(one, two)) if a != b] == []
