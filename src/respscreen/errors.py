@@ -54,7 +54,7 @@ class SingleClass(RespScreenError):
 
 
 class NonFiniteFeature(RespScreenError):
-    """Feature matrix contains NaN or infinity."""
+    """A feature vector or matrix contains NaN or infinity."""
 
 
 class DegenerateData(RespScreenError):
@@ -65,8 +65,8 @@ class ConfigError(RespScreenError):
     """Invalid run configuration (bad flag combination, missing input)."""
 
 
-# Errors of a recording that every command skips, with its reason, rather than abort
-UNUSABLE_RECORDING = (SilentSample, TooShort, MalformedWav, UnsupportedEncoding)
+# Errors of a recording or its pooled embedding that every command skips, with its reason
+UNUSABLE_RECORDING = (SilentSample, TooShort, MalformedWav, UnsupportedEncoding, NonFiniteFeature)
 
 
 def skip_reason(exc: RespScreenError) -> str:

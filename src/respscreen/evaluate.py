@@ -22,7 +22,8 @@ from . import features as feat
 from .audio_io import TARGET_SAMPLE_RATE, AudioSegment, decode_wav, resample, trim_silence
 from .dataset import SampleRecord, apply_task, balance, split_users
 from .embeddings import combine, pool
-from .errors import UNUSABLE_RECORDING, ConfigError, EmptyCohort, RespScreenError, skip_reason
+from .errors import (UNUSABLE_RECORDING, ConfigError, EmptyCohort, NonFiniteFeature,
+                     RespScreenError, skip_reason)
 from .metrics import precision_recall, roc_auc
 from .model import PCA_CUTOFFS, fit_pipeline, grid_search
 from .util import write_text_atomic
@@ -145,7 +146,11 @@ class FeatureStore:
         if key not in self._pooled:
             if key not in self.embeddings:
                 raise ConfigError(f"no embedding frames for sample {key!r}")
-            self._pooled[key] = pool(self.embeddings[key])
+            with np.errstate(over="ignore", invalid="ignore"):  # huge frames overflow the std
+                pooled = pool(self.embeddings[key])
+            if not np.all(np.isfinite(pooled)):
+                raise NonFiniteFeature(f"pooled embedding of sample {key!r} is not finite")
+            self._pooled[key] = pooled
         return self._pooled[key]
 
     def vector(self, record: SampleRecord, feature_type: str) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Standardization, PCA with explained-variance cutoffs, and the two
 shallow classifiers (L2 logistic regression, SVM with RBF kernel).
 
-PCA takes an SVD of a tall slice and the eigendecomposition of the Gram
-matrix of a wide one. Model selection scores each inner fold in one pass:
+PCA takes the eigendecomposition of the smaller Gram matrix of each
+slice, Xc' Xc or Xc Xc'. Model selection scores each inner fold in one pass:
 one projection and one stacked LR product per PCA cutoff, and one
 `roc_auc` call that gives the fold's row of AUCs.
 
@@ -41,7 +41,7 @@ LS_BLOCKS = [0.5**j for j in np.split(np.arange(1, 60), [2, 6, 14, 30])]
 SVM_KKT_TOL = 1e-3
 SVM_MAX_ITER = 200_000  # SMO steps; likewise
 STD_FLOOR = 1e-12
-# Gram-matrix PCA: eigenvalues below this fraction of the largest are zero
+# PCA: Gram eigenvalues below this fraction of the largest are zero
 # variance, i.e. singular values below 1e-10 of the largest
 GRAM_FLOOR = 1e-20
 
@@ -91,15 +91,16 @@ def fit_pca(X: np.ndarray, cutoffs) -> list[PcaModel]:
     each truncates the same decomposition to its own minimal k, and all of
     them share one copy of the leading components.
 
-    A tall slice (n >= d rows) takes the SVD of its centered matrix Xc. A
-    wide one takes the eigendecomposition of the n x n Gram matrix
-    Xc Xc' = U S^2 U', which has the same nonzero spectrum (the method of
+    Every slice takes the eigendecomposition of its smaller Gram matrix. A
+    tall slice (n >= d rows) takes Xc' Xc = V S^2 V' of its centered rows Xc,
+    and its leading eigenvectors are the components. A wide one takes
+    Xc Xc' = U S^2 U', with the same nonzero spectrum (the method of
     snapshots; Sirovich, Q. Appl. Math. 45, 1987), and forms only the kept
     components, U' Xc / s. Eigenvalues below a relative floor count as zero
-    variance, so no kept component divides by a rounding residue. Squaring
-    the spectrum costs accuracy in small components: one of variance ratio
-    r agrees with the SVD's to roughly eps / r, well below 1e-10 at the
-    shipped cutoffs, where every kept r exceeds (1 - cutoff) / n.
+    variance, so no kept component divides by a rounding residue. A kept
+    component of variance ratio r agrees with the SVD's to roughly eps / r,
+    as the Gram matrix squares the spectrum; r exceeds (1 - cutoff) /
+    min(n, d), so at 0.95 and 477 features the error is below about 2e-12.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -107,13 +108,9 @@ def fit_pca(X: np.ndarray, cutoffs) -> list[PcaModel]:
         raise ValueError("need at least 2 rows")
     mean = X.mean(axis=0)
     Xc = X - mean
-    if n < d:
-        eigenvalues, U = np.linalg.eigh(Xc @ Xc.T)
-        variances, U = np.maximum(eigenvalues[::-1], 0.0), U[:, ::-1]
-        variances[variances < GRAM_FLOOR * variances[0]] = 0.0
-    else:
-        _, s, vt = np.linalg.svd(Xc, full_matrices=False)
-        variances = s**2
+    eigenvalues, U = np.linalg.eigh(Xc @ Xc.T if n < d else Xc.T @ Xc)
+    variances, U = np.maximum(eigenvalues[::-1], 0.0), U[:, ::-1]
+    variances[variances < GRAM_FLOOR * variances[0]] = 0.0
     total = variances.sum()
     if total <= 0:
         raise DegenerateData("zero total variance")
@@ -122,10 +119,8 @@ def fit_pca(X: np.ndarray, cutoffs) -> list[PcaModel]:
     ks = [min(int(np.searchsorted(cumulative, cutoff - 1e-12) + 1), len(ratio))
           for cutoff in cutoffs]
     kmax = max(ks, default=0)
-    if n < d:
-        top = U[:, :kmax].T @ Xc / np.sqrt(variances[:kmax, None])
-    else:
-        top = vt[:kmax].copy()  # each cutoff's components are a prefix view
+    top = U[:, :kmax].T  # each cutoff's components are a prefix view of these
+    top = top @ Xc / np.sqrt(variances[:kmax, None]) if n < d else top.copy()
     return [PcaModel(top[:k], ratio[:k].copy(), cutoff, mean) for cutoff, k in zip(cutoffs, ks)]
 
 
@@ -469,15 +464,8 @@ def _svm_classifier(X, y_pm, params, alpha, grad, n_iter: int, converged: bool) 
         b = float((hi + lo) / 2.0)
 
     sv = alpha > 1e-10
-    return Classifier(
-        kind="svm-rbf",
-        hyperparameters=params,
-        support_vectors=X[sv].copy(),
-        dual_coef=(alpha * y_pm)[sv].copy(),
-        intercept=b,
-        n_iter=n_iter,
-        converged=converged,
-    )
+    return Classifier(kind="svm-rbf", hyperparameters=params, support_vectors=X[sv],
+                      dual_coef=(alpha * y_pm)[sv], intercept=b, n_iter=n_iter, converged=converged)
 
 
 def grid_cells(kind: str) -> list[dict]:

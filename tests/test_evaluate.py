@@ -202,6 +202,22 @@ class TestNestedCv:
                                base_dir=d, embeddings=embeddings)
         assert report.aggregate["auc"]["mean"] >= 0.9
 
+    def test_non_finite_pooled_embedding_skips_its_unit(self, small_cohort):
+        # finite frames pass load_embeddings, but their pooled std overflows
+        d, records, embeddings = small_cohort
+        bad = min((r for r in records if r.modality == "breath" and is_positive(r, 1)),
+                  key=lambda r: r.sample_id)
+        frames = embeddings[bad.sample_id].copy()
+        frames[:2, 0] = 1e200, -1e200
+        huge = {**embeddings, bad.sample_id: frames}
+        reason = f"NonFiniteFeature: pooled embedding of sample {bad.sample_id!r} is not finite"
+        for feature_type in EMBEDDING_FEATURE_TYPES:
+            config = RunConfig(task_id=1, modality="breath", feature_type=feature_type)
+            report = run_nested_cv(records, config, base_dir=d, embeddings=huge)
+            assert report.skipped == ((bad.sample_id, reason),)
+        rows = sweep(records, task_id=1, seed=0, base_dir=d, embeddings=huge)
+        assert {r.status for r in rows} == {"ok"}
+
     def test_one_row_and_one_augmentation_per_unit(self, small_cohort, monkeypatch):
         d, records, _ = small_cohort
         cfg = RunConfig(task_id=2, seed=0, augment=True)

@@ -121,31 +121,57 @@ def sign_fixed(V):
     return V * np.sign(V[np.arange(len(V)), np.abs(V).argmax(axis=1)])[:, None]
 
 
-class TestWidePca:
-    """Slices with fewer rows than columns take the Gram-matrix path; the
-    SVD of the centered slice is the oracle."""
+class TestGramPca:
+    """Every slice takes the eigendecomposition of its smaller Gram matrix:
+    Xc Xc' with fewer rows than columns, Xc' Xc otherwise. The SVD of the
+    centered slice is the oracle."""
 
     def slices(self):
         rng = np.random.default_rng(61)
         # rank-deficient: 10 distinct rows, each four times
         duplicated = np.repeat(rng.normal(size=(10, 477)), 4, axis=0)
         scaled = rng.normal(size=(40, 477)) * rng.uniform(0.1, 3.0, size=477)
-        return {"8x300": rng.normal(size=(8, 300)), "40x477": scaled,
+        wide = {"8x300": rng.normal(size=(8, 300)), "40x477": scaled,
                 "duplicate rows": duplicated}
+        rng = np.random.default_rng(62)
+        tall = {
+            "120x25": rng.normal(size=(120, 25)),
+            "616x477": rng.normal(size=(616, 477)) * rng.uniform(0.1, 3.0, size=477),
+            "477x477": rng.normal(size=(477, 477)),  # n = d takes the d x d matrix
+            # rank-deficient: 40 distinct rows, each 15 times
+            "tall duplicate rows": np.repeat(rng.normal(size=(40, 300)), 15, axis=0),
+        }
+        rng = np.random.default_rng(63)
+        tall["low rank plus noise"] = (rng.normal(size=(300, 5)) @ rng.normal(size=(5, 60))
+                                       + 1e-3 * rng.normal(size=(300, 60)))
+        return {**wide, **tall}
 
-    @pytest.mark.parametrize("name", ["8x300", "40x477", "duplicate rows"])
-    def test_agrees_with_svd(self, name):
-        X = self.slices()[name]
+    def assert_agrees_with_svd(self, X, cutoffs, monkeypatch):
+        eigh, grams = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda G: grams.append(G.shape) or eigh(G))
+        pcas = fit_pca(X, cutoffs)
+        assert grams == [(min(X.shape),) * 2]
         _, s, vt = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
         ratio = s**2 / np.sum(s**2)
         cumulative = np.cumsum(ratio)
-        cutoffs = (*PCA_CUTOFFS, 1.0)
-        for cutoff, pca in zip(cutoffs, fit_pca(X, cutoffs)):
+        for cutoff, pca in zip(cutoffs, pcas):
             k = min(int(np.searchsorted(cumulative, cutoff - 1e-12) + 1), len(ratio))
             assert pca.k == k
             assert np.allclose(pca.components @ pca.components.T, np.eye(k), rtol=0, atol=1e-8)
             assert np.allclose(pca.explained_variance_ratio, ratio[:k], rtol=0, atol=1e-13)
             assert np.allclose(sign_fixed(pca.components), sign_fixed(vt[:k]), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("name", ["8x300", "40x477", "duplicate rows", "120x25", "616x477",
+                                      "477x477", "tall duplicate rows"])
+    def test_agrees_with_svd(self, name, monkeypatch):
+        self.assert_agrees_with_svd(self.slices()[name], (*PCA_CUTOFFS, 1.0), monkeypatch)
+
+    def test_low_rank_tall_slice_agrees_at_shipped_cutoffs(self, monkeypatch):
+        # Cutoff 1.0 would keep noise components down to variance ratio
+        # r ~ 1e-9, which agree with the SVD only to about eps / r (5e-7
+        # here); each shipped cutoff keeps signal components only.
+        self.assert_agrees_with_svd(self.slices()["low rank plus noise"], PCA_CUTOFFS,
+                                    monkeypatch)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateData):
