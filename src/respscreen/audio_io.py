@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special
 
 from .errors import MalformedWav, SilentSample, UnsupportedEncoding
 
@@ -24,6 +23,21 @@ WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 TRIM_FRAME_LENGTH = 2048
 TRIM_HOP_LENGTH = 512
 TRIM_THRESHOLD_DB = 60.0
+
+# Cephes' Chebyshev coefficients of exp(-x) I0(x) on [0, 8], in the variable
+# x / 2 - 2 (numpy's _i0A)
+I0_CHEBYSHEV = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
+    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
+    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
+    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
+    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
+    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
+    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
+    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
+)
 
 
 @dataclass(frozen=True)
@@ -107,7 +121,11 @@ def decode_wav(data: bytes) -> AudioSegment:
 
 def encode_wav(seg: AudioSegment) -> bytes:
     """Encode a segment as 16-bit PCM mono WAV."""
-    pcm = np.clip(np.round(seg.samples * 32768.0), -32768, 32767).astype("<i2")
+    # one float temporary, rounded and clipped in place: writing a batch of
+    # clips then faults in fewer fresh pages per clip
+    pcm = seg.samples * 32768.0
+    np.clip(np.round(pcm, out=pcm), -32768, 32767, out=pcm)
+    pcm = pcm.astype("<i2")
     body = pcm.tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
@@ -132,11 +150,11 @@ def resample(seg: AudioSegment, target_rate: int) -> AudioSegment:
     """Band-limited resampling by polyphase FIR decimation.
 
     The low-pass filter is `scipy.signal.resample_poly`'s default (a
-    Kaiser-windowed sinc, beta 5, 20 * max(up, down) + 1 taps), so the
-    samples are resample_poly's up to summation order, computed with numpy
-    only. Output length is round(len * target / source), and at least one
-    sample for a nonempty segment; identity when the rates are already
-    equal.
+    Kaiser-windowed sinc, beta 5, 20 * max(up, down) + 1 taps), designed
+    in numpy by `_lowpass_taps`, so the samples are resample_poly's up to
+    summation order, computed with numpy only. Output length is
+    round(len * target / source), and at least one sample for a nonempty
+    segment; identity when the rates are already equal.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
@@ -177,14 +195,32 @@ def resample(seg: AudioSegment, target_rate: int) -> AudioSegment:
 def _lowpass_taps(up: int, down: int) -> np.ndarray:
     """resample_poly's default anti-aliasing filter for `up`/`down`:
     firwin(20 m + 1, 1 / m, window=("kaiser", 5.0)) * up with
-    m = max(up, down), in firwin's arithmetic so the taps are bitwise equal."""
+    m = max(up, down), in firwin's arithmetic so the taps are bitwise equal.
+    The window's I0 is `_i0`, not scipy.special.i0."""
     m = max(up, down)
     half_len = 10 * m
     t = np.arange(2 * half_len + 1, dtype=np.float64) - half_len
     h = (1.0 / m) * np.sinc((1.0 / m) * t)
-    h *= special.i0(5.0 * np.sqrt(1 - (t / half_len) ** 2.0)) / special.i0(5.0)
+    # the window is symmetric, bitwise: evaluate its first half only; its
+    # last value, at t = 0, is I0(5.0)
+    rising = _i0(5.0 * np.sqrt(1 - (t[: half_len + 1] / half_len) ** 2.0))
+    h *= np.concatenate([rising, rising[-2::-1]]) / rising[-1]
     h /= np.sum(h)  # unity gain at DC
     return h * up
+
+
+def _i0(x: np.ndarray) -> np.ndarray:
+    """Modified Bessel function I0 for 0 <= x <= 8, bitwise equal to
+    scipy.special.i0: Cephes' exp(x) chbevl(x / 2 - 2, A, 30). exp is libm's,
+    one element at a time; np.exp's SIMD loop differs in the last bits."""
+    y = x / 2.0 - 2.0
+    b0, b1 = np.full_like(y, I0_CHEBYSHEV[0]), np.zeros_like(y)
+    for c in I0_CHEBYSHEV[1:]:
+        b2, b1 = b1, b0
+        b0 = y * b1
+        b0 -= b2
+        b0 += c
+    return np.fromiter(map(math.exp, x.tolist()), np.float64, len(x)) * (0.5 * (b0 - b2))
 
 
 def _frame_rms(x: np.ndarray) -> np.ndarray:

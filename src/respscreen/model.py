@@ -62,7 +62,17 @@ class Standardizer:
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
         X = np.asarray(X, dtype=np.float64)
-        return cls(X.mean(axis=0), np.maximum(X.std(axis=0), STD_FLOOR))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = X.mean(axis=0), X.std(axis=0)
+        # a finite column above about 1e154 overflows when squared: take it
+        # again divided by the power of two in (max |x| / 2, max |x|], which
+        # is exact
+        big = ~np.isfinite(std)
+        if big.any():
+            scale = np.ldexp(0.5, np.frexp(np.abs(X[:, big]).max(axis=0, initial=0.0))[1])
+            scaled = X[:, big] / scale
+            mean[big], std[big] = scaled.mean(axis=0) * scale, scaled.std(axis=0) * scale
+        return cls(mean, np.maximum(std, STD_FLOOR))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.std

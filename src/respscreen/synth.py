@@ -46,19 +46,20 @@ def burst_clip(rng: np.random.Generator, freq: float, seconds: float,
                sr: int = SAMPLE_RATE) -> AudioSegment:
     """Tone bursts in low background noise: three audible events per clip."""
     n = int(seconds * sr)
-    t = np.arange(n) / sr
-    x = 0.002 * rng.standard_normal(n)
+    # one full-length array, changed in place (see audio_io.encode_wav)
+    x = rng.standard_normal(n)
+    x *= 0.002
     n_bursts = 3
     burst_len = int(0.25 * sr)
     for b in range(n_bursts):
         start = int((0.1 + 0.6 * b / n_bursts) * n)
-        seg_t = t[start : start + burst_len]
+        seg_t = np.arange(start, min(start + burst_len, n)) / sr
         envelope = np.hanning(len(seg_t))
         jitter = 1.0 + 0.05 * rng.standard_normal()
         x[start : start + burst_len] += 0.6 * envelope * np.sin(
             2 * math.pi * freq * jitter * seg_t
         )
-    return AudioSegment(np.clip(x, -1.0, 1.0), sr)
+    return AudioSegment(np.clip(x, -1.0, 1.0, out=x), sr)
 
 
 def generate_cohort(out_dir, seed: int, spec: CohortSpec = CohortSpec()) -> Path:

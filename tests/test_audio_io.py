@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.signal import firwin
 
 from respscreen.audio_io import (
@@ -12,6 +13,7 @@ from respscreen.audio_io import (
     TRIM_HOP_LENGTH,
     AudioSegment,
     _frame_rms,
+    _i0,
     _lowpass_taps,
     decode_wav,
     encode_wav,
@@ -195,6 +197,17 @@ class TestResample:
             expected = resample_poly_oracle(x, source, target)
             assert out.sample_rate == target and len(out) == len(expected)
             assert np.max(np.abs(out.samples - expected)) <= 1e-13
+
+    def test_i0_is_scipys_bitwise(self):
+        # every Kaiser window argument of every ratio, and a dense grid on [0, 5]
+        args = [np.linspace(0.0, 5.0, 200_001)]
+        for source, target in RATE_PAIRS:
+            ratio = Fraction(target, source)
+            half_len = 10 * max(ratio.numerator, ratio.denominator)
+            t = np.arange(2 * half_len + 1, dtype=np.float64) - half_len
+            args.append(5.0 * np.sqrt(1 - (t / half_len) ** 2.0))
+        x = np.concatenate(args)
+        assert _i0(x).tobytes() == special.i0(x).tobytes()
 
 
 class TestTrim:

@@ -192,9 +192,10 @@ class TestExtract:
             assert list(csv.reader(fh))[1:] == [[one.sample_id,
                                                  "TooShort: need >= 9 frames, got 1"]]
 
-    def test_no_run_loads_scipy_signal(self, tmp_path):
-        # resampling from 44.1 and 48 kHz, and augmentation's pitch/speed
-        # change, take numpy alone; importing scipy.signal costs ~46 MB
+    def test_no_run_loads_scipy(self, tmp_path):
+        # resampling from 44.1 and 48 kHz, augmentation's pitch/speed change,
+        # the MFCC DCT and every model take numpy alone; importing
+        # scipy.special costs ~20 MB and ~0.25 s, scipy.signal ~46 MB
         code = f"""
             import contextlib, io, sys
             import numpy as np
@@ -204,8 +205,9 @@ class TestExtract:
             out = {str(tmp_path)!r}
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["synth-manifest", "--out", out, "--covid-users", "6",
-                                 "--healthy-users", "0", "--cough-users", "6",
-                                 "--asthma-users", "0", "--clip-seconds", "1.0"]) == 0
+                                 "--healthy-users", "6", "--cough-users", "6",
+                                 "--asthma-users", "0", "--clip-seconds", "1.0",
+                                 "--embeddings-out", out + "/e.csv"]) == 0
                 # synth writes 22.05 kHz, where resampling is the identity
                 rng = np.random.default_rng(0)
                 records = sorted(load_manifest(out + "/manifest.csv"), key=lambda r: r.sample_id)
@@ -213,17 +215,32 @@ class TestExtract:
                     clip = synth.burst_clip(rng, 500.0, 1.0, sr=(44100, 48000)[i % 2])
                     with open(out + "/" + r.audio_path, "wb") as fh:
                         fh.write(encode_wav(clip))
-                assert cli.main(["extract", "--manifest", out + "/manifest.csv",
-                                 "--out", out + "/f.csv"]) == 0
-                assert cli.main(["evaluate", "--manifest", out + "/manifest.csv", "--task", "2",
-                                 "--augment", "--report", out + "/r.json"]) == 0
-            print("scipy.signal" in sys.modules)
+                manifest = ["--manifest", out + "/manifest.csv"]
+                assert cli.main(["extract", *manifest, "--out", out + "/f.csv"]) == 0
+                assert cli.main(["evaluate", *manifest, "--task", "2", "--augment",
+                                 "--report", out + "/r.json"]) == 0
+                assert cli.main(["sweep", *manifest, "--task", "1", "--embeddings",
+                                 out + "/e.csv", "--out", out + "/s.csv"]) == 0
+                assert cli.main(["train", *manifest, "--task", "1",
+                                 "--out", out + "/m.json"]) == 0
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         """
-        assert run_python(code).split() == ["False"]
+        assert run_python(code).split() == ["[]"]
         with open(tmp_path / "f.csv") as fh:
-            assert len(list(csv.reader(fh))) == 1 + 12 * 2  # header, two per user
+            assert len(list(csv.reader(fh))) == 1 + 18 * 2  # header, two per user
         with open(tmp_path / "f.skipped.csv") as fh:
             assert len(list(csv.reader(fh))) == 1
+        with open(tmp_path / "s.csv") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 60
+        assert (tmp_path / "m.json").is_file()
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        code = """
+            import sys
+            import respscreen.cli
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+        assert run_python(code).split() == ["[]"]
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert main(["extract", "--manifest", str(tmp_path / "nope.csv"),

@@ -159,3 +159,21 @@ class TestDct:
         col = np.random.default_rng(6).normal(size=(128, 2))
         assert dct_ii(col, 13).shape == (13, 2)
 
+    @pytest.mark.parametrize("n_out", [13, 128])
+    def test_agrees_with_scipy_dct(self, n_out):
+        # the basis product is not scipy's FFT: equal within 1e-14 of each
+        # column's 2-norm (observed: 5 eps), on log-mel-like columns and on
+        # noise, for every column count a clip of up to 10 s has
+        import scipy.fft
+
+        rng = np.random.default_rng(n_out)
+        logmel = np.log(rng.gamma(0.5, 1e-3, size=(128, 431)) + 1e-10)
+        noise = rng.normal(size=(128, 431)) * 1e3
+        for x in (logmel, noise):
+            for n_cols in range(1, 432):
+                cols = x[:, :n_cols]
+                out = dct_ii(cols, n_out)
+                expected = scipy.fft.dct(cols, type=2, axis=0, norm="ortho")[:n_out]
+                assert out.shape == expected.shape
+                assert np.all(np.abs(out - expected) <= 1e-14 * np.linalg.norm(cols, axis=0))
+

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from respscreen.model import (
     LR_DECREMENT_TOL,
     LR_GRADIENT_TOL,
     PCA_CUTOFFS,
+    STD_FLOOR,
     SVM_C_GRID,
     SVM_GAMMA_GRID,
     Classifier,
@@ -67,6 +69,29 @@ class TestStandardizer:
         X = np.array([[5.0, 1.0], [5.0, 2.0]])
         Z = Standardizer.fit(X).transform(X)
         assert np.allclose(Z[:, 0], 0.0)
+
+    def test_huge_finite_column_keeps_its_spread(self):
+        # squaring 1e200 overflows; the column must not standardize to 0
+        big = np.finfo(np.float64).max
+        X = np.array([[1e200, 1.0, big], [-1e200, 2.0, -big], [1e200, 3.0, big],
+                      [-1e200, 4.0, -big]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            std = Standardizer.fit(X)
+            Z = std.transform(X)
+        assert np.all(np.isfinite(std.std))
+        assert std.std[0] == pytest.approx(1e200) and std.std[2] == big
+        assert np.array_equal(Z[:, [0, 2]], [[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])
+
+    def test_ordinary_columns_fit_bitwise_as_numpy(self):
+        # dividing by a power of two and multiplying back is exact
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            X = rng.normal(size=(rng.integers(2, 60), 40)) * 10.0 ** rng.uniform(-8, 8, 40)
+            X += rng.normal(size=40) * 10.0 ** rng.uniform(-8, 8, 40)
+            std = Standardizer.fit(X)
+            assert std.mean.tobytes() == X.mean(axis=0).tobytes()
+            assert std.std.tobytes() == np.maximum(X.std(axis=0), STD_FLOOR).tobytes()
 
 
 class TestPca:
