@@ -71,24 +71,24 @@ def decode_wav(data: bytes) -> AudioSegment:
         raise MalformedWav("not a RIFF/WAVE stream")
 
     fmt = None
-    payload = None
+    payload = None  # (offset, size) of the data chunk, read in place
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + chunk_size]
+        body_size = min(chunk_size, len(data) - pos - 8)  # what the stream holds of it
         if chunk_id == b"fmt ":
-            if len(body) < 16:
+            if body_size < 16:
                 raise MalformedWav("fmt chunk truncated")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
-            if fmt[0] == WAVE_FORMAT_EXTENSIBLE and len(body) >= 40:
+            fmt = struct.unpack_from("<HHIIHH", data, pos + 8)
+            if fmt[0] == WAVE_FORMAT_EXTENSIBLE and body_size >= 40:
                 # the subformat GUID at offset 24 leads with the plain format code
-                (subformat,) = struct.unpack_from("<H", body, 24)
+                (subformat,) = struct.unpack_from("<H", data, pos + 8 + 24)
                 fmt = (subformat, *fmt[1:])
         elif chunk_id == b"data":
-            if len(body) < chunk_size:
+            if body_size < chunk_size:
                 raise MalformedWav("data chunk truncated")
-            payload = body
+            payload = (pos + 8, chunk_size)
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None or payload is None:
@@ -99,24 +99,24 @@ def decode_wav(data: bytes) -> AudioSegment:
         raise UnsupportedEncoding(f"{n_channels} channels not supported")
     if sample_rate <= 0:
         raise MalformedWav("non-positive sample rate")
-
-    if audio_format == 1 and bits == 16:
-        raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
-        samples = raw.astype(np.float64)
-        if not np.all(np.isfinite(samples)):
-            raise MalformedWav("non-finite float samples")
-    else:
+    dtype = {(1, 16): "<i2", (3, 32): "<f4"}.get((audio_format, bits))
+    if dtype is None:
         raise UnsupportedEncoding(f"format={audio_format} bits={bits}")
 
+    # whole samples only: an odd trailing byte, or a stereo stream's unpaired
+    # last sample, is dropped; the one float array is then scaled and clipped in place
+    offset, size = payload
+    raw = np.frombuffer(data, dtype, count=size // (bits // 8), offset=offset)
+    if audio_format == 3 and not np.all(np.isfinite(raw)):
+        raise MalformedWav("non-finite float samples")
+    samples = raw[: len(raw) - len(raw) % n_channels].astype(np.float64)
+    if audio_format == 1:
+        samples /= 32768.0
     if n_channels == 2:
-        samples = samples[: len(samples) - len(samples) % 2]
         samples = samples.reshape(-1, 2).mean(axis=1)
     if len(samples) == 0:
         raise MalformedWav("empty data chunk")
-    return AudioSegment(np.clip(samples, -1.0, 1.0), sample_rate)
+    return AudioSegment(np.clip(samples, -1.0, 1.0, out=samples), sample_rate)
 
 
 def encode_wav(seg: AudioSegment) -> bytes:

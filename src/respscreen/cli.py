@@ -19,6 +19,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import augment as aug
 from . import dataset, evaluate, features, model, synth
 from .audio_io import TARGET_SAMPLE_RATE, decode_wav, encode_wav, resample, trim_silence
@@ -177,8 +179,8 @@ def cmd_train(args) -> int:
     records, base, embeddings = _load_inputs(args)
     cohort = evaluate.build_cohort(records, config, evaluate.FeatureStore(base, embeddings))
     [[(params, pipeline)]] = evaluate.select_and_fit(
-        [(cohort.X, cohort.y, cohort.users, config.seed)], config.classifier_kind,
-        [config.pca_cutoff])
+        cohort.X, cohort.y, cohort.users, [(np.arange(len(cohort.y)), config.seed)],
+        config.classifier_kind, [config.pca_cutoff])
     model.save_pipeline(pipeline, args.out)
     print(f"wrote {args.out} ({pipeline.classifier.kind}, params {params}, "
           f"pca_k {pipeline.pca.k}, {len(cohort.skipped)} skipped)")

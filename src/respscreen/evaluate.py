@@ -244,13 +244,15 @@ def build_cohort(records: list[SampleRecord], config: RunConfig, store: FeatureS
     return Cohort(tuple(units), np.asarray(rows), y[owners], users, tuple(skipped))
 
 
-def select_and_fit(slices: list, kind: str, cutoffs):
-    """Per training slice `(X, y, users, seed)` and PCA cutoff, the cell an
-    inner user-disjoint grid search picks and the pipeline refit on the whole
-    slice with it, as `(cell, pipeline)`: one `grid_search`, one `fit_pipeline`."""
-    params = grid_search(slices, kind, pca_cutoffs=cutoffs)
-    pipelines = fit_pipeline([(X, y, list(zip(cutoffs, cells)))
-                              for (X, y, _, _), cells in zip(slices, params)], kind)
+def select_and_fit(X, y, users, slices: list, kind: str, cutoffs):
+    """Per training slice `(rows, seed)` and PCA cutoff, the cell an inner
+    user-disjoint grid search picks and the pipeline refit on the whole
+    slice with it, as `(cell, pipeline)`: one `grid_search`, one `fit_pipeline`.
+    `rows` is an integer array of row indices into the run's matrix `X`,
+    whose rows have labels `y` and owners `users`."""
+    params = grid_search(X, y, users, slices, kind, pca_cutoffs=cutoffs)
+    pipelines = fit_pipeline(X, y, [(rows, list(zip(cutoffs, cells)))
+                                    for (rows, _), cells in zip(slices, params)], kind)
     return [list(zip(cells, pipes, strict=True)) for cells, pipes in zip(params, pipelines)]
 
 
@@ -287,12 +289,12 @@ def run_nested_cv(
         test = test[balance(y[test], seed=hash((config.seed, fold_idx)) % 2**32)]
         if not config.augment:  # augmented training keeps every original and variant
             train = train[balance(y[train], seed=hash((config.seed, fold_idx, 1)) % 2**32)]
-        train_slices.append((X[train], y[train], users[train], config.seed + fold_idx))
+        train_slices.append((train, config.seed + fold_idx))
         tests.append(test)
 
-    fits = select_and_fit(train_slices, config.classifier_kind, pca_cutoffs)
+    fits = select_and_fit(X, y, users, train_slices, config.classifier_kind, pca_cutoffs)
     folds: list[list[FoldResult]] = [[] for _ in configs]  # per cutoff
-    for (_, y_train, _, _), test, fold_fits in zip(train_slices, tests, fits):
+    for (train, _), test, fold_fits in zip(train_slices, tests, fits):
         X_test, y_test = X[test], y[test]
         for cutoff_folds, (cell, pipeline) in zip(folds, fold_fits, strict=True):
             scores = pipeline.decision_scores(X_test)
@@ -304,7 +306,7 @@ def run_nested_cv(
                     recall=pr.recall,
                     hyperparameters=cell,
                     pca_k=pipeline.pca.k,
-                    n_train=len(y_train),
+                    n_train=len(train),
                     n_test=len(y_test),
                     n_test_users=len(set(users[test])),
                 )

@@ -486,24 +486,20 @@ def grid_cells(kind: str) -> list[dict]:
 
 
 def _inner_user_folds(users, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """User-disjoint inner folds as (train_mask, val_mask) index arrays."""
+    """User-disjoint inner folds as (train, val) arrays of positions in `users`."""
     unique_users = sorted(set(users))
     if len(unique_users) < N_INNER_FOLDS:
         raise TooFewUsers(f"need >= {N_INNER_FOLDS} users for inner CV, got {len(unique_users)}")
-    rng = np.random.default_rng(seed)
-    order = list(rng.permutation(unique_users))
-    chunks = [order[k::N_INNER_FOLDS] for k in range(N_INNER_FOLDS)]
-    users = np.asarray(users)
-    folds = []
-    for chunk in chunks:
-        val = np.isin(users, list(chunk))
-        folds.append((np.flatnonzero(~val), np.flatnonzero(val)))
-    return folds
+    order = list(np.random.default_rng(seed).permutation(unique_users))
+    vals = [np.isin(users, order[k::N_INNER_FOLDS]) for k in range(N_INNER_FOLDS)]
+    return [(np.flatnonzero(~val), np.flatnonzero(val)) for val in vals]
 
 
-def grid_search(slices, kind: str, pca_cutoffs) -> list[list[dict]]:
-    """For each training slice `(X, y, users, seed)`, pick per PCA cutoff the
-    cell of `grid_cells(kind)` maximizing mean inner-fold ROC-AUC.
+def grid_search(X, y, users, slices, kind: str, pca_cutoffs) -> list[list[dict]]:
+    """For each training slice `(rows, seed)`, pick per PCA cutoff the cell
+    of `grid_cells(kind)` maximizing mean inner-fold ROC-AUC. `rows`, and
+    every inner fold, is an integer array of row indices into the run's
+    matrix `X`, whose rows have labels `y` and owners `users`.
 
     Plan, solve, select: the usable inner folds of every slice are planned
     first, all of them are fit in one `fit_pipeline` call, and each slice
@@ -520,26 +516,24 @@ def grid_search(slices, kind: str, pca_cutoffs) -> list[list[dict]]:
     stacked product for LR), and one `roc_auc` call on the blocks' score
     columns gives the fold's row of AUCs, one per fit.
     """
-    slices = [(np.asarray(X, dtype=np.float64), np.asarray(y), _inner_user_folds(users, seed))
-              for X, y, users, seed in slices]
+    users = np.asarray(users)
+    folds = [(s, rows[train_idx], rows[val_idx]) for s, (rows, seed) in enumerate(slices)
+             for train_idx, val_idx in _inner_user_folds(users[rows], seed)]
     cells = grid_cells(kind)
     fits = [(cutoff, cell) for cutoff in pca_cutoffs for cell in cells]
     # degenerate folds at desk scale are left out; each slice scores on the rest
-    inner = [(s, train_idx, val_idx) for s, (_, y, folds) in enumerate(slices)
-             for train_idx, val_idx in folds
-             if len(np.unique(y[train_idx])) >= 2 and len(np.unique(y[val_idx])) >= 2]
-    pipes = fit_pipeline(((slices[s][0][train_idx], slices[s][1][train_idx], fits)
-                          for s, train_idx, _ in inner), kind)
-    rows = [[] for _ in slices]  # per slice, one AUC row over `fits` per usable fold
-    for (s, _, val_idx), fold_pipes in zip(inner, pipes, strict=True):
-        X, y, _ = slices[s]
-        X_val = fold_pipes[0].standardizer.transform(X[val_idx])  # every fit shares it
+    inner = [(s, train, val) for s, train, val in folds
+             if len(np.unique(y[train])) >= 2 and len(np.unique(y[val])) >= 2]
+    pipes = fit_pipeline(X, y, [(train, fits) for _, train, _ in inner], kind)
+    aucs = [[] for _ in slices]  # per slice, one AUC row over `fits` per usable fold
+    for (s, _, val), fold_pipes in zip(inner, pipes, strict=True):
+        X_val = fold_pipes[0].standardizer.transform(X[val])  # every fit shares it
         # fits are cutoff-major, and one cutoff's block shares its PCA
         blocks = [fold_pipes[i:i + len(cells)] for i in range(0, len(fits), len(cells))]
         scores = np.hstack([_score_columns([p.classifier for p in block],
                                            block[0].pca.transform(X_val)) for block in blocks])
-        rows[s].append(roc_auc(scores, y[val_idx]))
-    return [_select(cells, slice_rows, len(pca_cutoffs)) for slice_rows in rows]
+        aucs[s].append(roc_auc(scores, y[val]))
+    return [_select(cells, slice_aucs, len(pca_cutoffs)) for slice_aucs in aucs]
 
 
 def _score_columns(classifiers, Z) -> np.ndarray:
@@ -584,25 +578,27 @@ class Pipeline:
         return self.classifier.decision_scores(self.transform(X))
 
 
-def fit_pipeline(slices, kind: str) -> list[list[Pipeline]]:
-    """For each training slice `(X, y, fits)`, one pipeline per (PCA cutoff,
+def fit_pipeline(X, y, slices, kind: str) -> list[list[Pipeline]]:
+    """For each training slice `(rows, fits)`, one pipeline per (PCA cutoff,
     hyperparameter cell) in `fits`, all on that slice's one preprocessing.
+    `rows` is an integer array of row indices into `X`, with labels `y`.
 
-    A slice's standardizer and PCA decomposition are fit once on its `X`,
+    A slice's standardizer and PCA decomposition are fit once on `X[rows]`,
     and each cutoff truncates that decomposition. Each distinct k of a slice
     is one solver problem: the slice projected once to k components, with
     the distinct cells of the fits that keep k, in first-seen order. So
     cutoffs that keep the same k share their classifier objects. All
     pipelines of a slice share its standardizer, and those of one cutoff
     share its PCA model. Every slice's problems go to one `fit_lr` or
-    `fit_svm_rbf` call. `slices` may be a generator: a slice's standardized
-    matrix is dropped once projected.
+    `fit_svm_rbf` call. Each slice's rows are copied out of `X` in turn,
+    and of that copy only the projections are kept.
     """
     problems = []  # (projected slice, y, cells) per (slice, k)
     plans = []  # per slice, (standardizer, pca, problem index, cell index) per fit
-    for X, y, fits in slices:
-        std = Standardizer.fit(X)
-        Z = std.transform(X)
+    for rows, fits in slices:
+        X_rows, y_rows = X[rows], y[rows]
+        std = Standardizer.fit(X_rows)
+        Z = std.transform(X_rows)
         cutoffs = list(dict.fromkeys(cutoff for cutoff, _ in fits))
         pcas = dict(zip(cutoffs, fit_pca(Z, cutoffs)))
         problem_of: dict[int, int] = {}  # pca.k -> problem index
@@ -611,7 +607,7 @@ def fit_pipeline(slices, kind: str) -> list[list[Pipeline]]:
             pca = pcas[cutoff]
             if pca.k not in problem_of:
                 problem_of[pca.k] = len(problems)
-                problems.append((pca.transform(Z), y, []))
+                problems.append((pca.transform(Z), y_rows, []))
             cells = problems[problem_of[pca.k]][2]
             if cell not in cells:
                 cells.append(cell)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -140,6 +141,20 @@ class TestDecode:
         for pos, value in edits:
             data[pos % len(data)] = value
         decodes_finite_or_rejects(bytes(data[: len(data) - cut]))
+
+    def test_pcm16_decodes_into_one_float_array(self):
+        # the data chunk is read in place, and one float array is scaled and
+        # clipped in place: a 10 s 48 kHz clip peaks below 1.5x the output
+        rng = np.random.default_rng(1)
+        data = make_wav(rng.integers(-32768, 32768, 480_000), sample_rate=48000)
+        tracemalloc.start()
+        try:
+            seg = decode_wav(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * seg.samples.nbytes
+        assert np.array_equal(seg.samples, np.frombuffer(data[44:], "<i2") / 32768.0)
 
     def test_roundtrip_within_one_lsb(self):
         rng = np.random.default_rng(0)

@@ -310,16 +310,17 @@ class TestTrain:
         monkeypatch.setattr(evaluate, "build_cohort",
                             lambda *args: cohorts.append(build(*args)) or cohorts[-1])
 
-        def spy(slices, *args):
-            slices = list(slices)
-            fitted.append(slices[0][:2])
-            return fit(slices, *args)
+        def spy(X, y, slices, *args):
+            fitted.append((X, y, slices))
+            return fit(X, y, slices, *args)
 
         monkeypatch.setattr(evaluate, "fit_pipeline", spy)
         assert main(["train", "--manifest", str(cohort_dir / "manifest.csv"),
                      "--task", "2", "--out", str(tmp_path / "m.json")]) == EXIT_OK
         [cohort] = cohorts
-        assert fitted[-1][0] is cohort.X and fitted[-1][1] is cohort.y
+        X, y, [(rows, _)] = fitted[-1]
+        assert X is cohort.X and y is cohort.y
+        assert np.array_equal(rows, np.arange(len(cohort.y)))
 
     @pytest.mark.parametrize("task", [1, 2])  # LR, SVM
     def test_model_file_is_grid_search_then_refit(self, cohort_dir, tmp_path, task):
@@ -331,11 +332,11 @@ class TestTrain:
         cohort = evaluate.build_cohort(load_manifest(cohort_dir / "manifest.csv"), config,
                                        evaluate.FeatureStore(cohort_dir))
         users = [u.user_id for u in cohort.units]
-        kind = config.classifier_kind
-        [[params]] = model.grid_search([(cohort.X, cohort.y, users, config.seed)], kind,
+        kind, rows = config.classifier_kind, np.arange(len(cohort.y))
+        [[params]] = model.grid_search(cohort.X, cohort.y, users, [(rows, config.seed)], kind,
                                        pca_cutoffs=[config.pca_cutoff])
-        [[pipeline]] = model.fit_pipeline([(cohort.X, cohort.y, [(config.pca_cutoff, params)])],
-                                          kind)
+        [[pipeline]] = model.fit_pipeline(cohort.X, cohort.y,
+                                          [(rows, [(config.pca_cutoff, params)])], kind)
         assert out.read_text() == json.dumps(model.pipeline_to_dict(pipeline))
 
     def test_no_inner_fold_with_both_classes_exit_code(self, tmp_path, capsys):

@@ -154,12 +154,12 @@ class TestNestedCv:
         # per training negative, and on no row of a test user
         d, records, _ = small_cohort
         cfg = RunConfig(task_id=2, seed=0, augment=True)
-        splits, slices = [], []
+        splits, calls = [], []
         split_users, select_and_fit = evaluate.split_users, evaluate.select_and_fit
         monkeypatch.setattr(evaluate, "split_users",
                             lambda *a: splits.extend(split_users(*a)) or tuple(splits))
         monkeypatch.setattr(evaluate, "select_and_fit",
-                            lambda s, *a: slices.extend(s) or select_and_fit(s, *a))
+                            lambda *a: calls.append(a) or select_and_fit(*a))
         report = run_nested_cv(records, cfg, base_dir=d)
 
         units = build_cohort(records, RunConfig(task_id=2), FeatureStore(d)).units
@@ -171,9 +171,11 @@ class TestNestedCv:
             variants[u.key] = [] if u.label else [
                 features.extract_handcrafted(v.segment)
                 for v in augment_six(seg, r.sample_id, cfg.seed)]
+        [(X_run, y_run, users_run, slices, _, _)] = calls
         assert len(slices) == len(splits) == N_OUTER_FOLDS
-        for (X, y, users, _), (train_users, test_users), fold in zip(slices, splits,
-                                                                     report.folds):
+        for (train_rows, _), (train_users, test_users), fold in zip(slices, splits,
+                                                                   report.folds):
+            X, y, users = X_run[train_rows], y_run[train_rows], users_run[train_rows]
             train = [u for u in units if u.user_id in train_users]
             owners = train + [u for u in train for _ in variants[u.key]]
             expected = np.asarray([rows[u.key] for u in train]
@@ -184,6 +186,30 @@ class TestNestedCv:
             assert list(users) == [u.user_id for u in owners]
             assert not set(users) & test_users
             assert fold.n_train == len(owners)
+
+    @pytest.mark.parametrize("task, augment", [(1, False), (2, True)])
+    def test_selection_reads_the_cohort_matrix_by_row_indices(self, small_cohort, monkeypatch,
+                                                               task, augment):
+        # no fold copy: selection and every fit get the cohort's own arrays,
+        # and each outer fold is an integer array of its training rows
+        d, records, _ = small_cohort
+        cohorts, calls, fitted = [], [], []
+        build, select_and_fit = evaluate.build_cohort, evaluate.select_and_fit
+        monkeypatch.setattr(evaluate, "build_cohort",
+                            lambda *a: cohorts.append(build(*a)) or cohorts[-1])
+        monkeypatch.setattr(evaluate, "select_and_fit",
+                            lambda *a: calls.append(a) or select_and_fit(*a))
+        for module in (evaluate, model):
+            monkeypatch.setattr(module, "fit_pipeline", lambda X, *a, fit=module.fit_pipeline:
+                                fitted.append(X) or fit(X, *a))
+        report = run_nested_cv(records, RunConfig(task_id=task, augment=augment), base_dir=d)
+        [cohort], [(X, y, users, slices, _, _)] = cohorts, calls
+        assert X is cohort.X and y is cohort.y and users is cohort.users
+        assert len(fitted) == 2 and all(X is cohort.X for X in fitted)
+        assert len(slices) == N_OUTER_FOLDS
+        for (rows, _), fold in zip(slices, report.folds, strict=True):
+            assert isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype.kind == "i"
+            assert fold.n_train == len(rows)
 
     def test_augment_requires_handcrafted(self, small_cohort):
         d, records, embeddings = small_cohort
@@ -372,11 +398,11 @@ class TestSweep:
         monkeypatch.setattr(model, "fit_pca", lambda X, cutoffs: bases.append(tuple(cutoffs))
                             or fit_pca(X, cutoffs))
 
-        def spy(slices, kind, pca_cutoffs):
-            for X, y, users, seed in slices:
-                usable_inner.extend(f for f in _inner_user_folds(users, seed)
-                                    if all(len(np.unique(y[idx])) == 2 for idx in f))
-            return grid_search(slices, kind, pca_cutoffs=pca_cutoffs)
+        def spy(X, y, users, slices, kind, pca_cutoffs):
+            for rows, seed in slices:
+                usable_inner.extend(f for f in _inner_user_folds(users[rows], seed)
+                                    if all(len(np.unique(y[rows][idx])) == 2 for idx in f))
+            return grid_search(X, y, users, slices, kind, pca_cutoffs=pca_cutoffs)
 
         monkeypatch.setattr(evaluate, "grid_search", spy)
         monkeypatch.setattr(model, "LR_C_GRID", (0.1, 1.0))

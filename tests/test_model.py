@@ -48,6 +48,11 @@ def blobs(n_per=20, d=5, sep=3.0, seed=0):
     return X, y
 
 
+def every_row(X) -> np.ndarray:
+    """The training slice of all of X's rows, as row indices."""
+    return np.arange(len(X))
+
+
 def lone_lr(X, y, C) -> Classifier:
     [[clf]] = fit_lr([(X, y, [{"C": C}])])
     return clf
@@ -636,7 +641,8 @@ class TestGridSearch:
         users = self.users(len(X))
         monkeypatch.setattr(model, "SVM_C_GRID", (1.0,))
         monkeypatch.setattr(model, "SVM_GAMMA_GRID", (1e-5, 1.0))
-        [[best]] = grid_search([(X, y, users, 0)], "svm-rbf", pca_cutoffs=[0.95])
+        [[best]] = grid_search(X, y, users, [(every_row(X), 0)], "svm-rbf",
+                               pca_cutoffs=[0.95])
         assert best == {"C": 1.0, "gamma": 1.0}
 
     def test_deterministic(self, monkeypatch):
@@ -644,25 +650,28 @@ class TestGridSearch:
         users = self.users(len(X))
         monkeypatch.setattr(model, "SVM_C_GRID", (0.1, 1.0))
         monkeypatch.setattr(model, "SVM_GAMMA_GRID", ("scale", 0.01))
-        [[a]] = grid_search([(X, y, users, 0)], "svm-rbf", pca_cutoffs=[0.95])
-        [[b]] = grid_search([(X, y, users, 0)], "svm-rbf", pca_cutoffs=[0.95])
+        [[a]] = grid_search(X, y, users, [(every_row(X), 0)], "svm-rbf", pca_cutoffs=[0.95])
+        [[b]] = grid_search(X, y, users, [(every_row(X), 0)], "svm-rbf", pca_cutoffs=[0.95])
         assert a == b
 
     def test_too_few_users(self):
         X, y = blobs(n_per=4, seed=20)
         with pytest.raises(TooFewUsers):
-            grid_search([(X, y, ["u0"] * 4 + ["u1"] * 4, 0)], "lr", pca_cutoffs=[0.95])
+            grid_search(X, y, ["u0"] * 4 + ["u1"] * 4, [(every_row(X), 0)], "lr",
+                        pca_cutoffs=[0.95])
 
     def test_tie_breaks_toward_smaller_c(self):
         # perfectly separable data: every C wins, smallest must be chosen
         X, y = blobs(n_per=30, d=2, sep=10.0, seed=21)
-        [[best]] = grid_search([(X, y, self.users(len(X)), 0)], "lr", pca_cutoffs=[0.95])
+        [[best]] = grid_search(X, y, self.users(len(X)), [(every_row(X), 0)], "lr",
+                               pca_cutoffs=[0.95])
         assert best == {"C": 0.01}
 
     def test_pipeline_mode_runs(self, monkeypatch):
         X, y = blobs(n_per=30, d=6, sep=3.0, seed=22)
         monkeypatch.setattr(model, "LR_C_GRID", (0.1, 1.0))
-        [[best]] = grid_search([(X, y, self.users(len(X)), 0)], "lr", pca_cutoffs=[0.9])
+        [[best]] = grid_search(X, y, self.users(len(X)), [(every_row(X), 0)], "lr",
+                               pca_cutoffs=[0.9])
         assert best["C"] in (0.1, 1.0)
 
     def test_one_basis_per_usable_inner_fold(self, monkeypatch):
@@ -673,7 +682,7 @@ class TestGridSearch:
         assert len(grid_cells("lr")) == 4
         usable = [f for f in _inner_user_folds(users, 0)
                   if all(len(np.unique(y[idx])) == 2 for idx in f)]
-        grid_search([(X, y, users, 0)], "lr", pca_cutoffs=[0.9])
+        grid_search(X, y, users, [(every_row(X), 0)], "lr", pca_cutoffs=[0.9])
         assert len(calls) == len(usable) > 0  # 4 per fold, one per C, before
 
     @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
@@ -685,8 +694,24 @@ class TestGridSearch:
         users = self.users(len(X))
         usable = [f for f in _inner_user_folds(users, 0)
                   if all(len(np.unique(y[idx])) == 2 for idx in f)]
-        grid_search([(X, y, users, 0)], kind, pca_cutoffs=PCA_CUTOFFS)
+        grid_search(X, y, users, [(every_row(X), 0)], kind, pca_cutoffs=PCA_CUTOFFS)
         assert len(calls) == len(usable) > 0  # one per distinct classifier, before
+
+    @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
+    def test_rows_select_as_their_copy(self, kind, monkeypatch):
+        # slices are row indices into one matrix: unsorted strict subsets
+        # pick the cells that copies of their rows pick
+        monkeypatch.setattr(model, "SVM_C_GRID", (0.1, 1.0))
+        X, y = blobs(n_per=20, d=6, sep=1.5, seed=29)
+        users = np.asarray(self.users(len(X)))
+        rng = np.random.default_rng(29)
+        slices = [(rng.permutation(len(X))[:30], 3), (rng.permutation(len(X))[:34], 4)]
+        for rows, _ in slices:
+            assert np.any(np.diff(rows) < 0) and set(y[rows]) == {0, 1}
+        on_rows = grid_search(X, y, users, slices, kind, pca_cutoffs=PCA_CUTOFFS)
+        on_copies = [grid_search(X[rows], y[rows], users[rows], [(every_row(rows), seed)], kind,
+                                 pca_cutoffs=PCA_CUTOFFS)[0] for rows, seed in slices]
+        assert on_rows == on_copies
 
     def test_near_tie_moves_only_past_1e_12(self):
         # a later cell wins only by more than 1e-12 over the best so far: an
@@ -699,10 +724,11 @@ class TestGridSearch:
         X = rng.normal(size=(40, 8))
         y = (X[:, 5] + X[:, 6] + rng.normal(0, 1.0, 40) > 0).astype(int)
         users = self.users(len(X))
-        [best] = grid_search([(X, y, users, 0)], "lr", pca_cutoffs=PCA_CUTOFFS)
+        [best] = grid_search(X, y, users, [(every_row(X), 0)], "lr", pca_cutoffs=PCA_CUTOFFS)
         assert len({cell["C"] for cell in best}) == 3  # the cutoffs disagree
         for cutoff, cell in zip(PCA_CUTOFFS, best):
-            assert grid_search([(X, y, users, 0)], "lr", pca_cutoffs=[cutoff]) == [[cell]]
+            assert grid_search(X, y, users, [(every_row(X), 0)], "lr",
+                               pca_cutoffs=[cutoff]) == [[cell]]
 
 
 class TestFitPipeline:
@@ -732,7 +758,7 @@ class TestFitPipeline:
         calls = self.spy(monkeypatch, "lr")
         cells = [{"C": 0.1}, {"C": 1.0}]
         fits = [(cutoff, cell) for cutoff in PCA_CUTOFFS for cell in cells]
-        [pipes] = fit_pipeline([(X, y, fits)], "lr")
+        [pipes] = fit_pipeline(X, y, [(every_row(X), fits)], "lr")
         assert [p.pca.k for p in pipes] == [1, 1, 1, 1, 2, 2, 3, 3]
         assert [p.pca.cutoff for p in pipes] == [cutoff for cutoff, _ in fits]
         assert calls == [[(1, cells), (2, cells), (3, cells)]]  # one problem per distinct k
@@ -740,7 +766,7 @@ class TestFitPipeline:
         assert pipes[1].classifier is pipes[3].classifier
         assert len({id(p.classifier) for p in pipes}) == 6
         for fit, pipe in zip(fits, pipes):
-            [[alone]] = fit_pipeline([(X, y, [fit])], "lr")
+            [[alone]] = fit_pipeline(X, y, [(every_row(X), [fit])], "lr")
             assert json.dumps(pipeline_to_dict(alone)) == json.dumps(pipeline_to_dict(pipe))
 
     @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
@@ -753,31 +779,45 @@ class TestFitPipeline:
         a, b = grid_cells(kind)[0], grid_cells(kind)[-1]
         fits = [(0.7, a), (0.9, b), (0.8, dict(a) if same_cell else b), (0.95, a)]
         calls = self.spy(monkeypatch, kind)
-        [pipes] = fit_pipeline([(X, y, fits)], kind)
+        [pipes] = fit_pipeline(X, y, [(every_row(X), fits)], kind)
         assert [p.pca.k for p in pipes] == [1, 2, 1, 3]
         assert calls == [[(1, [a] if same_cell else [a, b]), (2, [b]), (3, [a])]]
         assert (pipes[0].classifier is pipes[2].classifier) == same_cell
         for fit, pipe in zip(fits, pipes):
-            [[alone]] = fit_pipeline([(X, y, [fit])], kind)
+            [[alone]] = fit_pipeline(X, y, [(every_row(X), [fit])], kind)
             assert json.dumps(pipeline_to_dict(alone)) == json.dumps(pipeline_to_dict(pipe))
 
     def test_cells_share_one_preprocessing(self):
         X, y = blobs(n_per=12, d=5, seed=25)
         cells = [{"C": 0.1, "gamma": "scale"}, {"C": 10.0, "gamma": 0.01}]
-        [pipes] = fit_pipeline([(X, y, [(0.9, cell) for cell in cells])], "svm-rbf")
+        [pipes] = fit_pipeline(X, y, [(every_row(X), [(0.9, cell) for cell in cells])],
+                               "svm-rbf")
         assert [p.classifier.hyperparameters["C"] for p in pipes] == [0.1, 10.0]
         assert all(p.pca is pipes[0].pca and p.standardizer is pipes[0].standardizer
                    for p in pipes)
         for cell, pipe in zip(cells, pipes):
-            [[alone]] = fit_pipeline([(X, y, [(0.9, cell)])], "svm-rbf")
+            [[alone]] = fit_pipeline(X, y, [(every_row(X), [(0.9, cell)])], "svm-rbf")
             assert np.array_equal(alone.decision_scores(X), pipe.decision_scores(X))
+
+
+    @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
+    def test_rows_fit_as_their_copy(self, kind):
+        # an unsorted strict subset of rows fits as a copy of those rows does
+        X, y = blobs(n_per=15, d=5, seed=28)
+        rows = np.random.default_rng(28).permutation(len(X))[:20]
+        assert np.any(np.diff(rows) < 0) and set(y[rows]) == {0, 1}
+        fits = [(cutoff, cell) for cutoff in PCA_CUTOFFS for cell in grid_cells(kind)[::3]]
+        [pipes] = fit_pipeline(X, y, [(rows, fits)], kind)
+        [copied] = fit_pipeline(X[rows], y[rows], [(every_row(rows), fits)], kind)
+        assert ([json.dumps(pipeline_to_dict(p)) for p in pipes]
+                == [json.dumps(pipeline_to_dict(p)) for p in copied])
 
 
 class TestPipelinePersistence:
     def make(self, kind):
         X, y = blobs(n_per=12, d=5, seed=23)
         params = {"C": 1.0} if kind == "lr" else {"C": 1.0, "gamma": 0.1}
-        [[pipe]] = fit_pipeline([(X, y, [(0.9, params)])], kind)
+        [[pipe]] = fit_pipeline(X, y, [(every_row(X), [(0.9, params)])], kind)
         return pipe, X
 
     @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
