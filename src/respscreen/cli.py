@@ -9,9 +9,7 @@ explicit flags always win, and a key that no subcommand has exits 4.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -34,7 +32,7 @@ from .errors import (
     TooFewUsers,
     skip_reason,
 )
-from .util import format_float, write_bytes_atomic, write_text_atomic
+from .util import csv_text, format_float, write_bytes_atomic, write_text_atomic
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -60,14 +58,6 @@ def _load_config_defaults(path: str | None) -> dict:
     if not isinstance(config, dict):
         raise ConfigError(f"config: {path} must hold a JSON object")
     return config
-
-
-def _write_csv(path, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_text_atomic(path, buf.getvalue())
 
 
 def _extract_one(args):
@@ -114,8 +104,8 @@ def cmd_extract(args) -> int:
             skipped.append((sample_id, reason))
         else:
             rows.append([sample_id, *[format_float(v) for v in values]])
-    _write_csv(args.out, ["sample_id", *features.FEATURE_NAMES], rows)
-    _write_csv(Path(args.out).with_suffix(".skipped.csv"), SKIP_HEADER, skipped)
+    write_text_atomic(args.out, csv_text(["sample_id", *features.FEATURE_NAMES], rows))
+    write_text_atomic(Path(args.out).with_suffix(".skipped.csv"), csv_text(SKIP_HEADER, skipped))
     print(f"wrote {args.out} ({len(rows)} rows, {len(skipped)} skipped)")
     return EXIT_OK
 
@@ -149,8 +139,9 @@ def cmd_augment(args) -> int:
             )
 
     provenance = out_dir / "provenance.csv"
-    _write_csv(provenance, ["sample_id", "parent_id", "method", "parameter", "seed"], rows)
-    _write_csv(provenance.with_suffix(".skipped.csv"), SKIP_HEADER, skipped)
+    write_text_atomic(provenance,
+                      csv_text(["sample_id", "parent_id", "method", "parameter", "seed"], rows))
+    write_text_atomic(provenance.with_suffix(".skipped.csv"), csv_text(SKIP_HEADER, skipped))
     print(f"wrote {len(rows)} augmented recordings under {out_dir} ({len(skipped)} skipped)")
     return EXIT_OK
 

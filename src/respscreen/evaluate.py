@@ -25,8 +25,8 @@ from .embeddings import combine, pool
 from .errors import (UNUSABLE_RECORDING, ConfigError, EmptyCohort, NonFiniteFeature,
                      RespScreenError, skip_reason)
 from .metrics import precision_recall, roc_auc
-from .model import PCA_CUTOFFS, fit_pipeline, grid_search
-from .util import write_text_atomic
+from .model import PCA_CUTOFFS, fit_pipeline, grid_search, slice_scores
+from .util import csv_text, write_text_atomic
 
 MODALITY_CHOICES = ("cough", "breath", "combined")
 FEATURE_TYPES = ("handcrafted", "vggish", "combined-A", "combined-B", "combined-C")
@@ -268,7 +268,8 @@ def run_nested_cv(
 
     Given `cutoffs`, it returns one report per cutoff, in order. The cutoffs
     share the cohort, the splits and each training slice's standardizer and
-    PCA decomposition; each cutoff selects its own hyperparameters.
+    PCA decomposition; each cutoff selects its own hyperparameters. An outer
+    fold's test rows are scored for every cutoff by one `slice_scores` call.
     """
     configs = [config] if cutoffs is None else [replace(config, pca_cutoff=c) for c in cutoffs]
     pca_cutoffs = [c.pca_cutoff for c in configs]
@@ -295,13 +296,14 @@ def run_nested_cv(
     fits = select_and_fit(X, y, users, train_slices, config.classifier_kind, pca_cutoffs)
     folds: list[list[FoldResult]] = [[] for _ in configs]  # per cutoff
     for (train, _), test, fold_fits in zip(train_slices, tests, fits):
-        X_test, y_test = X[test], y[test]
-        for cutoff_folds, (cell, pipeline) in zip(folds, fold_fits, strict=True):
-            scores = pipeline.decision_scores(X_test)
-            pr = precision_recall(scores, y_test, pipeline.classifier.threshold)
+        y_test = y[test]
+        scores = slice_scores([pipeline for _, pipeline in fold_fits], X[test])
+        aucs = roc_auc(scores, y_test)  # one per cutoff
+        for j, (cutoff_folds, (cell, pipeline)) in enumerate(zip(folds, fold_fits, strict=True)):
+            pr = precision_recall(scores[:, j], y_test, pipeline.classifier.threshold)
             cutoff_folds.append(
                 FoldResult(
-                    auc=roc_auc(scores, y_test),
+                    auc=float(aucs[j]),
                     precision=pr.precision,
                     recall=pr.recall,
                     hyperparameters=cell,
@@ -399,11 +401,7 @@ def sweep(
 
 
 def sweep_rows_to_csv(rows: list[SweepRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(SWEEP_COLUMNS)
-    writer.writerows(astuple(r) for r in rows)  # csv writes floats by repr, None as ""
-    return buf.getvalue()
+    return csv_text(SWEEP_COLUMNS, (astuple(r) for r in rows))
 
 
 def sweep_rows_from_csv(text: str) -> list[SweepRow]:

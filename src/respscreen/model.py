@@ -2,9 +2,10 @@
 shallow classifiers (L2 logistic regression, SVM with RBF kernel).
 
 PCA takes the eigendecomposition of the smaller Gram matrix of each
-slice, Xc' Xc or Xc Xc'. Model selection scores each inner fold in one pass:
-one projection and one stacked LR product per PCA cutoff, and one
-`roc_auc` call that gives the fold's row of AUCs.
+slice, Xc' Xc or Xc Xc'. Every held-out slice, an inner fold's validation
+rows or an outer fold's test rows, is scored in one pass by `slice_scores`:
+one standardization, one projection and one stacked LR product per PCA
+cutoff.
 
 All solvers are deterministic and take a batch of problems, each one input
 with the cells fit on it. LR runs damped Newton from a zero start in
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -182,11 +184,7 @@ class Classifier:
         return 0.5 if self.kind == "lr" else 0.0
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if self.kind == "lr":
-            return _lr_scores(X, self.weights[None])[0]
-        K = rbf_kernel(X, self.support_vectors, self.hyperparameters["gamma"])
-        return K @ self.dual_coef + self.intercept
+        return _score_columns([self], np.asarray(X, dtype=np.float64))[:, 0]
 
 
 def _lr_scores(X, W) -> np.ndarray:
@@ -272,7 +270,7 @@ def _newton_lockstep(X, Y_pm, C):
     n_iter = np.full(m, LR_MAX_ITER)
     converged = np.zeros(m, dtype=bool)
     Xb = np.concatenate([X, np.ones((m, n, 1))], axis=2)
-    ridge = np.eye(d) / C[:, None, None]
+    diag = np.arange(d)  # the weights' entries of H's diagonal
     jitter = 1e-12 * np.eye(d + 1)  # guard against exact singularity
     floor = LR_DECREMENT_TOL * np.finfo(np.float64).eps  # bound on lambda^2 / 2 per unit |loss|
 
@@ -285,14 +283,14 @@ def _newton_lockstep(X, Y_pm, C):
         done = np.sqrt(_dot(grad, grad)) < LR_GRADIENT_TOL
         if done.any():
             converged[act[done]], n_iter[act[done]], W_out[act[done]] = True, k, W[done]
-            act, W, loss, grad, flat, X, Xb, Y_pm, C, ridge = (
-                a[~done] for a in (act, W, loss, grad, flat, X, Xb, Y_pm, C, ridge))
+            act, W, loss, grad, flat, X, Xb, Y_pm, C = (
+                a[~done] for a in (act, W, loss, grad, flat, X, Xb, Y_pm, C))
             if not len(act):
                 break
         P = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum((Xb @ W[:, :, None])[:, :, 0],
                                                         -500.0), 500.0)))
         H = (Xb * (P * (1.0 - P) / n)[:, :, None]).transpose(0, 2, 1) @ Xb
-        H[:, :d, :d] += ridge
+        H[:, diag, diag] += 1.0 / C[:, None]  # the L2 penalty, intercept unpenalized
         H += jitter
         step = np.linalg.solve(H, grad[:, :, None])[:, :, 0]
         descent = _dot(grad, step)  # the squared Newton decrement
@@ -301,8 +299,8 @@ def _newton_lockstep(X, Y_pm, C):
         done = flat & (0.5 * descent <= floor * np.abs(loss))
         if done.any():
             converged[act[done]], n_iter[act[done]], W_out[act[done]] = True, k, W[done]
-            act, W, loss, grad, step, descent, X, Xb, Y_pm, C, ridge = (
-                a[~done] for a in (act, W, loss, grad, step, descent, X, Xb, Y_pm, C, ridge))
+            act, W, loss, grad, step, descent, X, Xb, Y_pm, C = (
+                a[~done] for a in (act, W, loss, grad, step, descent, X, Xb, Y_pm, C))
             if not len(act):
                 break
         # backtracking keeps Newton globally convergent on this convex loss;
@@ -330,8 +328,8 @@ def _newton_lockstep(X, Y_pm, C):
         fixed = (W_next == W).all(axis=1)
         if fixed.any():
             n_iter[act[fixed]], W_out[act[fixed]] = k, W[fixed]
-            act, W_next, next_loss, flat, Z, X, Xb, Y_pm, C, ridge = (
-                a[~fixed] for a in (act, W_next, next_loss, flat, Z, X, Xb, Y_pm, C, ridge))
+            act, W_next, next_loss, flat, Z, X, Xb, Y_pm, C = (
+                a[~fixed] for a in (act, W_next, next_loss, flat, Z, X, Xb, Y_pm, C))
             if not len(act):
                 break
         W, loss, grad = W_next, next_loss, _lr_grad(W_next, Z, X.transpose(0, 2, 1), -Y_pm, C)
@@ -429,8 +427,8 @@ def _smo_lockstep(KT, kernel_of, Y_pm, C):
         delta = gap / np.maximum(K_i.take(i) + K_j.take(j) - 2.0 * K_j.take(i), 1e-12)
         # joint box constraints: alpha_i += y_i*delta, alpha_j -= y_j*delta
         alpha_i, alpha_j = alpha.take(i), alpha.take(j)
-        delta = np.minimum(delta, np.where(pos.take(i), C - alpha_i, alpha_i))
-        delta = np.minimum(delta, np.where(pos.take(j), alpha_j, C - alpha_j))
+        delta = np.minimum(delta, np.where(pos.take(i), C_row.take(i) - alpha_i, alpha_i))
+        delta = np.minimum(delta, np.where(pos.take(j), alpha_j, C_row.take(j) - alpha_j))
         done = gap < SVM_KKT_TOL
         stop = done | (delta <= 0)
         n_stop = np.count_nonzero(stop)
@@ -449,8 +447,8 @@ def _smo_lockstep(KT, kernel_of, Y_pm, C):
         grad += Y_pm * (K_i * delta - K_j * delta)
         if n_stop:
             keep = ~stop
-            act, Y_pm, neg_Y, C, C_row, pos, alpha, grad = (
-                a[keep] for a in (act, Y_pm, neg_Y, C, C_row, pos, alpha, grad))
+            act, Y_pm, neg_Y, C_row, pos, alpha, grad = (
+                a[keep] for a in (act, Y_pm, neg_Y, C_row, pos, alpha, grad))
             base, kernel_base = base[:len(act)], kernel_of[act] * n
     else:
         alpha_out[act], grad_out[act] = alpha, grad
@@ -510,11 +508,9 @@ def grid_search(X, y, users, slices, kind: str, pca_cutoffs) -> list[list[dict]]
     leaks validation rows. Ties break toward smaller C then smaller gamma
     ('scale' first, resolved on each fold's projected training slice).
 
-    Each inner fold is scored in one pass: its validation slice is
-    standardized once, each cutoff's block of pipelines is projected once
-    with that block's PCA and scored by one `_score_columns` call (one
-    stacked product for LR), and one `roc_auc` call on the blocks' score
-    columns gives the fold's row of AUCs, one per fit.
+    Each inner fold is scored by one `slice_scores` call on its validation
+    rows, and one `roc_auc` call on those columns gives the fold's row of
+    AUCs, one per fit.
     """
     users = np.asarray(users)
     folds = [(s, rows[train_idx], rows[val_idx]) for s, (rows, seed) in enumerate(slices)
@@ -527,13 +523,19 @@ def grid_search(X, y, users, slices, kind: str, pca_cutoffs) -> list[list[dict]]
     pipes = fit_pipeline(X, y, [(train, fits) for _, train, _ in inner], kind)
     aucs = [[] for _ in slices]  # per slice, one AUC row over `fits` per usable fold
     for (s, _, val), fold_pipes in zip(inner, pipes, strict=True):
-        X_val = fold_pipes[0].standardizer.transform(X[val])  # every fit shares it
-        # fits are cutoff-major, and one cutoff's block shares its PCA
-        blocks = [fold_pipes[i:i + len(cells)] for i in range(0, len(fits), len(cells))]
-        scores = np.hstack([_score_columns([p.classifier for p in block],
-                                           block[0].pca.transform(X_val)) for block in blocks])
-        aucs[s].append(roc_auc(scores, y[val]))
+        aucs[s].append(roc_auc(slice_scores(fold_pipes, X[val]), y[val]))
     return [_select(cells, slice_aucs, len(pca_cutoffs)) for slice_aucs in aucs]
+
+
+def slice_scores(pipes, X) -> np.ndarray:
+    """Decision scores [n x m] on rows X of m pipelines of one `fit_pipeline`
+    slice, which share its standardizer: X is standardized once, and each
+    run of consecutive pipelines that share a PCA model is projected once
+    and scored by one `_score_columns` call."""
+    X = pipes[0].standardizer.transform(X)
+    runs = [list(run) for _, run in groupby(pipes, key=lambda p: id(p.pca))]
+    return np.hstack([_score_columns([p.classifier for p in run], run[0].pca.transform(X))
+                      for run in runs])
 
 
 def _score_columns(classifiers, Z) -> np.ndarray:
@@ -541,7 +543,8 @@ def _score_columns(classifiers, Z) -> np.ndarray:
     slice Z: LR weights as one stacked product, SVMs one by one."""
     if classifiers[0].kind == "lr":
         return _lr_scores(Z, np.stack([c.weights for c in classifiers])).T
-    return np.column_stack([c.decision_scores(Z) for c in classifiers])
+    return np.column_stack([rbf_kernel(Z, c.support_vectors, c.hyperparameters["gamma"])
+                            @ c.dual_coef + c.intercept for c in classifiers])
 
 
 def _select(cells, rows, n_cutoffs: int) -> list[dict]:
@@ -571,11 +574,8 @@ class Pipeline:
     pca: PcaModel
     classifier: Classifier
 
-    def transform(self, X) -> np.ndarray:
-        return self.pca.transform(self.standardizer.transform(X))
-
     def decision_scores(self, X) -> np.ndarray:
-        return self.classifier.decision_scores(self.transform(X))
+        return slice_scores([self], X)[:, 0]
 
 
 def fit_pipeline(X, y, slices, kind: str) -> list[list[Pipeline]]:

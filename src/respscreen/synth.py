@@ -9,8 +9,6 @@ keeping every cohort filter satisfiable).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +17,7 @@ import numpy as np
 
 from .audio_io import AudioSegment, encode_wav
 from .dataset import MANIFEST_COLUMNS, SampleRecord
-from .util import write_bytes_atomic, write_text_atomic
+from .util import csv_text, format_float, write_bytes_atomic, write_text_atomic
 
 POSITIVE_FREQ_HZ = 400.0
 NEGATIVE_FREQ_HZ = 1600.0
@@ -102,12 +100,9 @@ def generate_cohort(out_dir, seed: int, spec: CohortSpec = CohortSpec()) -> Path
                     }
                 )
 
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(MANIFEST_COLUMNS))
-    writer.writeheader()
-    writer.writerows(rows)
     manifest_path = out_dir / "manifest.csv"
-    write_text_atomic(manifest_path, buf.getvalue())
+    write_text_atomic(manifest_path, csv_text(MANIFEST_COLUMNS,
+                                              [[row[c] for c in MANIFEST_COLUMNS] for row in rows]))
     return manifest_path
 
 
@@ -118,9 +113,7 @@ def generate_embeddings(records: list[SampleRecord], out_path, seed: int) -> Pat
     positive users), so embedding-based runs have signal.
     """
     out_path = Path(out_path)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["sample_id", "frame_index", *[f"e{i}" for i in range(128)]])
+    rows = []
     rng = np.random.default_rng(seed)
     for r in sorted(records, key=lambda r: (r.sample_id, r.modality)):
         n_sub = 2 + int(rng.integers(0, 3))
@@ -128,6 +121,7 @@ def generate_embeddings(records: list[SampleRecord], out_path, seed: int) -> Pat
         for idx in range(n_sub):
             vec = rng.normal(0.0, 1.0, size=128)
             vec[:16] += shift
-            writer.writerow([r.sample_id, idx, *[f"{v:.9g}" for v in vec]])
-    write_text_atomic(out_path, buf.getvalue())
+            rows.append([r.sample_id, idx, *[format_float(v) for v in vec]])
+    write_text_atomic(out_path, csv_text(["sample_id", "frame_index",
+                                          *[f"e{i}" for i in range(128)]], rows))
     return out_path

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import secrets
 from pathlib import Path
@@ -28,6 +30,16 @@ def write_bytes_atomic(path, data: bytes) -> None:
 def write_text_atomic(path, text: str) -> None:
     """`write_bytes_atomic` of the UTF-8 text, newlines untranslated."""
     write_bytes_atomic(path, text.encode("utf-8"))
+
+
+def csv_text(header, rows) -> str:
+    """The CSV text of a header row and rows, as `csv.writer` writes them:
+    floats by repr, None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def format_float(x: float) -> str:

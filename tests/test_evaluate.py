@@ -12,7 +12,7 @@ import pytest
 from respscreen import evaluate, features, model, synth
 from respscreen.audio_io import AudioSegment, encode_wav
 from respscreen.augment import augment_six
-from respscreen.dataset import N_OUTER_FOLDS, is_positive, load_manifest
+from respscreen.dataset import N_OUTER_FOLDS, balance, is_positive, load_manifest
 from respscreen.embeddings import load_embeddings
 from respscreen.errors import ConfigError, EmptyCohort
 from respscreen.evaluate import (
@@ -30,6 +30,7 @@ from respscreen.evaluate import (
     sweep_rows_from_csv,
     sweep_rows_to_csv,
 )
+from respscreen.metrics import precision_recall, roc_auc
 from respscreen.model import PCA_CUTOFFS, Standardizer, _inner_user_folds
 
 
@@ -279,6 +280,37 @@ class TestNestedCv:
                             lambda *a, **k: searches.append(1) or grid_search(*a, **k))
         run_nested_cv(records, RunConfig(task_id=2, seed=0), base_dir=d)
         assert (len(solves), len(searches)) == (2, 1)  # inner fits, then outer refits
+
+    @pytest.mark.parametrize("task, kind", [(1, "lr"), (2, "svm-rbf")])
+    def test_each_cutoff_scores_as_its_pipeline_alone(self, tmp_path, monkeypatch, task, kind):
+        # an outer fold's test rows are scored for all cutoffs in one pass;
+        # each cutoff's metrics are those of its refit pipeline scoring them.
+        # Audio uninformative of the label makes the cutoffs' metrics differ.
+        spec = synth.CohortSpec(n_covid=8, n_healthy=8, n_cough=8, n_asthma=0,
+                                clip_seconds=1.0, informative=False)
+        records = load_manifest(synth.generate_cohort(tmp_path, seed=7, spec=spec))
+        cfg = RunConfig(task_id=task, classifier=kind, seed=0)
+        splits, calls, fits = [], [], []
+        split_users, select_and_fit = evaluate.split_users, evaluate.select_and_fit
+        monkeypatch.setattr(evaluate, "split_users",
+                            lambda *a: splits.extend(split_users(*a)) or tuple(splits))
+        monkeypatch.setattr(evaluate, "select_and_fit",
+                            lambda *a: calls.append(a) or fits.extend(select_and_fit(*a)) or fits)
+        reports = run_nested_cv(records, cfg, base_dir=tmp_path, cutoffs=PCA_CUTOFFS)
+        [(X, y, users, _, _, _)] = calls
+        for i, ((_, test_users), fold_fits) in enumerate(zip(splits, fits, strict=True)):
+            # the test side: the test users' units, class-balanced by the fold's seed
+            test = np.flatnonzero(np.isin(users, list(test_users)))
+            test = test[balance(y[test], seed=hash((cfg.seed, i)) % 2**32)]
+            for report, (cell, pipe) in zip(reports, fold_fits, strict=True):
+                fold = report.folds[i]
+                scores = pipe.decision_scores(X[test])
+                pr = precision_recall(scores, y[test], pipe.classifier.threshold)
+                assert (fold.hyperparameters, fold.pca_k, fold.n_test) == (cell, pipe.pca.k,
+                                                                           len(test))
+                assert type(fold.auc) is float
+                assert (fold.auc, fold.precision, fold.recall) == (
+                    roc_auc(scores, y[test]), pr.precision, pr.recall)
 
     def test_aggregate_recomputation(self, small_cohort):
         d, records, _ = small_cohort

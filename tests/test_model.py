@@ -236,20 +236,30 @@ class TestLogisticRegression:
         assert roc_auc(clf.decision_scores(X), y) == 1.0
 
     def test_stacked_scores_bitwise_equal_lone_scores(self):
+        # both branches of `_score_columns`: LR as one stacked product, SVMs
+        # column by column
+        def lone_lr_scores(clf, Z):
+            w = clf.weights
+            return 1.0 / (1.0 + np.exp(-np.clip(Z @ w[:-1] + w[-1], -500, 500)))
+
+        def lone_svm_scores(clf, Z):
+            K = rbf_kernel(Z, clf.support_vectors, clf.hyperparameters["gamma"])
+            return K @ clf.dual_coef + clf.intercept
+
         rng = np.random.default_rng(62)
         for k in range(1, 10):
             X = rng.normal(size=(30, k))
             y = (X[:, 0] + rng.normal(0, 1.0, 30) > 0).astype(int)
-            [classifiers] = fit_lr([(X, y, grid_cells("lr"))])
+            [lr] = fit_lr([(X, y, grid_cells("lr"))])
+            [svm] = fit_svm_rbf([(X, y, grid_cells("svm-rbf"))])
             for n in range(2, 41):
                 Z = rng.normal(size=(n, k))
-                stacked = model._score_columns(classifiers, Z)
-                assert stacked.shape == (n, len(classifiers))
-                for j, clf in enumerate(classifiers):
-                    w = clf.weights
-                    lone = 1.0 / (1.0 + np.exp(-np.clip(Z @ w[:-1] + w[-1], -500, 500)))
-                    assert np.array_equal(stacked[:, j], clf.decision_scores(Z))
-                    assert np.array_equal(stacked[:, j], lone)
+                for classifiers, lone in ((lr, lone_lr_scores), (svm, lone_svm_scores)):
+                    stacked = model._score_columns(classifiers, Z)
+                    assert stacked.shape == (n, len(classifiers))
+                    for j, clf in enumerate(classifiers):
+                        assert np.array_equal(stacked[:, j], clf.decision_scores(Z))
+                        assert np.array_equal(stacked[:, j], lone(clf, Z))
 
     def test_scores_are_probabilities(self):
         X, y = blobs(seed=8)
@@ -786,6 +796,26 @@ class TestFitPipeline:
         for fit, pipe in zip(fits, pipes):
             [[alone]] = fit_pipeline(X, y, [(every_row(X), [fit])], kind)
             assert json.dumps(pipeline_to_dict(alone)) == json.dumps(pipeline_to_dict(pipe))
+
+    @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
+    @pytest.mark.parametrize("layout", ["inner-fold", "refit"])
+    def test_slice_scores_are_each_pipelines_scores(self, kind, layout):
+        # an inner fold's fits are cutoff-major over every cell, where 0.7 and
+        # 0.8 keep the same k; a refit's are one cell per cutoff, out of
+        # (problem, cell) order as in `test_refit_cutoffs_with_one_k`
+        X, y = self.one_factor()
+        cells = grid_cells(kind)
+        if layout == "inner-fold":
+            fits = [(cutoff, cell) for cutoff in PCA_CUTOFFS for cell in cells]
+        else:
+            fits = [(0.7, cells[0]), (0.9, cells[-1]), (0.8, cells[-1]), (0.95, cells[0])]
+        [pipes] = fit_pipeline(X, y, [(every_row(X), fits)], kind)
+        assert [p.pca.k for p in pipes] == [{0.7: 1, 0.8: 1, 0.9: 2, 0.95: 3}[c] for c, _ in fits]
+        held_out = np.random.default_rng(27).normal(size=(9, 5))
+        scores = model.slice_scores(pipes, held_out)
+        assert scores.shape == (len(held_out), len(fits))
+        for j, pipe in enumerate(pipes):
+            assert np.array_equal(scores[:, j], pipe.decision_scores(held_out))
 
     def test_cells_share_one_preprocessing(self):
         X, y = blobs(n_per=12, d=5, seed=25)

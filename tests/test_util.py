@@ -3,7 +3,7 @@ import stat
 
 import pytest
 
-from respscreen.util import write_bytes_atomic
+from respscreen.util import csv_text, write_bytes_atomic
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
@@ -33,3 +33,8 @@ def test_replaces_an_existing_artifact(tmp_path):
     write_bytes_atomic(path, b"new")
     assert path.read_bytes() == b"new"
     assert os.listdir(tmp_path) == ["a.bin"]
+
+
+def test_csv_text_writes_floats_by_repr_and_none_empty():
+    text = csv_text(("a", "b", "c"), [(0.1, None, "x,y"), (1e-300, 2, "")])
+    assert text == 'a,b,c\r\n0.1,,"x,y"\r\n1e-300,2,\r\n'
