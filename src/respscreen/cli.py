@@ -181,7 +181,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _run_config_from_args(args)
     records, base, embeddings = _load_inputs(args)
-    report = evaluate.run_nested_cv(records, config, base_dir=base, embeddings=embeddings)
+    report = evaluate.run_nested_cv(records, config, store=evaluate.FeatureStore(base, embeddings))
     evaluate.save_report(report, args.report)
     agg = report.aggregate
     print(f"task {config.task_id}  modality {config.modality}  features {config.feature_type}  "

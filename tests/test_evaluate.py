@@ -216,7 +216,7 @@ class TestNestedCv:
         d, records, embeddings = small_cohort
         with pytest.raises(ConfigError):
             cfg = RunConfig(task_id=2, augment=True, feature_type="vggish")
-            run_nested_cv(records, cfg, base_dir=d, embeddings=embeddings)
+            run_nested_cv(records, cfg, store=FeatureStore(d, embeddings))
 
     def test_embedding_feature_types_need_embeddings(self, small_cohort):
         d, records, _ = small_cohort
@@ -226,7 +226,7 @@ class TestNestedCv:
     def test_vggish_run(self, small_cohort):
         d, records, embeddings = small_cohort
         report = run_nested_cv(records, RunConfig(task_id=1, feature_type="vggish"),
-                               base_dir=d, embeddings=embeddings)
+                               store=FeatureStore(d, embeddings))
         assert report.aggregate["auc"]["mean"] >= 0.9
 
     def test_non_finite_pooled_embedding_skips_its_unit(self, small_cohort):
@@ -240,7 +240,7 @@ class TestNestedCv:
         reason = f"NonFiniteFeature: pooled embedding of sample {bad.sample_id!r} is not finite"
         for feature_type in EMBEDDING_FEATURE_TYPES:
             config = RunConfig(task_id=1, modality="breath", feature_type=feature_type)
-            report = run_nested_cv(records, config, base_dir=d, embeddings=huge)
+            report = run_nested_cv(records, config, store=FeatureStore(d, huge))
             assert report.skipped == ((bad.sample_id, reason),)
         rows = sweep(records, task_id=1, seed=0, base_dir=d, embeddings=huge)
         assert {r.status for r in rows} == {"ok"}
@@ -445,6 +445,24 @@ class TestSweep:
         assert len(bases) == n_outer + len(usable_inner)  # 4 per slice, one per cutoff, before
         assert set(bases) == {PCA_CUTOFFS}
 
+    def test_every_lr_fit_of_the_benchmark_sweep_converges(self, tmp_path, monkeypatch):
+        # the cohort of the benchmark's sweep-embed workload at its seed 0
+        spec = synth.CohortSpec(n_covid=6, n_healthy=6, n_cough=0, n_asthma=0,
+                                clip_seconds=1.0)
+        records = load_manifest(synth.generate_cohort(tmp_path, seed=0, spec=spec))
+        synth.generate_embeddings(records, tmp_path / "embeddings.csv", seed=0)
+        classifiers, fit_lr = [], model.fit_lr
+
+        def spy(problems):
+            fits = fit_lr(problems)
+            classifiers.extend(clf for per_problem in fits for clf in per_problem)
+            return fits
+
+        monkeypatch.setattr(model, "fit_lr", spy)
+        sweep(records, task_id=1, seed=0, base_dir=tmp_path,
+              embeddings=load_embeddings(tmp_path / "embeddings.csv"))
+        assert classifiers and all(clf.converged is True for clf in classifiers)
+
     def test_csv_round_trip(self):
         rows = [
             SweepRow(1, "cough", "handcrafted", 0.9, 0.123456789012345, 0.01,
@@ -563,7 +581,7 @@ class TestFeatureStore:
         store = FeatureStore(d, embeddings)
         cfg = RunConfig(task_id=1, feature_type="vggish")
         for _ in range(2):
-            run_nested_cv(records, cfg, base_dir=d, embeddings=embeddings, store=store)
+            run_nested_cv(records, cfg, store=store)
         assert pooled and len(pooled) == len(set(pooled))
 
     def test_pools_each_recording_once_across_feature_types(self, small_cohort, monkeypatch):

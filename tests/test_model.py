@@ -312,8 +312,9 @@ class TestLogisticRegression:
     def deep_stall_problem(self):
         """PCA scores of a sweep inner fold (8 x 4, C = 0.1): at its optimum
         rounding holds ||g|| above the gradient tolerance, and some line
-        searches run past step size 2^-30 before one is accepted (41 Newton
-        steps to a bitwise fixed point)."""
+        searches run past step size 2^-30 before one is accepted. The
+        decrement stop ends it at n_iter 5; without that stop it took 41
+        Newton steps to a bitwise fixed point."""
         X = np.array([
             [-11.076181211087825, 9.737491294519755, -1.5649094743841363, -6.250334426096999],
             [-13.813821984067285, -9.633403557107986, 13.594765478402362, 3.7720193307056555],
@@ -331,8 +332,8 @@ class TestLogisticRegression:
         problems = [(X, y, 1.0), *self.random_problems(), *self.sweep_shaped_problems(),
                     self.deep_stall_problem()]
         for X, y, C in problems:
-            w = lone_lr(X, y, C).weights
-            assert w.tobytes() == newton_lr_oracle(X, y, C).tobytes()
+            clf = lone_lr(X, y, C)
+            assert clf.weights.tobytes() == newton_lr_oracle(X, y, C, max_iter=clf.n_iter).tobytes()
 
     def test_batch_bitwise_equal_to_lone_fits(self, monkeypatch):
         X, y = blobs(**self.STALL)
@@ -403,12 +404,57 @@ class TestLogisticRegression:
         assert in_batch.weights.tobytes() == clf.weights.tobytes()
         assert (in_batch.n_iter, in_batch.converged) == (clf.n_iter, clf.converged)
 
+    def sweep_cap_problem(self):
+        """PCA scores of an inner fold of the benchmark's seed-0 sweep-embed
+        job (10 x 9, C = 0.01): at its optimum (loss 0.42095) rounding holds
+        ||g|| at 1.29e-7, and with the decrement bound at eps / 4 its Newton
+        steps wandered to `LR_MAX_ITER` and reported `converged=False`."""
+        X = np.array([
+            [-19.273641253230878, 5.64765146637873, -2.795399798896037, 17.386537715567904,
+             -2.77207411474872, -7.875883467133577, -21.574310479619704, 8.986272411179364,
+             2.1365897997608094],
+            [-20.261723811804835, -4.386162682321444, -8.098833373441549, 17.287110765190135,
+             -0.9434057209185702, 10.979377737669335, 19.985117651711768, 6.241683812860476,
+             4.638074536543055],
+            [-22.516669790568557, -0.45477993808083395, 3.615344200078943, -6.864911374082292,
+             -17.54608763636263, -10.814021479683475, 3.5447927577066114, -17.958709606670553,
+             7.593274559110011],
+            [-22.08391915908581, -1.0859683922191563, -0.6332735141920265, -6.587398149063434,
+             2.3761003075886036, 1.318003533026972, 0.8251196982416114, -1.5579754956908065,
+             -25.196095903641787],
+            [-22.223198969921775, -3.0496300227025555, 6.008106325159339, -18.98588398932946,
+             18.770062993758792, 7.159401515265046, -4.362684383553491, 4.435452592961266,
+             11.074153864411674],
+            [19.5404811572711, 21.071728315230544, 13.610677420489331, 11.994188105304874,
+             14.776530332351747, 0.4889045754896977, 2.767674205756604, -12.922860000738108,
+             -0.6689510961817985],
+            [21.727906547393953, 12.340573305718335, -14.398769612172647, -8.199302371083595,
+             -12.845514793407258, 19.74236148856068, -7.620065586144874, -1.757762153116018,
+             0.9438851868531468],
+            [21.421929489678206, -0.6195770356940076, -23.713377727839145, -5.777742561338073,
+             9.087572397939716, -18.6423149533072, 5.649687742936439, 2.561455032624852,
+             0.9875833077205971],
+            [19.060099213186454, 4.2464038052055955, 20.177667562591818, -6.696950544157584,
+             -11.892627367092015, -6.1627055622596885, 6.965152900050953, 17.901287057093747,
+             -0.7812284272854431],
+            [24.60873657708212, -33.710238821515205, 6.227858518221965, 6.44435240299152,
+             0.9894436008903369, 3.8068766123722115, -6.180484507085916, -5.928843650504218,
+             -0.7272858272902719],
+        ])
+        return X, np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0]), 0.01
+
+    def test_sweep_fit_at_the_cap_stops_converged(self):
+        X, y, C = self.sweep_cap_problem()
+        clf = lone_lr(X, y, C)
+        assert clf.converged is True and clf.n_iter <= 10
+        assert clf.weights.tobytes() == newton_lr_oracle(X, y, C, max_iter=clf.n_iter).tobytes()
+
     def test_converged_is_earned(self):
         """Every `converged=True` model meets the gradient tolerance or the
         Newton-decrement stop at its returned weights."""
         X, y = blobs(**self.STALL)
         problems = [(X, y, 1.0), *self.random_problems(), *self.sweep_shaped_problems(),
-                    self.rounding_stall_problem()]
+                    self.deep_stall_problem(), self.rounding_stall_problem()]
         by_decrement = 0
         for X, y, C in problems:
             clf = lone_lr(X, y, C)
@@ -423,6 +469,8 @@ class TestLogisticRegression:
             H = (Xb * (p * (1.0 - p) / n)[:, None]).T @ Xb + np.diag([1.0 / C] * d + [0.0])
             decrement = grad @ np.linalg.solve(H, grad)  # lambda^2 = g' H^-1 g
             assert decrement / 2 <= LR_DECREMENT_TOL * np.finfo(float).eps * abs(loss)
+            # no further step moves it: 200 oracle steps end where it stopped
+            assert np.max(np.abs(clf.weights - newton_lr_oracle(X, y, C))) <= 2e-8
             by_decrement += 1
         assert by_decrement >= 1
 
@@ -435,7 +483,7 @@ class TestLogisticRegression:
         clf = lone_lr(X, y, 1.0)
         _, grad = lr_loss_grad(clf.weights, X, y.astype(float), 1.0)
         assert np.linalg.norm(grad) >= LR_GRADIENT_TOL
-        assert clf.converged is False and clf.n_iter < 200
+        assert clf.converged is True and clf.n_iter < 200
 
         X, y = blobs(seed=5)
         monkeypatch.setattr(model, "LR_MAX_ITER", 1)
