@@ -360,7 +360,7 @@ def fit_svm_rbf(problems) -> list[list[Classifier]]:
     the lockstep when it stops. Every stacked step is elementwise or a
     first-index argmax/argmin per fit, so a fit's model does not depend on
     the others in its batch. A model reports `converged=False` when SMO
-    stops at `SVM_MAX_ITER` or on an empty clipped step.
+    stops at `SVM_MAX_ITER` instead of on the KKT gap.
     """
     problems, groups = _intake(problems, lambda X: X.shape[0])
     classifiers = [[None] * len(cells) for _, _, cells in problems]
@@ -374,10 +374,10 @@ def fit_svm_rbf(problems) -> list[list[Classifier]]:
             KT[k] = rbf_kernel(problems[p][0], problems[p][0], gamma).T
         Y_pm = np.stack([problems[p][1] for p, _, _ in fits])
         C = np.array([cell["C"] for _, _, cell in fits], dtype=np.float64)
-        alpha, grad, n_iter, converged = _smo_lockstep(KT, kernel_of, Y_pm, C)
+        *state, n_iter, converged = _smo_lockstep(KT, kernel_of, Y_pm, C)
         for j, ((p, c, cell), gamma) in enumerate(zip(fits, gammas)):
             classifiers[p][c] = _svm_classifier(problems[p][0], Y_pm[j], {**cell, "gamma": gamma},
-                                                alpha[j], grad[j], int(n_iter[j]),
+                                                *(a[j] for a in state), int(n_iter[j]),
                                                 bool(converged[j]))
     return classifiers
 
@@ -385,31 +385,29 @@ def fit_svm_rbf(problems) -> list[list[Classifier]]:
 def _smo_lockstep(KT, kernel_of, Y_pm, C):
     """Most-violating-pair SMO on m problems whose kernels are in the stack
     KT [kernels x n x n], problem r's at KT[kernel_of[r]], each transposed
-    so that row t of a kernel is its column t; returns alpha and the dual
-    gradient [m x n], iteration counts and convergence flags.
+    so that row t of a kernel is its column t; returns its state [m x n]:
+    alpha, m = -y * grad (the dual gradient grad = Q alpha - e) and the
+    index sets up and low, then iteration counts and convergence flags.
 
     Entry t of a running problem is read by flat index: base + t into the
     [running x n] state arrays, and kernel_of[act] * n + t into the rows of
     KT viewed as [kernels * n x n], which is never compacted.
     """
     m, n = Y_pm.shape
-    alpha_out, grad_out = np.empty((m, n)), np.empty((m, n))
     n_iter = np.full(m, SVM_MAX_ITER)
     converged = np.zeros(m, dtype=bool)
 
     act = np.arange(m)  # stack positions of the problems still running
     alpha = np.zeros((m, n))
-    grad = -np.ones((m, n))  # gradient of the dual objective, Q alpha - e
-    neg_Y, pos = -Y_pm, Y_pm > 0
-    C_row = np.repeat(C, n).reshape(m, n)  # C per entry: a same-shape compare beats broadcasting
+    mt = Y_pm.copy()  # -y * grad at alpha = 0, where grad = -e
+    pos = Y_pm > 0
+    up, low = pos.copy(), ~pos  # alpha_t can move along +y_t, along -y_t
+    out = [np.empty_like(a) for a in (alpha, mt, up, low)]
+    C_row = np.repeat(C, n).reshape(m, n)  # per-entry bound: a per-class C changes only this
     base, kernel_base = act * n, kernel_of * n
     rows = KT.reshape(-1, n)
     for k in range(SVM_MAX_ITER):
-        # m_t = -y_t * grad_t; pick the most violating pair
-        mt = neg_Y * grad
-        below_c, above_0 = alpha < C_row, alpha > 0.0
-        up = np.where(pos, below_c, above_0)  # alpha_t can move along +y_t
-        low = np.where(pos, above_0, below_c)  # alpha_t can move along -y_t
+        # pick the most violating pair
         ti = np.where(up, mt, -np.inf).argmax(axis=1)
         tj = np.where(low, mt, np.inf).argmin(axis=1)
         i, j = base + ti, base + tj
@@ -422,44 +420,45 @@ def _smo_lockstep(KT, kernel_of, Y_pm, C):
         alpha_i, alpha_j = alpha.take(i), alpha.take(j)
         delta = np.minimum(delta, np.where(pos.take(i), C_row.take(i) - alpha_i, alpha_i))
         delta = np.minimum(delta, np.where(pos.take(j), alpha_j, C_row.take(j) - alpha_j))
-        done = gap < SVM_KKT_TOL
-        stop = done | (delta <= 0)
+        stop = gap < SVM_KKT_TOL
         n_stop = np.count_nonzero(stop)
         if n_stop:  # a stopped problem keeps its state from before this step
-            converged[act[done]] = True
-            n_iter[act[stop]] = k
-            alpha_out[act[stop]], grad_out[act[stop]] = alpha[stop], grad[stop]
+            done = act[stop]
+            converged[done], n_iter[done] = True, k
             if n_stop == len(act):
                 break
+            for o, a in zip(out, (alpha, mt, up, low)):
+                o[done] = a[stop]
         alpha.put(i, alpha_i + Y_pm.take(i) * delta)
-        alpha.put(j, alpha_j + neg_Y.take(j) * delta)
-        # grad_t = y_t * f_t - 1 with f = K (alpha * y); rank-two update. Its
+        alpha.put(j, alpha_j - Y_pm.take(j) * delta)
+        ij = np.concatenate((i, j))  # only alpha_i and alpha_j moved
+        alpha_ij, pos_ij = alpha.take(ij), pos.take(ij)
+        below_c, above_0 = alpha_ij < C_row.take(ij), alpha_ij > 0.0
+        up.put(ij, np.where(pos_ij, below_c, above_0))
+        low.put(ij, np.where(pos_ij, above_0, below_c))
+        # m_t = y_t - f_t with f = K (alpha * y); rank-two update. Its
         # coefficients y_i * d_i and y_j * d_j are exactly delta and -delta,
         # since y = +-1.
         delta = delta[:, None]
-        grad += Y_pm * (K_i * delta - K_j * delta)
+        mt -= K_i * delta - K_j * delta
         if n_stop:
             keep = ~stop
-            act, Y_pm, neg_Y, C_row, pos, alpha, grad = (
-                a[keep] for a in (act, Y_pm, neg_Y, C_row, pos, alpha, grad))
+            act, Y_pm, C_row, pos, alpha, mt, up, low = (
+                a[keep] for a in (act, Y_pm, C_row, pos, alpha, mt, up, low))
             base, kernel_base = base[:len(act)], kernel_of[act] * n
-    else:
-        alpha_out[act], grad_out[act] = alpha, grad
-    return alpha_out, grad_out, n_iter, converged
+    for o, a in zip(out, (alpha, mt, up, low)):  # the problems that stopped last, or at the cap
+        o[act] = a
+    return (*out, n_iter, converged)
 
 
-def _svm_classifier(X, y_pm, params, alpha, grad, n_iter: int, converged: bool) -> Classifier:
+def _svm_classifier(X, y_pm, params, alpha, m, up, low, n_iter: int, converged: bool) -> Classifier:
     """The fitted SVM of one problem at `params` (a cell, gamma resolved)
-    from its SMO solution: intercept and support vectors."""
+    from its SMO state: intercept and support vectors."""
     C = params["C"]
-    pos = y_pm > 0
-    m = -y_pm * grad  # equals y_t - f_t
     free = (alpha > 1e-10) & (alpha < C - 1e-10)
     if np.any(free):
         b = float(np.mean(m[free]))
     else:
-        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-        low = (pos & (alpha > 0)) | (~pos & (alpha < C))
         hi = np.max(np.where(up, m, -np.inf))
         lo = np.min(np.where(low, m, np.inf))
         b = float((hi + lo) / 2.0)

@@ -617,6 +617,30 @@ class TestSvm:
                                 assert repr(ours) == repr(theirs)
                     assert clf.hyperparameters is not cell
 
+    def test_solver_state_matches_a_fresh_computation(self, monkeypatch):
+        # SMO keeps m = -y * grad and the index sets up and low across steps,
+        # and updates them at i and j only. Each state it returns in the batch
+        # test above (caps 200,000, 25 and 1) is checked against the same
+        # quantities computed from alpha: the sets bitwise, m to within
+        # rounding drift (at most 1.2e-13 measured, so 1e-12).
+        drift = []
+        smo = model._smo_lockstep
+
+        def checking(KT, kernel_of, Y_pm, C):
+            alpha, mt, up, low, n_iter, converged = smo(KT, kernel_of, Y_pm, C)
+            pos = Y_pm > 0
+            below_c, above_0 = alpha < C[:, None], alpha > 0.0
+            assert np.array_equal(up, np.where(pos, below_c, above_0))
+            assert np.array_equal(low, np.where(pos, above_0, below_c))
+            K = KT[kernel_of].transpose(0, 2, 1)
+            fresh = Y_pm - (K @ (alpha * Y_pm)[:, :, None])[:, :, 0]
+            drift.append(np.max(np.abs(mt - fresh)))
+            return alpha, mt, up, low, n_iter, converged
+
+        monkeypatch.setattr(model, "_smo_lockstep", checking)
+        self.test_batch_bitwise_equal_to_lone_fits(monkeypatch)
+        assert len(drift) > 3 and max(drift) <= 1e-12
+
     def test_one_kernel_per_distinct_x_and_gamma(self, monkeypatch):
         # one training kernel per (problem, resolved gamma), shared by its cells
         built = []
