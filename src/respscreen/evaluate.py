@@ -259,13 +259,14 @@ def select_and_fit(X, y, users, slices: list, kind: str, cutoffs):
 def run_nested_cv(
     records: list[SampleRecord],
     config: RunConfig,
-    base_dir=".",
+    base_dir=None,
     store: FeatureStore | None = None,
     cutoffs: tuple[float, ...] | None = None,
 ) -> EvaluationReport | tuple[EvaluationReport, ...]:
     """User-disjoint nested CV of `config`, reported at `config.pca_cutoff`.
     Features come from `store`, or else from `FeatureStore(base_dir)`, which
-    holds no embeddings.
+    holds no embeddings; `base_dir` defaults to the working directory, and
+    passing both is a `ValueError`.
 
     Given `cutoffs`, it returns one report per cutoff, in order. The cutoffs
     share the cohort, the splits and each training slice's standardizer and
@@ -275,7 +276,9 @@ def run_nested_cv(
     configs = [config] if cutoffs is None else [replace(config, pca_cutoff=c) for c in cutoffs]
     pca_cutoffs = [c.pca_cutoff for c in configs]
     if store is None:
-        store = FeatureStore(base_dir)
+        store = FeatureStore("." if base_dir is None else base_dir)
+    elif base_dir is not None:
+        raise ValueError("give base_dir or store, not both")
     cohort = build_cohort(records, config, store)
     units, X, y, users = cohort.units, cohort.X, cohort.y, cohort.users
     splits = split_users([u for u in units if u.label == 1], [u for u in units if u.label == 0],

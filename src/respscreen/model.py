@@ -2,10 +2,13 @@
 shallow classifiers (L2 logistic regression, SVM with RBF kernel).
 
 PCA takes the eigendecomposition of the smaller Gram matrix of each
-slice, Xc' Xc or Xc Xc'. Every held-out slice, an inner fold's validation
-rows or an outer fold's test rows, is scored in one pass by `slice_scores`:
-one standardization, one projection and one stacked LR product per PCA
-cutoff.
+slice, Xc' Xc or Xc Xc'. `fit_pipeline` preprocesses training slices of one
+row count as bounded stacks, each slice bitwise as it would be alone.
+Inner folds stay arrays (`SliceFit`) from fit to score; `Pipeline` objects
+are built for the refits only. Every held-out slice, an inner fold's
+validation rows or an outer fold's test rows, is scored in one pass by
+`slice_scores`: one standardization, then one projection and one stacked
+LR product per distinct k of an inner fold, or per refit of an outer one.
 
 All solvers are deterministic and take a batch of problems, each one input
 with the cells fit on it. LR runs damped Newton from a zero start in
@@ -18,8 +21,9 @@ pipelines serialize to versioned JSON and round-trip exactly.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
+from itertools import accumulate
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -49,6 +53,9 @@ STD_FLOOR = 1e-12
 GRAM_FLOOR = 1e-20
 
 N_INNER_FOLDS = 5
+# fit_pipeline preprocesses slices of one row count as stacks of at most
+# this many float64 entries (512 KiB), so a stack and its copies stay small
+STACK_ENTRIES = 2**16
 
 LR_C_GRID = (0.01, 0.1, 1.0, 10.0)
 SVM_C_GRID = (0.1, 1.0, 10.0, 100.0)
@@ -64,17 +71,21 @@ class Standardizer:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
+        """Column means and stds of a slice X [n x d], or [s x d] of a stack
+        X [s x n x d] of slices, each bitwise as that slice alone gives."""
         X = np.asarray(X, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
-            mean, std = X.mean(axis=0), X.std(axis=0)
-        # a finite column above about 1e154 overflows when squared: take it
-        # again divided by the power of two in (max |x| / 2, max |x|], which
-        # is exact
-        big = ~np.isfinite(std)
-        if big.any():
-            scale = np.ldexp(0.5, np.frexp(np.abs(X[:, big]).max(axis=0, initial=0.0))[1])
-            scaled = X[:, big] / scale
-            mean[big], std[big] = scaled.mean(axis=0) * scale, scaled.std(axis=0) * scale
+            mean, std = X.mean(axis=-2), X.std(axis=-2)
+        # a finite column above about 1e154 overflows when squared: take that
+        # slice's column again divided by the power of two in (max |x| / 2,
+        # max |x|], which is exact
+        n, d = X.shape[-2:]
+        slices, means, stds = X.reshape(-1, n, d), mean.reshape(-1, d), std.reshape(-1, d)
+        for i in np.flatnonzero(~np.isfinite(stds).all(axis=1)):
+            big = ~np.isfinite(stds[i])
+            scale = np.ldexp(0.5, np.frexp(np.abs(slices[i][:, big]).max(axis=0, initial=0.0))[1])
+            scaled = slices[i][:, big] / scale
+            means[i, big], stds[i, big] = scaled.mean(axis=0) * scale, scaled.std(axis=0) * scale
         return cls(mean, np.maximum(std, STD_FLOOR))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -99,10 +110,15 @@ class PcaModel:
         return (np.asarray(X, dtype=np.float64) - self.mean) @ self.components.T
 
 
-def fit_pca(X: np.ndarray, cutoffs) -> list[PcaModel]:
-    """PCA of the (already standardized) data matrix, one model per cutoff:
-    each truncates the same decomposition to its own minimal k, and all of
-    them share one copy of the leading components.
+def fit_pca(X: np.ndarray, cutoffs) -> list:
+    """PCA of the (already standardized) data matrix X [n x d], one model per
+    cutoff: each truncates the same decomposition to its own minimal k, and
+    all of them share one copy of the leading components. Of a stack X
+    [s x n x d] of slices, one such list per slice, each bitwise as that
+    slice alone gives: the means, one `eigh` and every cutoff's k run over
+    the stack, and the Gram matrices and components slice by slice, since a
+    stacked Gram product is not bitwise the lone one (numpy computes a lone
+    `Xc @ Xc.T` with `syrk`).
 
     Every slice takes the eigendecomposition of its smaller Gram matrix. A
     tall slice (n >= d rows) takes Xc' Xc = V S^2 V' of its centered rows Xc,
@@ -116,25 +132,33 @@ def fit_pca(X: np.ndarray, cutoffs) -> list[PcaModel]:
     min(n, d), so at 0.95 and 477 features the error is below about 2e-12.
     """
     X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
+    n, d = X.shape[-2:]
     if n < 2:
         raise ValueError("need at least 2 rows")
-    mean = X.mean(axis=0)
-    Xc = X - mean
-    eigenvalues, U = np.linalg.eigh(Xc @ Xc.T if n < d else Xc.T @ Xc)
-    variances, U = np.maximum(eigenvalues[::-1], 0.0), U[:, ::-1]
-    variances[variances < GRAM_FLOOR * variances[0]] = 0.0
-    total = variances.sum()
-    if total <= 0:
+    g = min(n, d)
+    stack = X.reshape(-1, n, d)
+    mean = stack.mean(axis=1)
+    Xc = stack - mean[:, None]
+    grams = np.stack([x @ x.T if n < d else x.T @ x for x in Xc])
+    eigenvalues, U = np.linalg.eigh(grams.reshape(*X.shape[:-2], g, g))
+    variances = np.maximum(eigenvalues.reshape(-1, g)[:, ::-1], 0.0)
+    variances[variances < GRAM_FLOOR * variances[:, :1]] = 0.0
+    total = variances.sum(axis=1)
+    if np.any(total <= 0):
         raise DegenerateData("zero total variance")
-    ratio = variances / total
-    cumulative = np.cumsum(ratio)
-    ks = [min(int(np.searchsorted(cumulative, cutoff - 1e-12) + 1), len(ratio))
-          for cutoff in cutoffs]
-    kmax = max(ks, default=0)
-    top = U[:, :kmax].T  # each cutoff's components are a prefix view of these
-    top = top @ Xc / np.sqrt(variances[:kmax, None]) if n < d else top.copy()
-    return [PcaModel(top[:k], ratio[:k].copy(), cutoff, mean) for cutoff, k in zip(cutoffs, ks)]
+    ratio = variances / total[:, None]
+    # as searchsorted: k is one more than the cumulative ratios below the cutoff
+    below = np.cumsum(ratio, axis=1)[:, None] < np.subtract(cutoffs, 1e-12)[:, None]
+    ks = np.minimum(below.sum(axis=2) + 1, g).tolist()
+    models = []
+    for x, u, s, r, m, slice_ks in zip(Xc, U.reshape(-1, g, g)[:, :, ::-1], np.sqrt(variances),
+                                      ratio, mean, ks):
+        kmax = max(slice_ks, default=0)
+        top = u[:, :kmax].T  # each cutoff's components are a prefix view of these
+        top = top @ x / s[:kmax, None] if n < d else top.copy()
+        r = r[:kmax].copy()
+        models.append([PcaModel(top[:k], r[:k], cutoff, m) for cutoff, k in zip(cutoffs, slice_ks)])
+    return models if X.ndim == 3 else models[0]
 
 
 def _check_labels(y) -> np.ndarray:
@@ -150,14 +174,19 @@ def _check_labels(y) -> np.ndarray:
 def _intake(problems, group_key):
     """A solver batch of problems `(X, y, cells)` as (X finite float64,
     y in {-1, +1}, cells), and its fits `(problem, cell index, cell)`
-    grouped by `group_key(X)`. Each problem's X and y are converted and
-    checked once, and all of its cells share them."""
+    grouped by `group_key(X)`. Each problem's X is converted and checked
+    once, and all of its cells share it. So is its y, once for a run of
+    problems that pass the same y object, as the problems of one
+    `fit_pipeline` slice do."""
     checked, groups = [], {}
+    y_last = y_pm = None
     for p, (X, y, cells) in enumerate(problems):
         X = np.asarray(X, dtype=np.float64)
         if not np.all(np.isfinite(X)):
             raise NonFiniteFeature("non-finite feature value")
-        checked.append((X, 2.0 * _check_labels(y) - 1.0, cells))
+        if y is not y_last:
+            y_last, y_pm = y, 2.0 * _check_labels(y) - 1.0
+        checked.append((X, y_pm, cells))
         groups.setdefault(group_key(X), []).extend((p, c, cell) for c, cell in enumerate(cells))
     return checked, groups
 
@@ -193,7 +222,7 @@ def _lr_scores(X, W) -> np.ndarray:
     intercept) on one X [n x d]. Each row is computed by the same BLAS gemv
     as a lone `X @ w`, so a classifier's scores do not depend on the stack."""
     z = (X[None] @ W[:, :-1, None])[:, :, 0] + W[:, -1:]
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
 
 
 def _dot(a, b):
@@ -476,13 +505,17 @@ def grid_cells(kind: str) -> list[dict]:
 
 
 def _inner_user_folds(users, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """User-disjoint inner folds as (train, val) arrays of positions in `users`."""
-    unique_users = sorted(set(users))
+    """User-disjoint inner folds as (train, val) arrays of positions in `users`:
+    the sorted users in a seeded random order, where the i-th validates in
+    fold i mod N_INNER_FOLDS."""
+    unique_users, user_of = np.unique(np.asarray(users), return_inverse=True)
     if len(unique_users) < N_INNER_FOLDS:
         raise TooFewUsers(f"need >= {N_INNER_FOLDS} users for inner CV, got {len(unique_users)}")
-    order = list(np.random.default_rng(seed).permutation(unique_users))
-    vals = [np.isin(users, order[k::N_INNER_FOLDS]) for k in range(N_INNER_FOLDS)]
-    return [(np.flatnonzero(~val), np.flatnonzero(val)) for val in vals]
+    fold_of = np.empty(len(unique_users), dtype=np.intp)
+    fold_of[np.random.default_rng(seed).permutation(len(unique_users))] = (
+        np.arange(len(unique_users)) % N_INNER_FOLDS)
+    fold = fold_of[user_of]
+    return [(np.flatnonzero(fold != k), np.flatnonzero(fold == k)) for k in range(N_INNER_FOLDS)]
 
 
 def grid_search(X, y, users, slices, kind: str, pca_cutoffs) -> list[list[dict]]:
@@ -500,9 +533,10 @@ def grid_search(X, y, users, slices, kind: str, pca_cutoffs) -> list[list[dict]]
     leaks validation rows. Ties break toward smaller C then smaller gamma
     ('scale' first, resolved on each fold's projected training slice).
 
-    Each inner fold is scored by one `slice_scores` call on its validation
-    rows, and one `roc_auc` call on those columns gives the fold's row of
-    AUCs, one per fit.
+    Inner folds stay arrays: each is scored by one `slice_scores` call on
+    its `SliceFit` and validation rows, and one `roc_auc` call on those
+    columns gives the fold's row of AUCs, one per fit. No `Pipeline` is
+    built.
     """
     users = np.asarray(users)
     folds = [(s, rows[train_idx], rows[val_idx]) for s, (rows, seed) in enumerate(slices)
@@ -512,29 +546,35 @@ def grid_search(X, y, users, slices, kind: str, pca_cutoffs) -> list[list[dict]]
     # degenerate folds at desk scale are left out; each slice scores on the rest
     inner = [(s, train, val) for s, train, val in folds
              if len(np.unique(y[train])) >= 2 and len(np.unique(y[val])) >= 2]
-    pipes = fit_pipeline(X, y, [(train, fits) for _, train, _ in inner], kind)
+    fitted = fit_pipeline(X, y, [(train, fits) for _, train, _ in inner], kind)
     aucs = [[] for _ in slices]  # per slice, one AUC row over `fits` per usable fold
-    for (s, _, val), fold_pipes in zip(inner, pipes, strict=True):
-        aucs[s].append(roc_auc(slice_scores(fold_pipes, X[val]), y[val]))
+    for (s, _, val), fold_fit in zip(inner, fitted, strict=True):
+        aucs[s].append(roc_auc(slice_scores(fold_fit, X[val]), y[val]))
     return [_select(cells, slice_aucs, len(pca_cutoffs)) for slice_aucs in aucs]
 
 
 def slice_scores(pipes, X) -> np.ndarray:
-    """Decision scores [n x m] on rows X of m pipelines of one `fit_pipeline`
-    slice, which share its standardizer: X is standardized once, and each
-    run of consecutive pipelines that share a PCA model is projected once
-    and scored by one `_score_columns` call."""
-    X = pipes[0].standardizer.transform(X)
-    runs = [list(run) for _, run in groupby(pipes, key=lambda p: id(p.pca))]
-    return np.hstack([_score_columns([p.classifier for p in run], run[0].pca.transform(X))
-                      for run in runs])
+    """Decision scores [n x m] on rows X of m pipelines that share one
+    standardizer: a `SliceFit`, or a list of pipelines of one `fit_pipeline`
+    slice. X is standardized once. A `SliceFit` is projected once per
+    distinct k, and that k's classifiers are scored by one `_score_columns`
+    call (one `_lr_scores` product for LR); a list is projected and scored
+    pipeline by pipeline."""
+    if isinstance(pipes, SliceFit):
+        standardizer, problems, columns = pipes.standardizer, pipes.problems, pipes.columns
+    else:
+        standardizer, columns = pipes[0].standardizer, slice(None)
+        problems = [(p.pca, [p.classifier]) for p in pipes]
+    Z = standardizer.transform(X)
+    return np.concatenate([_score_columns(classifiers, pca.transform(Z))
+                           for pca, classifiers in problems], axis=1)[:, columns]
 
 
 def _score_columns(classifiers, Z) -> np.ndarray:
     """Decision scores [n x m] of m classifiers of one kind on one projected
     slice Z: LR weights as one stacked product, SVMs one by one."""
     if classifiers[0].kind == "lr":
-        return _lr_scores(Z, np.stack([c.weights for c in classifiers])).T
+        return _lr_scores(Z, np.array([c.weights for c in classifiers])).T
     return np.column_stack([rbf_kernel(Z, c.support_vectors, c.hyperparameters["gamma"])
                             @ c.dual_coef + c.intercept for c in classifiers])
 
@@ -555,9 +595,6 @@ def _select(cells, rows, n_cutoffs: int) -> list[dict]:
     return best
 
 
-# --- JSON persistence ------------------------------------------------------
-
-
 @dataclass
 class Pipeline:
     """Standardizer -> PCA -> classifier, fit on training data only."""
@@ -570,43 +607,107 @@ class Pipeline:
         return slice_scores([self], X)[:, 0]
 
 
-def fit_pipeline(X, y, slices, kind: str) -> list[list[Pipeline]]:
-    """For each training slice `(rows, fits)`, one pipeline per (PCA cutoff,
-    hyperparameter cell) in `fits`, all on that slice's one preprocessing.
-    `rows` is an integer array of row indices into `X`, with labels `y`.
+@dataclass(eq=False)
+class SliceFit(Sequence):
+    """The fits of one `fit_pipeline` slice, kept as arrays for scoring: the
+    slice's standardizer and, per distinct k in first-seen order, a PCA
+    model keeping k with the classifiers of that problem's cells. Fit j has
+    its cutoff's PCA model `pcas[j]` and the classifier in column
+    `columns[j]` of the problems' classifiers, in order. Item j is fit j's
+    `Pipeline`, built when read."""
+
+    standardizer: Standardizer
+    problems: list  # (PcaModel, [Classifier]) per distinct k
+    pcas: list  # PcaModel per fit
+    columns: np.ndarray  # classifier column per fit
+
+    def __len__(self) -> int:
+        return len(self.pcas)
+
+    def __getitem__(self, j: int) -> Pipeline:
+        classifiers = [c for _, problem in self.problems for c in problem]
+        return Pipeline(self.standardizer, self.pcas[j], classifiers[self.columns[j]])
+
+
+def _preprocess(X, rows, cutoffs) -> list:
+    """Per slice of a stack `rows` [s x n] of row indices into X: its
+    standardizer, its PCA model per cutoff, and (PCA model, projected rows)
+    per distinct k in first-seen order, each bitwise as the slice alone
+    gives. The stack is gathered once, standardized and centred in place,
+    and freed on return."""
+    Z = X[rows]
+    standardizer = Standardizer.fit(Z)
+    Z -= standardizer.mean[:, None]
+    Z /= standardizer.std[:, None]
+    prepared = []
+    for mean, std, pcas, Zc in zip(standardizer.mean, standardizer.std, fit_pca(Z, cutoffs), Z):
+        bases: dict[int, PcaModel] = {}  # k -> the first PCA model keeping it
+        for pca in pcas:
+            bases.setdefault(pca.k, pca)
+        if pcas:
+            Zc -= pcas[0].mean  # the slice's PCA models share one mean
+        prepared.append((Standardizer(mean, std), dict(zip(cutoffs, pcas)),
+                         [(pca, Zc @ pca.components.T) for pca in bases.values()]))
+    return prepared
+
+
+def fit_pipeline(X, y, slices, kind: str) -> list[SliceFit]:
+    """For each training slice `(rows, fits)`, its `SliceFit`: one pipeline
+    per (PCA cutoff, hyperparameter cell) in `fits`, all on that slice's one
+    preprocessing. `rows` is an integer array of row indices into `X`, with
+    labels `y`.
 
     A slice's standardizer and PCA decomposition are fit once on `X[rows]`,
-    and each cutoff truncates that decomposition. Each distinct k of a slice
-    is one solver problem: the slice projected once to k components, with
-    the distinct cells of the fits that keep k, in first-seen order. So
-    cutoffs that keep the same k share their classifier objects. All
-    pipelines of a slice share its standardizer, and those of one cutoff
-    share its PCA model. Every slice's problems go to one `fit_lr` or
-    `fit_svm_rbf` call. Each slice's rows are copied out of `X` in turn,
-    and of that copy only the projections are kept.
+    and each cutoff truncates that decomposition. Slices with the same row
+    count and cutoffs are preprocessed together, as stacks of at most
+    `STACK_ENTRIES` entries (a bigger slice is a stack of one): one gather,
+    one `fit_pca` call, and each slice's projections. Each distinct k of a
+    slice is one solver problem: the slice projected once to k components,
+    with the distinct cells of the fits that keep k, in first-seen order.
+    So cutoffs that keep the same k share their classifier objects. Every
+    slice's problems go to one `fit_lr` or `fit_svm_rbf` call, and share
+    the slice's one label vector, which the solver checks once.
     """
+    X = np.asarray(X, dtype=np.float64)
+    stacks: dict = {}  # (row count, cutoffs) -> the slices that have them, in order
+    for s, (rows, fits) in enumerate(slices):
+        stacks.setdefault((len(rows), tuple(dict.fromkeys(c for c, _ in fits))), []).append(s)
+    prepared = [None] * len(slices)
+    for (n, cutoffs), members in stacks.items():
+        size = max(1, STACK_ENTRIES // max(1, n * X.shape[1]))
+        for start in range(0, len(members), size):
+            stack = members[start:start + size]
+            rows = np.stack([slices[s][0] for s in stack])
+            for s, slice_prepared in zip(stack, _preprocess(X, rows, cutoffs)):
+                prepared[s] = slice_prepared
+
     problems = []  # (projected slice, y, cells) per (slice, k)
-    plans = []  # per slice, (standardizer, pca, problem index, cell index) per fit
-    for rows, fits in slices:
-        X_rows, y_rows = X[rows], y[rows]
-        std = Standardizer.fit(X_rows)
-        Z = std.transform(X_rows)
-        cutoffs = list(dict.fromkeys(cutoff for cutoff, _ in fits))
-        pcas = dict(zip(cutoffs, fit_pca(Z, cutoffs)))
-        problem_of: dict[int, int] = {}  # pca.k -> problem index
+    plans = []  # per slice: its first problem, and (PCA model, problem, cell index) per fit
+    for (rows, fits), (_, pcas, projected) in zip(slices, prepared):
+        first, y_rows = len(problems), y[rows]
+        problems.extend((Z, y_rows, []) for _, Z in projected)
+        index_of = {pca.k: i for i, (pca, _) in enumerate(projected)}
         plan = []
         for cutoff, cell in fits:
             pca = pcas[cutoff]
-            if pca.k not in problem_of:
-                problem_of[pca.k] = len(problems)
-                problems.append((pca.transform(Z), y_rows, []))
-            cells = problems[problem_of[pca.k]][2]
+            cells = problems[first + index_of[pca.k]][2]
             if cell not in cells:
                 cells.append(cell)
-            plan.append((std, pca, problem_of[pca.k], cells.index(cell)))
-        plans.append(plan)
+            plan.append((pca, index_of[pca.k], cells.index(cell)))
+        plans.append((first, plan))
     classifiers = (fit_lr if kind == "lr" else fit_svm_rbf)(problems)
-    return [[Pipeline(std, pca, classifiers[p][c]) for std, pca, p, c in plan] for plan in plans]
+
+    fitted = []
+    for (standardizer, _, projected), (first, plan) in zip(prepared, plans):
+        own = classifiers[first:first + len(projected)]
+        offsets = list(accumulate(map(len, own), initial=0))  # each problem's first column
+        fitted.append(SliceFit(standardizer, [(pca, c) for (pca, _), c in zip(projected, own)],
+                               [pca for pca, _, _ in plan],
+                               np.array([offsets[p] + c for _, p, c in plan], dtype=np.intp)))
+    return fitted
+
+
+# --- JSON persistence ------------------------------------------------------
 
 
 # Saved fields of each pipeline part, in file order. Fields that are None

@@ -118,6 +118,22 @@ class TestNestedCv:
         r2 = run_nested_cv(records, cfg, base_dir=d)
         assert report_to_dict(r1) == report_to_dict(r2)
 
+    def test_store_and_base_dir_are_exclusive(self, small_cohort, monkeypatch):
+        # features come from one place: a store, or a store on base_dir
+        # (the working directory when neither is given)
+        d, records, _ = small_cohort
+        with pytest.raises(ValueError, match="base_dir"):
+            run_nested_cv(records, RunConfig(task_id=1), base_dir=d / "no-such-dir",
+                          store=FeatureStore(d))
+        stores = []
+        monkeypatch.setattr(evaluate, "build_cohort",
+                            lambda records, config, store: stores.append(store) or 1 / 0)
+        monkeypatch.chdir(d)
+        with pytest.raises(ZeroDivisionError):
+            run_nested_cv(records, RunConfig(task_id=1))
+        [store] = stores
+        assert store.base_dir == Path(".") and store.embeddings is None
+
     def test_test_side_balanced(self, small_cohort):
         d, records, _ = small_cohort
         report = run_nested_cv(records, RunConfig(task_id=1, seed=0), base_dir=d)
@@ -130,7 +146,7 @@ class TestNestedCv:
         orig = Standardizer.fit
 
         def spy(X):
-            seen.append(np.asarray(X).shape[0])
+            seen.append(np.asarray(X).shape[-2])  # rows per slice; X may be a stack
             return orig(X)
 
         monkeypatch.setattr(Standardizer, "fit", spy)
@@ -281,6 +297,25 @@ class TestNestedCv:
         run_nested_cv(records, RunConfig(task_id=2, seed=0), base_dir=d)
         assert (len(solves), len(searches)) == (2, 1)  # inner fits, then outer refits
 
+    @pytest.mark.parametrize("task", [1, 2])
+    def test_one_pipeline_per_outer_slice_and_cutoff(self, small_cohort, monkeypatch, task):
+        # inner folds build none; select_and_fit builds the refits it returns
+        d, records, _ = small_cohort
+        built, init = [], model.Pipeline.__init__
+        monkeypatch.setattr(model.Pipeline, "__init__",
+                            lambda self, *a: built.append(1) or init(self, *a))
+        per_call, select_and_fit = [], evaluate.select_and_fit
+
+        def spy(*a):
+            before = len(built)
+            fits = select_and_fit(*a)
+            per_call.append(len(built) - before)
+            return fits
+
+        monkeypatch.setattr(evaluate, "select_and_fit", spy)
+        run_nested_cv(records, RunConfig(task_id=task, seed=0), base_dir=d, cutoffs=PCA_CUTOFFS)
+        assert per_call == [len(built)] == [N_OUTER_FOLDS * len(PCA_CUTOFFS)]
+
     @pytest.mark.parametrize("task, kind", [(1, "lr"), (2, "svm-rbf")])
     def test_each_cutoff_scores_as_its_pipeline_alone(self, tmp_path, monkeypatch, task, kind):
         # an outer fold's test rows are scored for all cutoffs in one pass;
@@ -396,7 +431,9 @@ class TestSweep:
 
         def spy_pca(X, cutoffs):
             pcas = fit_pca(X, cutoffs)
-            slice_ks.append([p.k for p in pcas])
+            # one entry per slice decomposed: fit_pca takes a stack of slices
+            slice_ks.extend([p.k for p in slice_pcas]
+                            for slice_pcas in (pcas if np.ndim(X) == 3 else [pcas]))
             return pcas
 
         monkeypatch.setattr(evaluate, "run_nested_cv", spy_run)
@@ -427,8 +464,9 @@ class TestSweep:
         monkeypatch.setattr(evaluate, "run_nested_cv", lambda records, config, **kw: runs
                             .append((config.modality, config.feature_type, kw["cutoffs"]))
                             or run(records, config, **kw))
-        monkeypatch.setattr(model, "fit_pca", lambda X, cutoffs: bases.append(tuple(cutoffs))
-                            or fit_pca(X, cutoffs))
+        # one entry per slice decomposed: fit_pca takes a stack of slices
+        monkeypatch.setattr(model, "fit_pca", lambda X, cutoffs: bases.extend(
+            [tuple(cutoffs)] * (len(X) if np.ndim(X) == 3 else 1)) or fit_pca(X, cutoffs))
 
         def spy(X, y, users, slices, kind, pca_cutoffs):
             for rows, seed in slices:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -697,6 +698,25 @@ class TestIntake:
                 else:
                     assert repr(a) == repr(b)
 
+    def test_grid_search_checks_each_slices_labels_once(self, monkeypatch):
+        # an inner fold's cutoffs keep several k, so the slice is several
+        # solver problems; its labels are still checked once
+        checked = []
+        check_labels = model._check_labels
+        monkeypatch.setattr(model, "_check_labels",
+                            lambda y: checked.append(1) or check_labels(y))
+        solved = []
+        solver = model.fit_lr
+        monkeypatch.setattr(model, "fit_lr", lambda problems: solved.append(len(problems))
+                            or solver(problems))
+        X, y = blobs(n_per=20, d=6, seed=24)
+        users = [f"u{i // 2}" for i in range(len(X))]
+        usable = [f for f in _inner_user_folds(users, 0)
+                  if all(len(np.unique(y[idx])) == 2 for idx in f)]
+        grid_search(X, y, users, [(every_row(X), 0)], "lr", pca_cutoffs=PCA_CUTOFFS)
+        assert solved[0] > len(usable)  # more than one problem per slice
+        assert len(checked) == len(usable) > 0
+
 
 class TestGridSearch:
     def users(self, n):
@@ -758,7 +778,9 @@ class TestGridSearch:
 
     def test_one_basis_per_usable_inner_fold(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(model, "fit_pca", lambda *a, **k: calls.append(1) or fit_pca(*a, **k))
+        # one entry per slice decomposed: fit_pca takes a stack of slices
+        monkeypatch.setattr(model, "fit_pca", lambda X, cutoffs: calls.extend(
+            [1] * (len(X) if np.ndim(X) == 3 else 1)) or fit_pca(X, cutoffs))
         X, y = blobs(n_per=20, d=6, seed=24)
         users = self.users(len(X))
         assert len(grid_cells("lr")) == 4
@@ -766,6 +788,17 @@ class TestGridSearch:
                   if all(len(np.unique(y[idx])) == 2 for idx in f)]
         grid_search(X, y, users, [(every_row(X), 0)], "lr", pca_cutoffs=[0.9])
         assert len(calls) == len(usable) > 0  # 4 per fold, one per C, before
+
+    @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
+    def test_builds_no_pipeline(self, kind, monkeypatch):
+        # inner folds are fit and scored as arrays
+        built, init = [], Pipeline.__init__
+        monkeypatch.setattr(Pipeline, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+        monkeypatch.setattr(model, "SVM_C_GRID", (0.1, 1.0))
+        X, y = blobs(n_per=20, d=6, seed=24)
+        [best] = grid_search(X, y, self.users(len(X)), [(every_row(X), 0)], kind,
+                             pca_cutoffs=PCA_CUTOFFS)
+        assert len(best) == len(PCA_CUTOFFS) and built == []
 
     @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
     def test_one_auc_call_per_usable_inner_fold(self, kind, monkeypatch):
@@ -913,6 +946,106 @@ class TestFitPipeline:
         [copied] = fit_pipeline(X[rows], y[rows], [(every_row(rows), fits)], kind)
         assert ([json.dumps(pipeline_to_dict(p)) for p in pipes]
                 == [json.dumps(pipeline_to_dict(p)) for p in copied])
+
+
+def lone_preprocess(X, X_val, cutoffs) -> SimpleNamespace:
+    """One training slice X standardized, decomposed and projected with
+    lone-slice numpy, as `fit_pipeline` once did slice by slice; `X_val` is
+    projected as `slice_scores` projects held-out rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = X.mean(axis=0), X.std(axis=0)
+    big = ~np.isfinite(std)
+    scale = np.ldexp(0.5, np.frexp(np.abs(X[:, big]).max(axis=0, initial=0.0))[1])
+    scaled = X[:, big] / scale
+    mean[big], std[big] = scaled.mean(axis=0) * scale, scaled.std(axis=0) * scale
+    std = np.maximum(std, STD_FLOOR)
+    Z = (X - mean) / std
+    n, d = Z.shape
+    center = Z.mean(axis=0)
+    Zc = Z - center
+    eigenvalues, U = np.linalg.eigh(Zc @ Zc.T if n < d else Zc.T @ Zc)
+    variances, U = np.maximum(eigenvalues[::-1], 0.0), U[:, ::-1]
+    variances[variances < model.GRAM_FLOOR * variances[0]] = 0.0
+    ratio = variances / variances.sum()
+    ks = [min(int(np.searchsorted(np.cumsum(ratio), c - 1e-12) + 1), len(ratio)) for c in cutoffs]
+    top = U[:, :max(ks)].T
+    top = top @ Zc / np.sqrt(variances[:max(ks), None]) if n < d else top.copy()
+    Z_val = (X_val - mean) / std - center
+    return SimpleNamespace(mean=mean, std=std, center=center, ks=ks, top=top, ratio=ratio,
+                           train={k: Zc @ top[:k].T for k in ks},
+                           val={k: Z_val @ top[:k].T for k in ks})
+
+
+def same_bytes(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedPreprocessing:
+    """`fit_pipeline` preprocesses the slices of one row count as stacks.
+    Every slice's standardizer, PCA and projections must be bitwise those
+    of the lone-slice computation."""
+
+    def data(self):
+        """Four wide slices (6 rows of 10 features) and two tall ones (14
+        rows), disjoint, and validation rows. Only the first slice takes the
+        rows whose column 3 is about 1e200, so only it needs the rescue."""
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(66, 10)) * rng.uniform(0.5, 3.0, 10)
+        X[:6, 3] *= 1e200
+        y = np.arange(66) % 2
+        rest = 6 + rng.permutation(60)
+        slices = [np.arange(6), *(rest[i:i + 6] for i in (0, 6, 12)),
+                  *(rest[i:i + 14] for i in (18, 32))]
+        assert all(set(y[rows]) == {0, 1} for rows in slices)
+        return X, y, slices, rest[46:]
+
+    @pytest.mark.parametrize("stack_entries, stacks",
+                             [(model.STACK_ENTRIES, [4, 2]), (130, [2, 2, 1, 1])])
+    def test_each_slice_as_if_alone(self, stack_entries, stacks, monkeypatch):
+        X, y, slices, val = self.data()
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(X[slices[0]].std(axis=0)).all()
+        monkeypatch.setattr(model, "STACK_ENTRIES", stack_entries)
+        seen = []  # slices per fit_pca call
+        problems = []  # the solver's problems, slice by slice
+        projected = []  # held-out rows, projected, per scored problem
+        monkeypatch.setattr(model, "fit_pca",
+                            lambda Z, cutoffs: seen.append(len(Z)) or fit_pca(Z, cutoffs))
+        monkeypatch.setattr(model, "fit_lr", lambda batch: problems.extend(batch) or fit_lr(batch))
+        score_columns = model._score_columns
+        monkeypatch.setattr(model, "_score_columns",
+                            lambda classifiers, Z: projected.append(Z)
+                            or score_columns(classifiers, Z))
+        fits = [(cutoff, {"C": 1.0}) for cutoff in PCA_CUTOFFS]
+        fitted = fit_pipeline(X, y, [(rows, fits) for rows in slices], "lr")
+        assert seen == stacks
+        for rows, pipes in zip(slices, fitted, strict=True):
+            alone = lone_preprocess(X[rows], X[val], PCA_CUTOFFS)
+            assert [pipe.pca.k for pipe in pipes] == alone.ks
+            for pipe, k in zip(pipes, alone.ks):
+                assert same_bytes(pipe.standardizer.mean, alone.mean)
+                assert same_bytes(pipe.standardizer.std, alone.std)
+                assert same_bytes(pipe.pca.mean, alone.center)
+                assert same_bytes(pipe.pca.components, alone.top[:k])
+                assert same_bytes(pipe.pca.explained_variance_ratio, alone.ratio[:k])
+            ks = list(dict.fromkeys(alone.ks))  # one problem per distinct k
+            mine, problems[:len(ks)] = problems[:len(ks)], []
+            for (Z, _, _), k in zip(mine, ks, strict=True):
+                assert same_bytes(Z, alone.train[k])
+            projected.clear()
+            model.slice_scores(pipes, X[val])
+            for Z, k in zip(projected, ks, strict=True):
+                assert same_bytes(Z, alone.val[k])
+        assert problems == []
+
+    def test_a_zero_variance_slice_raises(self):
+        X, y, slices, _ = self.data()
+        X[slices[2]] = 0.0
+        fits = [(cutoff, {"C": 1.0}) for cutoff in PCA_CUTOFFS]
+        with pytest.raises(DegenerateData):
+            fit_pipeline(X, y, [(rows, fits) for rows in slices], "lr")
+        with pytest.raises(DegenerateData):
+            fit_pca(X[np.stack(slices[1:3])], PCA_CUTOFFS)
 
 
 class TestPipelinePersistence:
