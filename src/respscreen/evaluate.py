@@ -5,6 +5,11 @@ The outer loop is ten user-disjoint 80/20 splits; the inner loop is a
 training rows only. Augmentation (when enabled, tasks 2-3) expands the
 training negatives six-fold; the test side is never augmented and is
 always class-balanced.
+
+A nested CV is planned (`plan_nested_cv`), solved and reported
+(`nested_cv_reports`). `run_nested_cv` takes one config or several, and a
+sweep is one call with all of its configs: each is planned in turn,
+keeping arrays only, and the LR configs are solved together.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
@@ -25,7 +31,8 @@ from .embeddings import combine, pool
 from .errors import (UNUSABLE_RECORDING, ConfigError, EmptyCohort, NonFiniteFeature,
                      RespScreenError, skip_reason)
 from .metrics import precision_recall, roc_auc
-from .model import PCA_CUTOFFS, fit_pipeline, grid_search, slice_scores
+from .model import (DECISION_THRESHOLD, PCA_CUTOFFS, fit_pipeline, fit_pipelines, fit_slices,
+                    grid_search, plan_search)
 from .util import csv_text, write_text_atomic
 
 MODALITY_CHOICES = ("cough", "breath", "combined")
@@ -247,38 +254,40 @@ def build_cohort(records: list[SampleRecord], config: RunConfig, store: FeatureS
 def select_and_fit(X, y, users, slices: list, kind: str, cutoffs):
     """Per training slice `(rows, seed)` and PCA cutoff, the cell an inner
     user-disjoint grid search picks and the pipeline refit on the whole
-    slice with it, as `(cell, pipeline)`: one `grid_search`, one `fit_pipeline`.
-    `rows` is an integer array of row indices into the run's matrix `X`,
-    whose rows have labels `y` and owners `users`."""
-    params = grid_search(X, y, users, slices, kind, pca_cutoffs=cutoffs)
-    pipelines = fit_pipeline(X, y, [(rows, list(zip(cutoffs, cells)))
-                                    for (rows, _), cells in zip(slices, params)], kind)
-    return [list(zip(cells, pipes, strict=True)) for cells, pipes in zip(params, pipelines)]
+    slice with it, as `(cell, pipeline)`: a nested CV's selection and
+    refit, with pipelines built for a model file. `rows` is an integer
+    array of row indices into the run's matrix `X`, whose rows have labels
+    `y` and owners `users`."""
+    [selected] = grid_search([plan_search(X, y, users, slices, cutoffs)], kind)
+    if isinstance(selected, RespScreenError):
+        raise selected
+    pipelines = fit_pipelines(X, y, [(rows, list(zip(cutoffs, cells)))
+                                     for (rows, _), cells in zip(slices, selected)], kind)
+    return [list(zip(cells, pipes, strict=True)) for cells, pipes in zip(selected, pipelines)]
 
 
-def run_nested_cv(
-    records: list[SampleRecord],
-    config: RunConfig,
-    base_dir=None,
-    store: FeatureStore | None = None,
-    cutoffs: tuple[float, ...] | None = None,
-) -> EvaluationReport | tuple[EvaluationReport, ...]:
-    """User-disjoint nested CV of `config`, reported at `config.pca_cutoff`.
-    Features come from `store`, or else from `FeatureStore(base_dir)`, which
-    holds no embeddings; `base_dir` defaults to the working directory, and
-    passing both is a `ValueError`.
+@dataclass(frozen=True)
+class NestedPlan:
+    """A nested CV up to its solves, as arrays: the report configs, one per
+    cutoff, the units left out, and per outer fold, its inner folds planned
+    for `grid_search`, its training slice planned with the test rows held
+    out, and the number of its test users."""
 
-    Given `cutoffs`, it returns one report per cutoff, in order. The cutoffs
-    share the cohort, the splits and each training slice's standardizer and
-    PCA decomposition; each cutoff selects its own hyperparameters. An outer
-    fold's test rows are scored for every cutoff by one `slice_scores` call.
-    """
-    configs = [config] if cutoffs is None else [replace(config, pca_cutoff=c) for c in cutoffs]
+    configs: tuple[RunConfig, ...]
+    skipped: tuple[tuple[str, str], ...]
+    search: list
+    outer: list
+    n_test_users: list
+
+
+def plan_nested_cv(records, config: RunConfig, store: FeatureStore, cutoffs) -> NestedPlan:
+    """Build the cohort, the splits and the inner folds of `config`'s nested
+    CV, and preprocess every training slice, keeping its projections only.
+    With `cutoffs`, the cutoffs share the cohort, the splits and each
+    training slice's standardizer and PCA decomposition."""
+    configs = (config,) if cutoffs is None else tuple(replace(config, pca_cutoff=c)
+                                                      for c in cutoffs)
     pca_cutoffs = [c.pca_cutoff for c in configs]
-    if store is None:
-        store = FeatureStore("." if base_dir is None else base_dir)
-    elif base_dir is not None:
-        raise ValueError("give base_dir or store, not both")
     cohort = build_cohort(records, config, store)
     units, X, y, users = cohort.units, cohort.X, cohort.y, cohort.users
     splits = split_users([u for u in units if u.label == 1], [u for u in units if u.label == 0],
@@ -297,29 +306,115 @@ def run_nested_cv(
         train_slices.append((train, config.seed + fold_idx))
         tests.append(test)
 
-    fits = select_and_fit(X, y, users, train_slices, config.classifier_kind, pca_cutoffs)
-    folds: list[list[FoldResult]] = [[] for _ in configs]  # per cutoff
-    for (train, _), test, fold_fits in zip(train_slices, tests, fits):
-        y_test = y[test]
-        scores = slice_scores([pipeline for _, pipeline in fold_fits], X[test])
-        aucs = roc_auc(scores, y_test)  # one per cutoff
-        for j, (cutoff_folds, (cell, pipeline)) in enumerate(zip(folds, fold_fits, strict=True)):
-            pr = precision_recall(scores[:, j], y_test, pipeline.classifier.threshold)
+    search = plan_search(X, y, users, train_slices, pca_cutoffs)
+    outer = fit_pipeline(X, y, [(train, test) for (train, _), test in zip(train_slices, tests)],
+                         pca_cutoffs)
+    return NestedPlan(configs, cohort.skipped, search, outer,
+                      [len(set(users[test])) for test in tests])
+
+
+def nested_cv_reports(plan: NestedPlan, cells, refits) -> tuple[EvaluationReport, ...]:
+    """One report per cutoff of a planned nested CV, from its selected cells
+    and refits per outer fold: an outer fold's test rows are scored for
+    every cutoff as one matrix, with one `roc_auc` and one
+    `precision_recall` call."""
+    folds: list[list[FoldResult]] = [[] for _ in plan.configs]  # per cutoff
+    threshold = DECISION_THRESHOLD[plan.configs[0].classifier_kind]
+    for outer, fold_cells, refit, n_test_users in zip(plan.outer, cells, refits,
+                                                      plan.n_test_users, strict=True):
+        scores = refit.scores()
+        aucs = roc_auc(scores, outer.held_y)  # one per cutoff
+        pr = precision_recall(scores, outer.held_y, threshold)
+        for j, (cutoff_folds, config, cell) in enumerate(zip(folds, plan.configs, fold_cells,
+                                                             strict=True)):
             cutoff_folds.append(
                 FoldResult(
                     auc=float(aucs[j]),
-                    precision=pr.precision,
-                    recall=pr.recall,
+                    precision=float(pr.precision[j]),
+                    recall=float(pr.recall[j]),
                     hyperparameters=cell,
-                    pca_k=pipeline.pca.k,
-                    n_train=len(train),
-                    n_test=len(y_test),
-                    n_test_users=len(set(users[test])),
+                    pca_k=outer.k(config.pca_cutoff),
+                    n_train=outer.n,
+                    n_test=len(outer.held_y),
+                    n_test_users=n_test_users,
                 )
             )
-    reports = tuple(EvaluationReport(c, tuple(f), aggregate_folds(f), cohort.skipped)
-                    for c, f in zip(configs, folds))
-    return reports[0] if cutoffs is None else reports
+    return tuple(EvaluationReport(c, tuple(f), aggregate_folds(f), plan.skipped)
+                 for c, f in zip(plan.configs, folds))
+
+
+def _attempt(catch, fn, *args):
+    """`fn(*args)`, or the exception of a type in `catch` that it raised,
+    kept without its traceback, whose frames would hold the run's arrays."""
+    try:
+        return fn(*args)
+    except catch as exc:
+        return exc.with_traceback(None)
+
+
+def run_nested_cv(
+    records: list[SampleRecord],
+    config: RunConfig | Sequence[RunConfig],
+    base_dir=None,
+    store: FeatureStore | None = None,
+    cutoffs: tuple[float, ...] | None = None,
+):
+    """User-disjoint nested CV of `config`, reported at `config.pca_cutoff`.
+    Features come from `store`, or else from `FeatureStore(base_dir)`, which
+    holds no embeddings; `base_dir` defaults to the working directory, and
+    passing both is a `ValueError`.
+
+    Given `cutoffs`, it returns one report per cutoff, in order. The cutoffs
+    share the cohort, the splits and each training slice's standardizer and
+    PCA decomposition; each cutoff selects its own hyperparameters.
+
+    Given a sequence of configs, it returns per config what a lone call
+    would, or the `RespScreenError` that config raised (without its
+    traceback); other exceptions propagate. The configs are one plan: each
+    is planned in turn (`plan_nested_cv`), keeping arrays only, then every
+    LR config's inner folds are solved by one `grid_search` and its refits
+    by one `fit_slices`, so a sweep makes two `fit_lr` calls. An SVM fit
+    keeps copies of its support vectors, so each SVM config is solved on its
+    own. A `RespScreenError` raised inside a shared solve is raised for the
+    whole call.
+    """
+    lone = isinstance(config, RunConfig)
+    configs = [config] if lone else list(config)
+    if store is None:
+        store = FeatureStore("." if base_dir is None else base_dir)
+    elif base_dir is not None:
+        raise ValueError("give base_dir or store, not both")
+    catch = () if lone else RespScreenError
+    outcomes: list = [None] * len(configs)
+    # LR fits are arrays, so the LR configs are solved together; an SVM fit
+    # keeps copies of its support vectors, so each SVM config is solved alone
+    lr = [i for i, c in enumerate(configs) if c.classifier_kind == "lr"]
+    batches = ([lr] if lr else []) + [[i] for i in range(len(configs)) if i not in lr]
+    for batch in batches:
+        kind = configs[batch[0]].classifier_kind
+        for i in batch:
+            outcomes[i] = _attempt(catch, plan_nested_cv, records, configs[i], store, cutoffs)
+        planned = [i for i in batch if isinstance(outcomes[i], NestedPlan)]
+        chosen = []  # (config, its cells per outer fold)
+        for i, cells in zip(planned, grid_search([outcomes[i].search for i in planned], kind)):
+            if isinstance(cells, RespScreenError):
+                if lone:
+                    raise cells
+                outcomes[i] = cells
+            else:
+                chosen.append((i, cells))
+        outers = [(outer, fold_cells) for i, cells in chosen
+                  for outer, fold_cells in zip(outcomes[i].outer, cells)]
+        refits = iter(fit_slices([outer for outer, _ in outers],
+                                 [list(zip(outer.cutoffs, cells)) for outer, cells in outers],
+                                 kind))
+        for i, cells in chosen:
+            plan = outcomes[i]
+            outcomes[i] = _attempt(catch, nested_cv_reports, plan, cells,
+                                   [next(refits) for _ in plan.outer])
+    if cutoffs is None:
+        outcomes = [o if isinstance(o, RespScreenError) else o[0] for o in outcomes]
+    return outcomes[0] if lone else outcomes
 
 
 # --- report and sweep serialization ----------------------------------------
@@ -370,37 +465,34 @@ def sweep(
     """Cross product over `MODALITY_CHOICES` x `PCA_CUTOFFS` x `FEATURE_TYPES`.
 
     Each (modality, feature type) is one nested CV that reports all the
-    cutoffs. Cells needing embeddings are marked `skipped` when none are
-    loaded; a (modality, feature type) that fails with a `RespScreenError`
-    is recorded as `error:<type>: <message>` in each of its cutoffs and the
-    sweep continues. Other exceptions are bugs and propagate.
+    cutoffs, and all of them are one `run_nested_cv` call: one plan, whose
+    LR fits take two solver calls. Cells needing embeddings are marked
+    `skipped` when none are loaded; a (modality, feature type) that fails
+    with a `RespScreenError` is recorded as `error:<type>: <message>` in each
+    of its cutoffs, and the other rows are as their lone runs give. Other
+    exceptions are bugs and propagate.
     """
     store = FeatureStore(base_dir, embeddings)
+    configs = [RunConfig(task_id=task_id, modality=modality, feature_type=feature_type, seed=seed)
+               for modality in MODALITY_CHOICES for feature_type in FEATURE_TYPES
+               if embeddings is not None or feature_type not in EMBEDDING_FEATURE_TYPES]
+    outcomes = run_nested_cv(records, configs, store=store, cutoffs=PCA_CUTOFFS)
+    by_cell = {(c.modality, c.feature_type): o for c, o in zip(configs, outcomes, strict=True)}
     rows = []
     for modality in MODALITY_CHOICES:
-        outcomes = {}  # feature type -> one report per cutoff, or a status
-        for feature_type in FEATURE_TYPES:
-            if feature_type in EMBEDDING_FEATURE_TYPES and embeddings is None:
-                outcomes[feature_type] = "skipped"
-                continue
-            config = RunConfig(task_id=task_id, modality=modality, feature_type=feature_type,
-                               seed=seed)
-            try:
-                outcomes[feature_type] = run_nested_cv(records, config, store=store,
-                                                       cutoffs=PCA_CUTOFFS)
-            except RespScreenError as exc:  # record and continue
-                outcomes[feature_type] = f"error:{skip_reason(exc)}"
         for i, cutoff in enumerate(PCA_CUTOFFS):
             for feature_type in FEATURE_TYPES:
                 base = dict(task=task_id, modality=modality, feature_type=feature_type,
                             pca_cutoff=cutoff)
-                outcome = outcomes[feature_type]
-                if isinstance(outcome, str):
-                    rows.append(SweepRow(**base, status=outcome))
-                    continue
-                agg = outcome[i].aggregate
-                metrics = {col: agg[m][stat] for col, (m, stat) in METRIC_COLUMNS.items()}
-                rows.append(SweepRow(**base, **metrics))
+                outcome = by_cell.get((modality, feature_type))
+                if outcome is None:
+                    rows.append(SweepRow(**base, status="skipped"))
+                elif isinstance(outcome, RespScreenError):
+                    rows.append(SweepRow(**base, status=f"error:{skip_reason(outcome)}"))
+                else:
+                    agg = outcome[i].aggregate
+                    metrics = {col: agg[m][stat] for col, (m, stat) in METRIC_COLUMNS.items()}
+                    rows.append(SweepRow(**base, **metrics))
     return rows
 
 

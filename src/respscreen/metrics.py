@@ -31,27 +31,35 @@ def roc_auc(scores, labels) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class PrecisionRecall:
-    precision: float
-    recall: float
-    no_predicted_positives: bool = False
+    precision: float | np.ndarray
+    recall: float | np.ndarray
+    no_predicted_positives: bool | np.ndarray = False
 
 
 def precision_recall(scores, labels, threshold: float) -> PrecisionRecall:
     """Confusion-count precision/recall at `score >= threshold`.
 
-    With zero predicted positives, precision is reported as 0 with the
-    `no_predicted_positives` flag set.
+    With zero predicted positives, precision and recall are reported as 0
+    with the `no_predicted_positives` flag set. `scores` is one score per
+    row, or an [n x m] matrix whose m columns are scored alike; a matrix
+    gives arrays of m values per field, each equal to its column's alone,
+    and its labels are checked once.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if len(np.unique(labels)) < 2:
         raise SingleClass("need both classes")
     predicted = scores >= threshold
-    tp = int(np.sum(predicted & (labels == 1)))
-    fp = int(np.sum(predicted & (labels == 0)))
-    fn = int(np.sum(~predicted & (labels == 1)))
-    if tp + fp == 0:
-        return PrecisionRecall(0.0, 0.0, no_predicted_positives=True)
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return PrecisionRecall(precision, recall)
+    pos, neg = labels == 1, labels == 0
+    if scores.ndim == 2:
+        pos, neg = pos[:, None], neg[:, None]
+    tp = np.sum(predicted & pos, axis=0)
+    fp = np.sum(predicted & neg, axis=0)
+    fn = np.sum(~predicted & pos, axis=0)
+    none = tp + fp == 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        precision = np.where(none, 0.0, tp / (tp + fp))
+        recall = np.where(none, 0.0, tp / (tp + fn))
+    if scores.ndim == 1:
+        return PrecisionRecall(float(precision), float(recall), bool(none))
+    return PrecisionRecall(precision, recall, none)

@@ -2,13 +2,16 @@
 shallow classifiers (L2 logistic regression, SVM with RBF kernel).
 
 PCA takes the eigendecomposition of the smaller Gram matrix of each
-slice, Xc' Xc or Xc Xc'. `fit_pipeline` preprocesses training slices of one
-row count as bounded stacks, each slice bitwise as it would be alone.
-Inner folds stay arrays (`SliceFit`) from fit to score; `Pipeline` objects
-are built for the refits only. Every held-out slice, an inner fold's
-validation rows or an outer fold's test rows, is scored in one pass by
-`slice_scores`: one standardization, then one projection and one stacked
-LR product per distinct k of an inner fold, or per refit of an outer one.
+slice, Xc' Xc or Xc Xc'. Model selection is plan, solve, select.
+`fit_pipeline` preprocesses training slices of one row count as bounded
+stacks, each slice bitwise as it would be alone, and projects each slice's
+training and held-out rows once per distinct k while its components are
+live; a `SlicePlan` keeps only those arrays. `fit_slices` fits any number
+of planned slices with one solver call, and `grid_search` selects the
+cells of any number of planned searches from one such call, so a sweep
+fits all of its inner folds at once and all of its refits at once. LR fits
+stay arrays (`LrFit`) from solve to score; an LR `Classifier` and a
+`Pipeline` are built only for a model file (`fit_pipelines`).
 
 All solvers are deterministic and take a batch of problems, each one input
 with the cells fit on it. LR runs damped Newton from a zero start in
@@ -21,14 +24,13 @@ pipelines serialize to versioned JSON and round-trip exactly.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
-from itertools import accumulate
 from dataclasses import dataclass
+from itertools import accumulate, islice
 
 import numpy as np
 
 from .dataset import TooFewUsers
-from .errors import DegenerateData, NonFiniteFeature, SingleClass
+from .errors import DegenerateData, NonFiniteFeature, RespScreenError, SingleClass
 from .metrics import roc_auc
 from .util import write_text_atomic
 
@@ -41,6 +43,9 @@ LR_MAX_ITER = 200  # Newton steps; a problem stopped by this cap reports converg
 # Newton-decrement stop: lambda^2 / 2 <= LR_DECREMENT_TOL * eps * |loss|,
 # a few eps because the loss itself is evaluated with that much rounding
 LR_DECREMENT_TOL = 4.0
+# fit_lr solves the fits of one shape in lockstep stacks of about this many
+# entries of X (64 KiB), so a step's stacked arrays and copies stay small
+LR_STACK_ENTRIES = 2**13
 # Backtracking step sizes 2^-j after t = 1, j = 1..59, in blocks of 2, 4,
 # 8, ... that a search tries at once: a search stalled at rounding level,
 # which runs through 20-60 of them, takes a few stacked loss evaluations.
@@ -48,6 +53,9 @@ LS_BLOCKS = [0.5**j for j in np.split(np.arange(1, 60), [2, 6, 14, 30])]
 SVM_KKT_TOL = 1e-3
 SVM_MAX_ITER = 200_000  # SMO steps; likewise
 STD_FLOOR = 1e-12
+# the decision score at and above which a row is predicted positive: LR
+# scores are probabilities, SVM scores margins
+DECISION_THRESHOLD = {"lr": 0.5, "svm-rbf": 0.0}
 # PCA: Gram eigenvalues below this fraction of the largest are zero
 # variance, i.e. singular values below 1e-10 of the largest
 GRAM_FLOOR = 1e-20
@@ -161,42 +169,42 @@ def fit_pca(X: np.ndarray, cutoffs) -> list:
     return models if X.ndim == 3 else models[0]
 
 
-def _check_labels(y) -> np.ndarray:
-    y = np.asarray(y)
-    classes = np.unique(y)
+def _check_labels(y) -> None:
+    classes = np.unique(np.asarray(y))
     if len(classes) < 2:
         raise SingleClass("need both classes present")
     if not np.array_equal(classes, [0, 1]):
         raise ValueError("labels must be 0/1")
-    return y.astype(np.float64)
 
 
 def _intake(problems, group_key):
-    """A solver batch of problems `(X, y, cells)` as (X finite float64,
-    y in {-1, +1}, cells), and its fits `(problem, cell index, cell)`
-    grouped by `group_key(X)`. Each problem's X is converted and checked
-    once, and all of its cells share it. So is its y, once for a run of
-    problems that pass the same y object, as the problems of one
-    `fit_pipeline` slice do."""
-    checked, groups = [], {}
-    y_last = y_pm = None
-    for p, (X, y, cells) in enumerate(problems):
+    """A solver batch of problems `(X, y, cells)`: per problem, its X
+    (finite float64) and its checked 0/1 labels y, as two lists, and the
+    problems' indices grouped by `group_key(X)`. Each problem's X is
+    converted and checked once, and all of its cells share it. So is its y,
+    once for a run of problems that pass the same y object, as the problems
+    of one planned slice do."""
+    Xs, ys, groups = [], [], {}
+    y_last = None
+    for p, (X, y, _) in enumerate(problems):
         X = np.asarray(X, dtype=np.float64)
         if not np.all(np.isfinite(X)):
             raise NonFiniteFeature("non-finite feature value")
         if y is not y_last:
-            y_last, y_pm = y, 2.0 * _check_labels(y) - 1.0
-        checked.append((X, y_pm, cells))
-        groups.setdefault(group_key(X), []).extend((p, c, cell) for c, cell in enumerate(cells))
-    return checked, groups
+            _check_labels(y)
+            y_last = y
+        Xs.append(X)
+        ys.append(y)
+        groups.setdefault(group_key(X), []).append(p)
+    return Xs, ys, groups
 
 
 @dataclass
 class Classifier:
     """A fitted shallow classifier with a real-valued decision score.
 
-    LR scores are probabilities (natural threshold 0.5); SVM scores are
-    margins (threshold 0).
+    LR scores are probabilities, SVM scores margins (`DECISION_THRESHOLD`).
+    Only a model file needs one for LR: `fit_lr` returns arrays (`LrFit`).
     """
 
     kind: str  # "lr" | "svm-rbf"
@@ -211,10 +219,44 @@ class Classifier:
 
     @property
     def threshold(self) -> float:
-        return 0.5 if self.kind == "lr" else 0.0
+        return DECISION_THRESHOLD[self.kind]
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        return _score_columns([self], np.asarray(X, dtype=np.float64))[:, 0]
+        X = np.asarray(X, dtype=np.float64)
+        if self.kind == "lr":
+            return _lr_scores(X, self.weights[None])[0]
+        return _score_columns([self], X)[:, 0]
+
+
+@dataclass(frozen=True, slots=True)
+class LrFit:
+    """The LR fits of one problem, one per cell in order: weights
+    [cells x d+1] (last entry intercept), Newton steps taken, and whether
+    each fit converged. They are rows `start` on of the arrays `solved`
+    (weights, steps, flags) of the lockstep stack that solved them, so a
+    fit holds no arrays of its own."""
+
+    cells: list
+    solved: tuple
+    start: int
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.solved[0][self.start:self.start + len(self.cells)]
+
+    @property
+    def n_iter(self) -> np.ndarray:
+        return self.solved[1][self.start:self.start + len(self.cells)]
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.solved[2][self.start:self.start + len(self.cells)]
+
+    def classifier(self, c: int) -> Classifier:
+        """Cell c's fit as a `Classifier`, for a model file; its
+        `hyperparameters` is a copy of the cell."""
+        return Classifier(kind="lr", hyperparameters=dict(self.cells[c]), weights=self.weights[c],
+                          n_iter=int(self.n_iter[c]), converged=bool(self.converged[c]))
 
 
 def _lr_scores(X, W) -> np.ndarray:
@@ -251,18 +293,20 @@ def _lr_grad(W, Z, XT, neg_Y_pm, C):
     return grad
 
 
-def fit_lr(problems) -> list[list[Classifier]]:
+def fit_lr(problems) -> list[LrFit]:
     """L2-regularized logistic regression of each problem `(X, y, cells)`
     at each of its cells ({"C": ...}), via damped Newton from zero init, run
     until the gradient norm drops below 1e-8 or the Newton decrement shows a
-    floating-point optimum. Returns, per problem, one classifier per cell in
-    order; its `hyperparameters` is a copy of the cell.
+    floating-point optimum. Returns, per problem, an `LrFit`: one row of
+    weights, one step count and one convergence flag per cell, in order.
 
-    The fits of all problems of one shape are solved in lockstep as a stack,
-    in (problem, cell) order: one stacked Newton solve per step, each fit
-    with its own backtracking step size, and a fit leaves the stack when it
-    stops. Every stacked operation computes each fit as a lone fit would, so
-    a fit's result does not depend on the others in its batch.
+    The fits of all problems of one shape are solved in lockstep, in
+    (problem, cell) order, as stacks of about `LR_STACK_ENTRIES` entries of
+    X: one stacked Newton solve per step, each fit with its own
+    backtracking step size, and a fit leaves the stack when it stops. Every
+    stacked operation computes each fit as a lone fit would, so a fit's
+    result does not depend on the others in its batch, and a sweep can
+    solve the fits of all of its nested CVs in one call.
 
     Rounding can hold the gradient norm just above its tolerance at the
     optimum. A problem whose last accepted step did not lower the loss, and
@@ -278,17 +322,27 @@ def fit_lr(problems) -> list[list[Classifier]]:
     A fit that meets neither stop within `LR_MAX_ITER` steps reports
     `converged=False`.
     """
-    problems, groups = _intake(problems, lambda X: X.shape)
-    classifiers = [[None] * len(cells) for _, _, cells in problems]
-    for fits in groups.values():
-        X = np.stack([problems[p][0] for p, _, _ in fits])
-        Y_pm = np.stack([problems[p][1] for p, _, _ in fits])
-        C = np.array([cell["C"] for _, _, cell in fits], dtype=np.float64)
-        W, n_iter, converged = _newton_lockstep(X, Y_pm, C)
-        for j, (p, c, cell) in enumerate(fits):
-            classifiers[p][c] = Classifier(kind="lr", hyperparameters=dict(cell), weights=W[j],
-                                           n_iter=int(n_iter[j]), converged=bool(converged[j]))
-    return classifiers
+    cells = [cells for _, _, cells in problems]
+    Xs, ys, groups = _intake(problems, lambda X: X.shape)
+    fitted = [None] * len(cells)
+    for (n, d), group in groups.items():
+        size, stacks, count = max(1, LR_STACK_ENTRIES // (n * d)), [[]], 0
+        for p in group:  # a stack ends at the problem that brings it to `size` fits
+            if count >= size:
+                stacks.append([])
+                count = 0
+            stacks[-1].append(p)
+            count += len(cells[p])
+        for stack in stacks:
+            fits = [(p, cell) for p in stack for cell in cells[p]]
+            X = np.stack([Xs[p] for p, _ in fits])
+            Y_pm = 2.0 * np.stack([ys[p] for p, _ in fits]) - 1.0
+            C = np.array([cell["C"] for _, cell in fits], dtype=np.float64)
+            solved, start = _newton_lockstep(X, Y_pm, C), 0
+            for p in stack:
+                fitted[p] = LrFit(cells[p], solved, start)
+                start += len(cells[p])
+    return fitted
 
 
 def _newton_lockstep(X, Y_pm, C):
@@ -391,21 +445,22 @@ def fit_svm_rbf(problems) -> list[list[Classifier]]:
     the others in its batch. A model reports `converged=False` when SMO
     stops at `SVM_MAX_ITER` instead of on the KKT gap.
     """
-    problems, groups = _intake(problems, lambda X: X.shape[0])
+    Xs, ys, groups = _intake(problems, lambda X: X.shape[0])
     classifiers = [[None] * len(cells) for _, _, cells in problems]
-    for n, fits in groups.items():
-        gammas = [resolve_gamma(cell["gamma"], problems[p][0]) for p, _, cell in fits]
+    for n, group in groups.items():
+        fits = [(p, c, cell) for p in group for c, cell in enumerate(problems[p][2])]
+        gammas = [resolve_gamma(cell["gamma"], Xs[p]) for p, _, cell in fits]
         kernels: dict = {}  # (problem, gamma) -> stack position
         kernel_of = np.array([kernels.setdefault((p, gamma), len(kernels))
                               for (p, _, _), gamma in zip(fits, gammas)])
         KT = np.empty((len(kernels), n, n))  # each kernel, transposed
         for (p, gamma), k in kernels.items():
-            KT[k] = rbf_kernel(problems[p][0], problems[p][0], gamma).T
-        Y_pm = np.stack([problems[p][1] for p, _, _ in fits])
+            KT[k] = rbf_kernel(Xs[p], Xs[p], gamma).T
+        Y_pm = 2.0 * np.stack([ys[p] for p, _, _ in fits]) - 1.0
         C = np.array([cell["C"] for _, _, cell in fits], dtype=np.float64)
         *state, n_iter, converged = _smo_lockstep(KT, kernel_of, Y_pm, C)
         for j, ((p, c, cell), gamma) in enumerate(zip(fits, gammas)):
-            classifiers[p][c] = _svm_classifier(problems[p][0], Y_pm[j], {**cell, "gamma": gamma},
+            classifiers[p][c] = _svm_classifier(Xs[p], Y_pm[j], {**cell, "gamma": gamma},
                                                 *(a[j] for a in state), int(n_iter[j]),
                                                 bool(converged[j]))
     return classifiers
@@ -518,73 +573,71 @@ def _inner_user_folds(users, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(np.flatnonzero(fold != k), np.flatnonzero(fold == k)) for k in range(N_INNER_FOLDS)]
 
 
-def grid_search(X, y, users, slices, kind: str, pca_cutoffs) -> list[list[dict]]:
-    """For each training slice `(rows, seed)`, pick per PCA cutoff the cell
-    of `grid_cells(kind)` maximizing mean inner-fold ROC-AUC. `rows`, and
-    every inner fold, is an integer array of row indices into the run's
-    matrix `X`, whose rows have labels `y` and owners `users`.
+def plan_search(X, y, users, slices, pca_cutoffs) -> list[list[SlicePlan]]:
+    """The inner folds of each training slice `(rows, seed)`, planned for
+    `grid_search`: per slice, the `SlicePlan` of each usable inner fold,
+    with the fold's validation rows held out. `rows`, and every inner fold,
+    is an integer array of row indices into the run's matrix `X`, whose
+    rows have labels `y` and owners `users`.
 
-    Plan, solve, select: the usable inner folds of every slice are planned
-    first, all of them are fit in one `fit_pipeline` call, and each slice
-    then selects from its own folds' scores. Inner folds are user-disjoint
-    and seeded by their slice's `seed`. Each inner fold's training slice
-    gets one standardize -> PCA fit, shared by every cutoff and grid cell,
-    so selection sees the same preprocessing as the outer fit and never
-    leaks validation rows. Ties break toward smaller C then smaller gamma
-    ('scale' first, resolved on each fold's projected training slice).
-
-    Inner folds stay arrays: each is scored by one `slice_scores` call on
-    its `SliceFit` and validation rows, and one `roc_auc` call on those
-    columns gives the fold's row of AUCs, one per fit. No `Pipeline` is
-    built.
+    Inner folds are user-disjoint and seeded by their slice's `seed`. All
+    usable folds go to one `fit_pipeline` call, so each fold's training
+    slice gets one standardize -> PCA fit, shared by every cutoff and grid
+    cell: selection sees the same preprocessing as the outer fit and never
+    leaks validation rows. The plans keep arrays only.
     """
     users = np.asarray(users)
     folds = [(s, rows[train_idx], rows[val_idx]) for s, (rows, seed) in enumerate(slices)
              for train_idx, val_idx in _inner_user_folds(users[rows], seed)]
-    cells = grid_cells(kind)
-    fits = [(cutoff, cell) for cutoff in pca_cutoffs for cell in cells]
-    # degenerate folds at desk scale are left out; each slice scores on the rest
+    # degenerate folds at desk scale are left out; each slice selects on the rest
     inner = [(s, train, val) for s, train, val in folds
              if len(np.unique(y[train])) >= 2 and len(np.unique(y[val])) >= 2]
-    fitted = fit_pipeline(X, y, [(train, fits) for _, train, _ in inner], kind)
-    aucs = [[] for _ in slices]  # per slice, one AUC row over `fits` per usable fold
-    for (s, _, val), fold_fit in zip(inner, fitted, strict=True):
-        aucs[s].append(roc_auc(slice_scores(fold_fit, X[val]), y[val]))
-    return [_select(cells, slice_aucs, len(pca_cutoffs)) for slice_aucs in aucs]
+    plans = fit_pipeline(X, y, [(train, val) for _, train, val in inner], pca_cutoffs)
+    search = [[] for _ in slices]
+    for (s, _, _), plan in zip(inner, plans, strict=True):
+        search[s].append(plan)
+    return search
 
 
-def slice_scores(pipes, X) -> np.ndarray:
-    """Decision scores [n x m] on rows X of m pipelines that share one
-    standardizer: a `SliceFit`, or a list of pipelines of one `fit_pipeline`
-    slice. X is standardized once. A `SliceFit` is projected once per
-    distinct k, and that k's classifiers are scored by one `_score_columns`
-    call (one `_lr_scores` product for LR); a list is projected and scored
-    pipeline by pipeline."""
-    if isinstance(pipes, SliceFit):
-        standardizer, problems, columns = pipes.standardizer, pipes.problems, pipes.columns
-    else:
-        standardizer, columns = pipes[0].standardizer, slice(None)
-        problems = [(p.pca, [p.classifier]) for p in pipes]
-    Z = standardizer.transform(X)
-    return np.concatenate([_score_columns(classifiers, pca.transform(Z))
-                           for pca, classifiers in problems], axis=1)[:, columns]
+def grid_search(searches, kind: str) -> list:
+    """For each planned search (`plan_search`), per training slice and PCA
+    cutoff of its plans, the cell of `grid_cells(kind)` that maximizes mean
+    inner-fold ROC-AUC. Ties break toward smaller C then smaller gamma
+    ('scale' first, resolved on each fold's projected training slice).
+
+    Solve, then select: every inner fold of every search is fit at every
+    (cutoff, cell) by one `fit_slices` call, so a sweep makes one solver
+    call for all of its inner folds. Each fold is scored as arrays on its
+    projected validation rows, and one `roc_auc` call on those columns
+    gives its row of AUCs, one per fit. A search whose selection raises a
+    `RespScreenError` (a slice with no usable inner fold) gets that error,
+    without its traceback, in place of its cells; the others keep theirs.
+    """
+    cells = grid_cells(kind)
+    plans = [plan for search in searches for slice_plans in search for plan in slice_plans]
+    grid: dict = {}  # cutoffs -> every (cutoff, cell), one list for the plans that have them
+    for plan in plans:
+        if plan.cutoffs not in grid:
+            grid[plan.cutoffs] = [(cutoff, cell) for cutoff in plan.cutoffs for cell in cells]
+    fitted = iter(fit_slices(plans, [grid[plan.cutoffs] for plan in plans], kind))
+    selected = []
+    for search in searches:
+        aucs = [[roc_auc(fit.scores(), fit.plan.held_y) for fit in islice(fitted, len(slice_plans))]
+                for slice_plans in search]
+        try:
+            selected.append([_select(cells, rows) for rows in aucs])
+        except RespScreenError as exc:
+            selected.append(exc.with_traceback(None))
+    return selected
 
 
-def _score_columns(classifiers, Z) -> np.ndarray:
-    """Decision scores [n x m] of m classifiers of one kind on one projected
-    slice Z: LR weights as one stacked product, SVMs one by one."""
-    if classifiers[0].kind == "lr":
-        return _lr_scores(Z, np.array([c.weights for c in classifiers])).T
-    return np.column_stack([rbf_kernel(Z, c.support_vectors, c.hyperparameters["gamma"])
-                            @ c.dual_coef + c.intercept for c in classifiers])
-
-
-def _select(cells, rows, n_cutoffs: int) -> list[dict]:
+def _select(cells, rows) -> list[dict]:
     """Per cutoff, the first cell (in tie-break order) with the best mean AUC
-    over the fold rows; a later cell wins only by more than 1e-12."""
+    over the fold rows, each over the (cutoff, cell) fits in cutoff-major
+    order; a later cell wins only by more than 1e-12."""
     if not rows:
         raise SingleClass("no inner fold had both classes")
-    means = np.mean(rows, axis=0).reshape(n_cutoffs, len(cells)).tolist()
+    means = np.mean(rows, axis=0).reshape(-1, len(cells)).tolist()
     best = []
     for cutoff_means in means:
         best_auc = -np.inf
@@ -604,107 +657,240 @@ class Pipeline:
     classifier: Classifier
 
     def decision_scores(self, X) -> np.ndarray:
-        return slice_scores([self], X)[:, 0]
+        return self.classifier.decision_scores(self.pca.transform(self.standardizer.transform(X)))
 
 
-@dataclass(eq=False)
-class SliceFit(Sequence):
-    """The fits of one `fit_pipeline` slice, kept as arrays for scoring: the
-    slice's standardizer and, per distinct k in first-seen order, a PCA
-    model keeping k with the classifiers of that problem's cells. Fit j has
-    its cutoff's PCA model `pcas[j]` and the classifier in column
-    `columns[j]` of the problems' classifiers, in order. Item j is fit j's
-    `Pipeline`, built when read."""
+@dataclass(eq=False, slots=True)
+class SlicePlan:
+    """A training slice preprocessed for its fits, kept as arrays: the
+    labels of its n training rows and then of its h held-out rows, and per
+    distinct k of its PCA `cutoffs`, in first-seen order (`ks`), those rows
+    projected to k components. Cutoff `cutoffs[j]` keeps the
+    `k_index[j]`-th k. The plans of one `fit_pipeline` call share two
+    buffers, `labels` from entry `start` and `projected` from entry
+    `offset`, so a plan holds no arrays of its own: a sweep keeps thousands
+    of plans, and `y`, `held_y`, `train(i)` and `held(i)` are views."""
 
-    standardizer: Standardizer
-    problems: list  # (PcaModel, [Classifier]) per distinct k
-    pcas: list  # PcaModel per fit
-    columns: np.ndarray  # classifier column per fit
+    labels: np.ndarray
+    projected: np.ndarray
+    start: int
+    offset: int
+    n: int
+    h: int
+    cutoffs: tuple
+    k_index: tuple
+    ks: tuple
 
-    def __len__(self) -> int:
-        return len(self.pcas)
+    @property
+    def y(self) -> np.ndarray:
+        return self.labels[self.start:self.start + self.n]
 
-    def __getitem__(self, j: int) -> Pipeline:
-        classifiers = [c for _, problem in self.problems for c in problem]
-        return Pipeline(self.standardizer, self.pcas[j], classifiers[self.columns[j]])
+    @property
+    def held_y(self) -> np.ndarray:
+        return self.labels[self.start + self.n:self.start + self.n + self.h]
+
+    def rows(self, i: int) -> np.ndarray:
+        """The training and then the held-out rows projected to the i-th k."""
+        m, k = self.n + self.h, self.ks[i]
+        first = self.offset + m * sum(self.ks[:i])
+        return self.projected[first:first + m * k].reshape(m, k)
+
+    def train(self, i: int) -> np.ndarray:
+        return self.rows(i)[:self.n]
+
+    def held(self, i: int) -> np.ndarray:
+        return self.rows(i)[self.n:]
+
+    def index(self, cutoff) -> int:
+        """The index of the distinct k that `cutoff` keeps."""
+        return self.k_index[self.cutoffs.index(cutoff)]
+
+    def k(self, cutoff) -> int:
+        return self.ks[self.index(cutoff)]
 
 
-def _preprocess(X, rows, cutoffs) -> list:
-    """Per slice of a stack `rows` [s x n] of row indices into X: its
-    standardizer, its PCA model per cutoff, and (PCA model, projected rows)
-    per distinct k in first-seen order, each bitwise as the slice alone
-    gives. The stack is gathered once, standardized and centred in place,
-    and freed on return."""
+def _plans(parts, cutoffs) -> list[SlicePlan]:
+    """The `SlicePlan`s of slices preprocessed by `_preprocess`, their parts
+    `(labels, n, k_index, projections)` packed into two shared buffers."""
+    if not parts:
+        return []
+    labels = np.concatenate([part[0] for part in parts])
+    projected = np.concatenate([Z.ravel() for *_, Zs in parts for Z in Zs])
+    tuples: dict = {}  # one object per distinct k_index and ks, shared by the plans
+    plans, start, offset = [], 0, 0
+    for slice_labels, n, k_index, Zs in parts:
+        ks = tuple(Z.shape[1] for Z in Zs)
+        plans.append(SlicePlan(labels, projected, start, offset, n, len(slice_labels) - n,
+                               cutoffs, tuples.setdefault(k_index, k_index),
+                               tuples.setdefault(ks, ks)))
+        start += len(slice_labels)
+        offset += sum(Z.size for Z in Zs)
+    return plans
+
+
+def _preprocess(X, y, rows, held, cutoffs) -> list:
+    """Per slice of a stack `rows` [s x n] of row indices into X, with its
+    held-out rows `held[i]`: its plan's parts (labels of its training and
+    held-out rows, n, `k_index`, and per distinct k those rows projected),
+    and its standardizer with its PCA model per cutoff, each bitwise as the
+    slice alone gives. The stack is gathered once, standardized and centred
+    in place, and freed on return; held-out rows are projected while their
+    slice's components are live."""
     Z = X[rows]
     standardizer = Standardizer.fit(Z)
     Z -= standardizer.mean[:, None]
     Z /= standardizer.std[:, None]
     prepared = []
-    for mean, std, pcas, Zc in zip(standardizer.mean, standardizer.std, fit_pca(Z, cutoffs), Z):
+    for r, h, mean, std, pcas, Zc in zip(rows, held, standardizer.mean, standardizer.std,
+                                         fit_pca(Z, cutoffs), Z):
         bases: dict[int, PcaModel] = {}  # k -> the first PCA model keeping it
         for pca in pcas:
             bases.setdefault(pca.k, pca)
         if pcas:
             Zc -= pcas[0].mean  # the slice's PCA models share one mean
-        prepared.append((Standardizer(mean, std), dict(zip(cutoffs, pcas)),
-                         [(pca, Zc @ pca.components.T) for pca in bases.values()]))
+        slice_standardizer = Standardizer(mean, std)
+        Z_held = slice_standardizer.transform(X[h])
+        ks = list(bases)
+        part = (y[np.concatenate((r, h))], len(r), tuple(ks.index(pca.k) for pca in pcas),
+                [np.concatenate((Zc @ pca.components.T, pca.transform(Z_held)))
+                 for pca in bases.values()])
+        prepared.append((part, (slice_standardizer, dict(zip(cutoffs, pcas)))))
     return prepared
 
 
-def fit_pipeline(X, y, slices, kind: str) -> list[SliceFit]:
-    """For each training slice `(rows, fits)`, its `SliceFit`: one pipeline
-    per (PCA cutoff, hyperparameter cell) in `fits`, all on that slice's one
-    preprocessing. `rows` is an integer array of row indices into `X`, with
-    labels `y`.
-
-    A slice's standardizer and PCA decomposition are fit once on `X[rows]`,
-    and each cutoff truncates that decomposition. Slices with the same row
-    count and cutoffs are preprocessed together, as stacks of at most
-    `STACK_ENTRIES` entries (a bigger slice is a stack of one): one gather,
-    one `fit_pca` call, and each slice's projections. Each distinct k of a
-    slice is one solver problem: the slice projected once to k components,
-    with the distinct cells of the fits that keep k, in first-seen order.
-    So cutoffs that keep the same k share their classifier objects. Every
-    slice's problems go to one `fit_lr` or `fit_svm_rbf` call, and share
-    the slice's one label vector, which the solver checks once.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    stacks: dict = {}  # (row count, cutoffs) -> the slices that have them, in order
-    for s, (rows, fits) in enumerate(slices):
-        stacks.setdefault((len(rows), tuple(dict.fromkeys(c for c, _ in fits))), []).append(s)
-    prepared = [None] * len(slices)
-    for (n, cutoffs), members in stacks.items():
+def _prepare(X, y, slices, cutoffs):
+    """Each training slice `(rows, held)` preprocessed at the PCA `cutoffs`,
+    stack by stack: per slice, (its index, (its plan's parts, its
+    standardizer with its PCA model per cutoff)). Slices with the same row
+    count are preprocessed together, as stacks of at most `STACK_ENTRIES`
+    entries (a bigger slice is a stack of one): one gather, one `fit_pca`
+    call, and each slice's projections. A consumer that drops the models
+    holds one stack's components at a time."""
+    X, cutoffs = np.asarray(X, dtype=np.float64), tuple(cutoffs)
+    stacks: dict = {}  # row count -> the slices that have it, in order
+    for s, (rows, _) in enumerate(slices):
+        stacks.setdefault(len(rows), []).append(s)
+    for n, members in stacks.items():
         size = max(1, STACK_ENTRIES // max(1, n * X.shape[1]))
         for start in range(0, len(members), size):
             stack = members[start:start + size]
-            rows = np.stack([slices[s][0] for s in stack])
-            for s, slice_prepared in zip(stack, _preprocess(X, rows, cutoffs)):
-                prepared[s] = slice_prepared
+            yield from zip(stack, _preprocess(X, y, np.stack([slices[s][0] for s in stack]),
+                                              [slices[s][1] for s in stack], cutoffs))
 
-    problems = []  # (projected slice, y, cells) per (slice, k)
-    plans = []  # per slice: its first problem, and (PCA model, problem, cell index) per fit
-    for (rows, fits), (_, pcas, projected) in zip(slices, prepared):
-        first, y_rows = len(problems), y[rows]
-        problems.extend((Z, y_rows, []) for _, Z in projected)
-        index_of = {pca.k: i for i, (pca, _) in enumerate(projected)}
-        plan = []
-        for cutoff, cell in fits:
-            pca = pcas[cutoff]
-            cells = problems[first + index_of[pca.k]][2]
-            if cell not in cells:
-                cells.append(cell)
-            plan.append((pca, index_of[pca.k], cells.index(cell)))
-        plans.append((first, plan))
-    classifiers = (fit_lr if kind == "lr" else fit_svm_rbf)(problems)
 
-    fitted = []
-    for (standardizer, _, projected), (first, plan) in zip(prepared, plans):
-        own = classifiers[first:first + len(projected)]
-        offsets = list(accumulate(map(len, own), initial=0))  # each problem's first column
-        fitted.append(SliceFit(standardizer, [(pca, c) for (pca, _), c in zip(projected, own)],
-                               [pca for pca, _, _ in plan],
-                               np.array([offsets[p] + c for _, p, c in plan], dtype=np.intp)))
-    return fitted
+def fit_pipeline(X, y, slices, cutoffs) -> list[SlicePlan]:
+    """Each training slice `(rows, held)` preprocessed for its fits at the
+    PCA `cutoffs`, as its `SlicePlan`. `rows` and `held` are integer arrays
+    of row indices into `X`, with labels `y`: the training rows, and the
+    rows held out for scoring (validation or test rows).
+
+    A slice's standardizer and PCA decomposition are fit once on `X[rows]`,
+    and each cutoff truncates that decomposition. A slice's training and
+    held-out rows are projected once per distinct k while its components
+    are live, and only the projections are kept: a call holds one stack's
+    components at a time (`_prepare`).
+    """
+    parts = [None] * len(slices)
+    for s, (part, _) in _prepare(X, y, slices, cutoffs):
+        parts[s] = part
+    return _plans(parts, tuple(cutoffs))
+
+
+@dataclass(eq=False, slots=True)
+class SliceFit:
+    """The fits of one planned slice, kept as arrays: per distinct k that a
+    fit keeps, by its index in the plan, the solver's result on that
+    problem (an `LrFit`, or SVM `Classifier`s), and per fit, its (distinct
+    k, cell) position."""
+
+    plan: SlicePlan
+    solved: tuple  # per distinct k: LrFit | list[Classifier], or None if no fit keeps it
+    at: list  # (distinct k index, cell index) per fit
+
+    def scores(self) -> np.ndarray:
+        """Decision scores [h x fits] on the plan's held-out rows, one
+        `_score_columns` call per distinct k."""
+        blocks = [None if solved is None else _score_columns(solved, self.plan.held(i))
+                  for i, solved in enumerate(self.solved)]
+        start = list(accumulate((0 if b is None else b.shape[1] for b in blocks), initial=0))
+        return np.concatenate([b for b in blocks if b is not None], axis=1)[
+            :, [start[i] + c for i, c in self.at]]
+
+    def classifier(self, j: int) -> Classifier:
+        """Fit j as a `Classifier`, for a model file."""
+        i, c = self.at[j]
+        solved = self.solved[i]
+        return solved.classifier(c) if isinstance(solved, LrFit) else solved[c]
+
+
+def _score_columns(solved, Z) -> np.ndarray:
+    """Decision scores [n x m] of one problem's m fits on its projected rows
+    Z: an `LrFit`'s weights as one `_lr_scores` product, SVMs one by one."""
+    if isinstance(solved, LrFit):
+        return _lr_scores(Z, solved.weights).T
+    return np.column_stack([rbf_kernel(Z, c.support_vectors, c.hyperparameters["gamma"])
+                            @ c.dual_coef + c.intercept for c in solved])
+
+
+def fit_slices(plans, fits, kind: str) -> list[SliceFit]:
+    """Each planned slice fit at its fits `(cutoff, cell)`, all of them by
+    one `fit_lr` or `fit_svm_rbf` call: per slice, its `SliceFit`.
+
+    Each distinct k that a slice's fits keep is one solver problem: the
+    slice's training rows projected to k, with the distinct cells of the
+    fits that keep k, in first-seen order. So cutoffs that keep the same k
+    share their fits. A slice's problems share its one label vector, which
+    the solver checks once.
+    """
+    problems, layouts, last = [], [], None
+    for plan, slice_fits in zip(plans, fits, strict=True):
+        if slice_fits is not last:  # a run of slices that pass one fits list shares layouts
+            shared: dict = {}  # (cutoffs, k_index) -> layout
+            last = slice_fits
+        key = (plan.cutoffs, plan.k_index)
+        if key not in shared:
+            shared[key] = _layout(plan, slice_fits)
+        cells, at = shared[key]
+        y = plan.y  # one label vector for the slice's problems, checked once
+        problems.extend((plan.train(i), y, k_cells) for i, k_cells in enumerate(cells) if k_cells)
+        layouts.append((cells, at))
+    solved = iter((fit_lr if kind == "lr" else fit_svm_rbf)(problems))
+    return [SliceFit(plan, tuple(next(solved) if k_cells else None for k_cells in cells), at)
+            for plan, (cells, at) in zip(plans, layouts)]
+
+
+def _layout(plan: SlicePlan, fits) -> tuple[list, list]:
+    """A slice's solver layout for its fits `(cutoff, cell)`: per distinct k,
+    the distinct cells of the fits that keep it, in first-seen order, and
+    per fit, its (distinct k, cell) position. It depends only on the fits
+    and the plan's cutoffs and `k_index`, so slices that share them share
+    it, which keeps a sweep's inner solve from holding one copy per fold."""
+    cells = [[] for _ in plan.ks]
+    at = []
+    for cutoff, cell in fits:
+        i = plan.index(cutoff)
+        if cell not in cells[i]:
+            cells[i].append(cell)
+        at.append((i, cells[i].index(cell)))
+    return cells, at
+
+
+def fit_pipelines(X, y, slices, kind: str) -> list[list[Pipeline]]:
+    """Per training slice `(rows, fits)`, the `Pipeline` of each fit
+    `(cutoff, cell)`, as a model file stores it: the slice preprocessed as
+    `fit_pipeline` does, with no rows held out and its standardizer and PCA
+    models kept, and fit by `fit_slices`. `rows` is an integer array of row
+    indices into `X`, with labels `y`."""
+    cutoffs = list(dict.fromkeys(cutoff for _, fits in slices for cutoff, _ in fits))
+    prepared = dict(_prepare(X, y, [(rows, rows[:0]) for rows, _ in slices], cutoffs))
+    plans = _plans([prepared[s][0] for s in range(len(slices))], tuple(cutoffs))
+    refits = fit_slices(plans, [fits for _, fits in slices], kind)
+    pipelines = []
+    for s, ((_, fits), refit) in enumerate(zip(slices, refits)):
+        standardizer, pcas = prepared[s][1]
+        pipelines.append([Pipeline(standardizer, pcas[cutoff], refit.classifier(j))
+                          for j, (cutoff, _) in enumerate(fits)])
+    return pipelines
 
 
 # --- JSON persistence ------------------------------------------------------

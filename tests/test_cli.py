@@ -306,7 +306,7 @@ class TestTrain:
 
     def test_fits_on_the_cohort_matrix(self, cohort_dir, tmp_path, monkeypatch):
         cohorts, fitted = [], []
-        build, fit = evaluate.build_cohort, evaluate.fit_pipeline
+        build, fit = evaluate.build_cohort, evaluate.fit_pipelines
         monkeypatch.setattr(evaluate, "build_cohort",
                             lambda *args: cohorts.append(build(*args)) or cohorts[-1])
 
@@ -314,7 +314,7 @@ class TestTrain:
             fitted.append((X, y, slices))
             return fit(X, y, slices, *args)
 
-        monkeypatch.setattr(evaluate, "fit_pipeline", spy)
+        monkeypatch.setattr(evaluate, "fit_pipelines", spy)  # the refit
         assert main(["train", "--manifest", str(cohort_dir / "manifest.csv"),
                      "--task", "2", "--out", str(tmp_path / "m.json")]) == EXIT_OK
         [cohort] = cohorts
@@ -333,10 +333,11 @@ class TestTrain:
                                        evaluate.FeatureStore(cohort_dir))
         users = [u.user_id for u in cohort.units]
         kind, rows = config.classifier_kind, np.arange(len(cohort.y))
-        [[params]] = model.grid_search(cohort.X, cohort.y, users, [(rows, config.seed)], kind,
-                                       pca_cutoffs=[config.pca_cutoff])
-        [[pipeline]] = model.fit_pipeline(cohort.X, cohort.y,
-                                          [(rows, [(config.pca_cutoff, params)])], kind)
+        search = model.plan_search(cohort.X, cohort.y, users, [(rows, config.seed)],
+                                   [config.pca_cutoff])
+        [[[params]]] = model.grid_search([search], kind)
+        [[pipeline]] = model.fit_pipelines(cohort.X, cohort.y,
+                                           [(rows, [(config.pca_cutoff, params)])], kind)
         assert out.read_text() == json.dumps(model.pipeline_to_dict(pipeline))
 
     def test_no_inner_fold_with_both_classes_exit_code(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ from respscreen.audio_io import AudioSegment, encode_wav
 from respscreen.augment import augment_six
 from respscreen.dataset import N_OUTER_FOLDS, balance, is_positive, load_manifest
 from respscreen.embeddings import load_embeddings
-from respscreen.errors import ConfigError, EmptyCohort
+from respscreen.errors import ConfigError, EmptyCohort, SingleClass
 from respscreen.evaluate import (
     EMBEDDING_FEATURE_TYPES,
     FEATURE_TYPES,
@@ -172,11 +172,11 @@ class TestNestedCv:
         d, records, _ = small_cohort
         cfg = RunConfig(task_id=2, seed=0, augment=True)
         splits, calls = [], []
-        split_users, select_and_fit = evaluate.split_users, evaluate.select_and_fit
+        split_users, plan_search = evaluate.split_users, evaluate.plan_search
         monkeypatch.setattr(evaluate, "split_users",
                             lambda *a: splits.extend(split_users(*a)) or tuple(splits))
-        monkeypatch.setattr(evaluate, "select_and_fit",
-                            lambda *a: calls.append(a) or select_and_fit(*a))
+        monkeypatch.setattr(evaluate, "plan_search",
+                            lambda *a: calls.append(a) or plan_search(*a))
         report = run_nested_cv(records, cfg, base_dir=d)
 
         units = build_cohort(records, RunConfig(task_id=2), FeatureStore(d)).units
@@ -188,7 +188,7 @@ class TestNestedCv:
             variants[u.key] = [] if u.label else [
                 features.extract_handcrafted(v.segment)
                 for v in augment_six(seg, r.sample_id, cfg.seed)]
-        [(X_run, y_run, users_run, slices, _, _)] = calls
+        [(X_run, y_run, users_run, slices, _)] = calls
         assert len(slices) == len(splits) == N_OUTER_FOLDS
         for (train_rows, _), (train_users, test_users), fold in zip(slices, splits,
                                                                    report.folds):
@@ -211,16 +211,16 @@ class TestNestedCv:
         # and each outer fold is an integer array of its training rows
         d, records, _ = small_cohort
         cohorts, calls, fitted = [], [], []
-        build, select_and_fit = evaluate.build_cohort, evaluate.select_and_fit
+        build, plan_search = evaluate.build_cohort, evaluate.plan_search
         monkeypatch.setattr(evaluate, "build_cohort",
                             lambda *a: cohorts.append(build(*a)) or cohorts[-1])
-        monkeypatch.setattr(evaluate, "select_and_fit",
-                            lambda *a: calls.append(a) or select_and_fit(*a))
+        monkeypatch.setattr(evaluate, "plan_search",
+                            lambda *a: calls.append(a) or plan_search(*a))
         for module in (evaluate, model):
             monkeypatch.setattr(module, "fit_pipeline", lambda X, *a, fit=module.fit_pipeline:
                                 fitted.append(X) or fit(X, *a))
         report = run_nested_cv(records, RunConfig(task_id=task, augment=augment), base_dir=d)
-        [cohort], [(X, y, users, slices, _, _)] = cohorts, calls
+        [cohort], [(X, y, users, slices, _)] = cohorts, calls
         assert X is cohort.X and y is cohort.y and users is cohort.users
         assert len(fitted) == 2 and all(X is cohort.X for X in fitted)
         assert len(slices) == N_OUTER_FOLDS
@@ -299,22 +299,17 @@ class TestNestedCv:
 
     @pytest.mark.parametrize("task", [1, 2])
     def test_one_pipeline_per_outer_slice_and_cutoff(self, small_cohort, monkeypatch, task):
-        # inner folds build none; select_and_fit builds the refits it returns
+        # one refit per (outer slice, cutoff), in one refit call; a nested CV
+        # keeps arrays, so neither inner folds nor refits build a Pipeline
         d, records, _ = small_cohort
         built, init = [], model.Pipeline.__init__
         monkeypatch.setattr(model.Pipeline, "__init__",
                             lambda self, *a: built.append(1) or init(self, *a))
-        per_call, select_and_fit = [], evaluate.select_and_fit
-
-        def spy(*a):
-            before = len(built)
-            fits = select_and_fit(*a)
-            per_call.append(len(built) - before)
-            return fits
-
-        monkeypatch.setattr(evaluate, "select_and_fit", spy)
+        per_call, fit_slices = [], evaluate.fit_slices
+        monkeypatch.setattr(evaluate, "fit_slices", lambda plans, fits, kind: per_call.append(
+            sum(map(len, fits))) or fit_slices(plans, fits, kind))
         run_nested_cv(records, RunConfig(task_id=task, seed=0), base_dir=d, cutoffs=PCA_CUTOFFS)
-        assert per_call == [len(built)] == [N_OUTER_FOLDS * len(PCA_CUTOFFS)]
+        assert per_call == [N_OUTER_FOLDS * len(PCA_CUTOFFS)] and built == []
 
     @pytest.mark.parametrize("task, kind", [(1, "lr"), (2, "svm-rbf")])
     def test_each_cutoff_scores_as_its_pipeline_alone(self, tmp_path, monkeypatch, task, kind):
@@ -325,18 +320,20 @@ class TestNestedCv:
                                 clip_seconds=1.0, informative=False)
         records = load_manifest(synth.generate_cohort(tmp_path, seed=7, spec=spec))
         cfg = RunConfig(task_id=task, classifier=kind, seed=0)
-        splits, calls, fits = [], [], []
-        split_users, select_and_fit = evaluate.split_users, evaluate.select_and_fit
+        splits, calls = [], []
+        split_users, plan_search = evaluate.split_users, evaluate.plan_search
         monkeypatch.setattr(evaluate, "split_users",
                             lambda *a: splits.extend(split_users(*a)) or tuple(splits))
-        monkeypatch.setattr(evaluate, "select_and_fit",
-                            lambda *a: calls.append(a) or fits.extend(select_and_fit(*a)) or fits)
+        monkeypatch.setattr(evaluate, "plan_search",
+                            lambda *a: calls.append(a) or plan_search(*a))
         reports = run_nested_cv(records, cfg, base_dir=tmp_path, cutoffs=PCA_CUTOFFS)
-        [(X, y, users, _, _, _)] = calls
-        for i, ((_, test_users), fold_fits) in enumerate(zip(splits, fits, strict=True)):
+        [(X, y, users, slices, _)] = calls
+        for i, ((_, test_users), train_slice) in enumerate(zip(splits, slices, strict=True)):
             # the test side: the test users' units, class-balanced by the fold's seed
             test = np.flatnonzero(np.isin(users, list(test_users)))
             test = test[balance(y[test], seed=hash((cfg.seed, i)) % 2**32)]
+            # the fold's cells and refit pipelines, as `train` selects and fits its slice
+            [fold_fits] = evaluate.select_and_fit(X, y, users, [train_slice], kind, PCA_CUTOFFS)
             for report, (cell, pipe) in zip(reports, fold_fits, strict=True):
                 fold = report.folds[i]
                 scores = pipe.decision_scores(X[test])
@@ -384,8 +381,8 @@ class TestSweep:
         assert all(r.status == "ok" for r in rows)
 
     def test_pipeline_errors_become_rows(self, small_cohort, monkeypatch):
-        def fail(*args, **kwargs):
-            raise EmptyCohort("no users")
+        def fail(records, configs, **kwargs):  # every config's outcome is its error
+            return [EmptyCohort("no users")] * len(configs)
 
         d, records, _ = small_cohort
         monkeypatch.setattr(evaluate, "run_nested_cv", fail)
@@ -402,8 +399,8 @@ class TestSweep:
         assert {r.status for r in rows if r.feature_type == "handcrafted"} == {
             "error:EmptyCohort: task 1: no positive users"}
 
-        def fail(*args, **kwargs):
-            raise EmptyCohort("no users, no units")
+        def fail(records, configs, **kwargs):
+            return [EmptyCohort("no users, no units")] * len(configs)
 
         monkeypatch.setattr(evaluate, "run_nested_cv", fail)
         rows = sweep(records, task_id=1, seed=0, base_dir=d)
@@ -425,9 +422,10 @@ class TestSweep:
         store = FeatureStore(d, embeddings)
         run, fit_pca, reports, slice_ks = evaluate.run_nested_cv, model.fit_pca, {}, []
 
-        def spy_run(records, config, **kw):
-            reports[(config.modality, config.feature_type)] = run(records, config, **kw)
-            return reports[(config.modality, config.feature_type)]
+        def spy_run(records, configs, **kw):  # the sweep's one call, with every config
+            outcomes = run(records, configs, **kw)
+            reports.update(((c.modality, c.feature_type), o) for c, o in zip(configs, outcomes))
+            return outcomes
 
         def spy_pca(X, cutoffs):
             pcas = fit_pca(X, cutoffs)
@@ -458,25 +456,30 @@ class TestSweep:
 
     def test_one_nested_cv_and_one_basis_per_slice(self, small_cohort, monkeypatch):
         d, records, embeddings = small_cohort
-        runs, bases, usable_inner = [], [], []
-        run, fit_pca, grid_search = (evaluate.run_nested_cv, model.fit_pca,
-                                     evaluate.grid_search)
-        monkeypatch.setattr(evaluate, "run_nested_cv", lambda records, config, **kw: runs
-                            .append((config.modality, config.feature_type, kw["cutoffs"]))
-                            or run(records, config, **kw))
+        calls, runs, bases, usable_inner = [], [], [], []
+        run, fit_pca, plan_search = (evaluate.run_nested_cv, model.fit_pca,
+                                     evaluate.plan_search)
+
+        def spy_run(records, configs, **kw):
+            calls.append(1)
+            runs.extend((c.modality, c.feature_type, kw["cutoffs"]) for c in configs)
+            return run(records, configs, **kw)
+
+        monkeypatch.setattr(evaluate, "run_nested_cv", spy_run)
         # one entry per slice decomposed: fit_pca takes a stack of slices
         monkeypatch.setattr(model, "fit_pca", lambda X, cutoffs: bases.extend(
             [tuple(cutoffs)] * (len(X) if np.ndim(X) == 3 else 1)) or fit_pca(X, cutoffs))
 
-        def spy(X, y, users, slices, kind, pca_cutoffs):
+        def spy(X, y, users, slices, pca_cutoffs):
             for rows, seed in slices:
                 usable_inner.extend(f for f in _inner_user_folds(users[rows], seed)
                                     if all(len(np.unique(y[rows][idx])) == 2 for idx in f))
-            return grid_search(X, y, users, slices, kind, pca_cutoffs=pca_cutoffs)
+            return plan_search(X, y, users, slices, pca_cutoffs)
 
-        monkeypatch.setattr(evaluate, "grid_search", spy)
+        monkeypatch.setattr(evaluate, "plan_search", spy)
         monkeypatch.setattr(model, "LR_C_GRID", (0.1, 1.0))
         sweep(records, task_id=1, seed=0, base_dir=d, embeddings=embeddings)
+        assert len(calls) == 1  # the sweep's configs are one call
         assert sorted(runs) == [(m, f, PCA_CUTOFFS) for m in sorted(evaluate.MODALITY_CHOICES)
                                 for f in sorted(FEATURE_TYPES)]
         n_outer = N_OUTER_FOLDS * len(runs)
@@ -489,17 +492,111 @@ class TestSweep:
                                 clip_seconds=1.0)
         records = load_manifest(synth.generate_cohort(tmp_path, seed=0, spec=spec))
         synth.generate_embeddings(records, tmp_path / "embeddings.csv", seed=0)
-        classifiers, fit_lr = [], model.fit_lr
+        converged, fit_lr = [], model.fit_lr
 
         def spy(problems):
             fits = fit_lr(problems)
-            classifiers.extend(clf for per_problem in fits for clf in per_problem)
+            converged.extend(flag for fit in fits for flag in fit.converged.tolist())
             return fits
 
         monkeypatch.setattr(model, "fit_lr", spy)
         sweep(records, task_id=1, seed=0, base_dir=tmp_path,
               embeddings=load_embeddings(tmp_path / "embeddings.csv"))
-        assert classifiers and all(clf.converged is True for clf in classifiers)
+        assert converged and all(flag is True for flag in converged)
+
+    @staticmethod
+    def assert_rows_equal_lone_runs(rows, records, store):
+        """Every `ok` row is field for field its lone nested CV's, and every
+        `error:` row names the error its lone nested CV raises."""
+        for row in (r for r in rows if r.status != "skipped"):
+            cfg = RunConfig(task_id=1, modality=row.modality, feature_type=row.feature_type,
+                            pca_cutoff=row.pca_cutoff)
+            try:
+                agg = run_nested_cv(records, cfg, store=store).aggregate
+            except EmptyCohort as exc:
+                assert row.status == f"error:EmptyCohort: {exc}"
+                continue
+            metrics = {col: agg[m][stat] for col, (m, stat) in evaluate.METRIC_COLUMNS.items()}
+            assert row == SweepRow(1, row.modality, row.feature_type, row.pca_cutoff, **metrics)
+
+    def test_a_modality_without_recordings_errors_alone(self, small_cohort):
+        # no breath recordings: breath has no units and combined no pairs
+        d, records, embeddings = small_cohort
+        coughs = [r for r in records if r.modality == "cough"]
+        rows = sweep(coughs, task_id=1, seed=0, base_dir=d, embeddings=embeddings)
+        assert len(rows) == 60
+        for row in rows:
+            assert (row.status == "ok") == (row.modality == "cough")
+            assert row.status == "ok" or row.status.startswith("error:EmptyCohort: task 1: no ")
+        self.assert_rows_equal_lone_runs(rows, coughs, FeatureStore(d, embeddings))
+
+    def test_a_selection_error_errors_its_config_alone(self, small_cohort, monkeypatch):
+        # the second config's first slice fails to select; the others select as alone
+        d, records, _ = small_cohort
+        select, calls = model._select, []
+
+        def failing(cells, rows):
+            calls.append(1)
+            if len(calls) == N_OUTER_FOLDS + 1:
+                raise SingleClass("no inner fold had both classes")
+            return select(cells, rows)
+
+        monkeypatch.setattr(model, "_select", failing)
+        rows = sweep(records, task_id=1, seed=0, base_dir=d)
+        monkeypatch.setattr(model, "_select", select)
+        failed = {(r.modality, r.status) for r in rows if r.status.startswith("error:")}
+        assert failed == {("breath", "error:SingleClass: no inner fold had both classes")}
+        ok = [r for r in rows if r.status == "ok"]
+        assert len(ok) == 2 * len(PCA_CUTOFFS)
+        self.assert_rows_equal_lone_runs(ok, records, FeatureStore(d))
+
+    def test_one_plan_holds_one_configs_components(self, small_cohort, monkeypatch):
+        # a sweep solves every LR fit in two calls and builds no Classifier or
+        # Pipeline; PCA models live only while their config is planned
+        d, records, embeddings = small_cohort
+        configs, alive, solves, built = [], [], [], []
+        build, fit_pca, fit_lr = evaluate.build_cohort, model.fit_pca, model.fit_lr
+
+        def live_configs() -> set:
+            return {config for config, ref in alive if ref() is not None}
+
+        def spy_build(records, config, store):
+            configs.append(config)
+            return build(records, config, store)
+
+        def spy_pca(X, cutoffs):
+            assert live_configs() <= {configs[-1]}
+            pcas = fit_pca(X, cutoffs)
+            alive.extend((configs[-1], weakref.ref(pca))
+                         for slice_pcas in (pcas if np.ndim(X) == 3 else [pcas])
+                         for pca in slice_pcas)
+            return pcas
+
+        def spy_lr(problems):
+            assert live_configs() == set()
+            solves.append(len(problems))
+            return fit_lr(problems)
+
+        monkeypatch.setattr(evaluate, "build_cohort", spy_build)
+        monkeypatch.setattr(model, "fit_pca", spy_pca)
+        monkeypatch.setattr(model, "fit_lr", spy_lr)
+        for cls in (model.Classifier, model.Pipeline):
+            monkeypatch.setattr(cls, "__init__", lambda self, *a, init=cls.__init__, **k:
+                                built.append(type(self)) or init(self, *a, **k))
+        rows = sweep(records, task_id=1, seed=0, base_dir=d, embeddings=embeddings)
+        assert {r.status for r in rows} == {"ok"} and len(configs) == 15
+        assert len(solves) == 2 and built == []
+        assert len({config for config, _ in alive}) == 15 and live_configs() == set()
+
+    def test_train_builds_one_pipeline(self, small_cohort, tmp_path, monkeypatch):
+        d, records, _ = small_cohort
+        built, init = [], model.Pipeline.__init__
+        monkeypatch.setattr(model.Pipeline, "__init__",
+                            lambda self, *a: built.append(1) or init(self, *a))
+        from respscreen import cli
+        assert cli.main(["train", "--manifest", str(d / "manifest.csv"), "--task", "1",
+                         "--out", str(tmp_path / "m.json")]) == cli.EXIT_OK
+        assert len(built) == 1
 
     def test_csv_round_trip(self):
         rows = [

@@ -102,6 +102,25 @@ class TestPrecisionRecall:
         with pytest.raises(SingleClass):
             precision_recall([0.4, 0.9], [0, 0], 0.5)
 
+    def test_score_matrix_equals_its_columns(self):
+        # the last column predicts no positive at this threshold
+        rng = np.random.default_rng(3)
+        labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1])
+        scores = np.column_stack([rng.uniform(0, 1, len(labels)) for _ in range(5)]
+                                 + [np.full(len(labels), 0.1)])
+        matrix = precision_recall(scores, labels, 0.5)
+        columns = [precision_recall(scores[:, j], labels, 0.5) for j in range(scores.shape[1])]
+        assert columns[-1].no_predicted_positives and not columns[0].no_predicted_positives
+        assert isinstance(matrix.precision, np.ndarray) and matrix.precision.shape == (6,)
+        assert matrix.precision.tolist() == [c.precision for c in columns]
+        assert matrix.recall.tolist() == [c.recall for c in columns]
+        assert matrix.no_predicted_positives.tolist() == [c.no_predicted_positives
+                                                          for c in columns]
+        assert all(type(getattr(c, f)) is t for c in columns for f, t in (
+            ("precision", float), ("recall", float), ("no_predicted_positives", bool)))
+        with pytest.raises(SingleClass):
+            precision_recall(scores, np.zeros(len(labels)), 0.5)
+
     def test_svm_margin_threshold_zero(self):
         pr = precision_recall([-1.0, 2.0, 0.5], [0, 1, 1], 0.0)
         assert pr.precision == 1.0 and pr.recall == 1.0

@@ -24,11 +24,14 @@ from respscreen.model import (
     fit_lr,
     fit_pca,
     fit_pipeline,
+    fit_pipelines,
+    fit_slices,
     fit_svm_rbf,
     _inner_user_folds,
     grid_cells,
     grid_search,
     load_pipeline,
+    plan_search,
     pipeline_from_dict,
     pipeline_to_dict,
     rbf_kernel,
@@ -55,8 +58,23 @@ def every_row(X) -> np.ndarray:
 
 
 def lone_lr(X, y, C) -> Classifier:
-    [[clf]] = fit_lr([(X, y, [{"C": C}])])
-    return clf
+    [fit] = fit_lr([(X, y, [{"C": C}])])
+    return fit.classifier(0)
+
+
+def search(X, y, users, slices, kind, pca_cutoffs) -> list[list[dict]]:
+    """Per slice and cutoff, the cell one planned grid search selects."""
+    [selected] = grid_search([plan_search(X, y, users, slices, pca_cutoffs)], kind)
+    if isinstance(selected, Exception):
+        raise selected
+    return selected
+
+
+def classifiers(solved) -> list[Classifier]:
+    """A solver's result on one problem as one `Classifier` per cell."""
+    if isinstance(solved, model.LrFit):
+        return [solved.classifier(c) for c in range(len(solved.cells))]
+    return solved
 
 
 def lone_svm(X, y, cell) -> Classifier:
@@ -255,10 +273,10 @@ class TestLogisticRegression:
             [svm] = fit_svm_rbf([(X, y, grid_cells("svm-rbf"))])
             for n in range(2, 41):
                 Z = rng.normal(size=(n, k))
-                for classifiers, lone in ((lr, lone_lr_scores), (svm, lone_svm_scores)):
-                    stacked = model._score_columns(classifiers, Z)
-                    assert stacked.shape == (n, len(classifiers))
-                    for j, clf in enumerate(classifiers):
+                for solved, lone in ((lr, lone_lr_scores), (svm, lone_svm_scores)):
+                    stacked = model._score_columns(solved, Z)
+                    assert stacked.shape == (n, len(classifiers(solved)))
+                    for j, clf in enumerate(classifiers(solved)):
                         assert np.array_equal(stacked[:, j], clf.decision_scores(Z))
                         assert np.array_equal(stacked[:, j], lone(clf, Z))
 
@@ -346,8 +364,8 @@ class TestLogisticRegression:
         for max_iter in (200, 1):  # a cap of 1 stops each solve after one step
             monkeypatch.setattr(model, "LR_MAX_ITER", max_iter)
             batch = fit_lr(problems)
-            for (X, y, cells), classifiers in zip(problems, batch, strict=True):
-                for cell, clf in zip(cells, classifiers, strict=True):
+            for (X, y, cells), solved in zip(problems, batch, strict=True):
+                for cell, clf in zip(cells, classifiers(solved), strict=True):
                     alone = lone_lr(X, y, cell["C"])
                     assert clf.weights.tobytes() == alone.weights.tobytes()
                     assert (clf.n_iter, clf.converged) == (alone.n_iter, alone.converged)
@@ -401,7 +419,7 @@ class TestLogisticRegression:
         # the stop is per problem: in a lockstep group it stops as when alone
         problems = [*self.sweep_shaped_problems(), (X, y, C)]
         assert sum(P.shape == X.shape for P, _, _ in problems) > 1
-        [in_batch] = fit_lr([(X, y, [{"C": C}]) for X, y, C in problems])[-1]
+        [in_batch] = classifiers(fit_lr([(X, y, [{"C": C}]) for X, y, C in problems])[-1])
         assert in_batch.weights.tobytes() == clf.weights.tobytes()
         assert (in_batch.n_iter, in_batch.converged) == (clf.n_iter, clf.converged)
 
@@ -476,20 +494,21 @@ class TestLogisticRegression:
         assert by_decrement >= 1
 
     def test_reports_solver_status(self, monkeypatch):
+        # read from the solver's arrays: one entry per cell
         X, y = blobs(seed=5)
-        clf = lone_lr(X, y, 1.0)
-        assert clf.converged is True and 0 < clf.n_iter < 200
+        [fit] = fit_lr([(X, y, [{"C": 1.0}])])
+        assert fit.converged.tolist() == [True] and 0 < fit.n_iter[0] < 200
 
         X, y = blobs(**self.STALL)
-        clf = lone_lr(X, y, 1.0)
-        _, grad = lr_loss_grad(clf.weights, X, y.astype(float), 1.0)
+        [fit] = fit_lr([(X, y, [{"C": 1.0}])])
+        _, grad = lr_loss_grad(fit.weights[0], X, y.astype(float), 1.0)
         assert np.linalg.norm(grad) >= LR_GRADIENT_TOL
-        assert clf.converged is True and clf.n_iter < 200
+        assert fit.converged.tolist() == [True] and fit.n_iter[0] < 200
 
         X, y = blobs(seed=5)
         monkeypatch.setattr(model, "LR_MAX_ITER", 1)
-        clf = lone_lr(X, y, 1.0)
-        assert (clf.n_iter, clf.converged) == (1, False)
+        [fit] = fit_lr([(X, y, [{"C": 1.0}])])
+        assert (fit.n_iter.tolist(), fit.converged.tolist()) == ([1], [False])
 
 
 class TestSvm:
@@ -604,8 +623,8 @@ class TestSvm:
         for max_iter in (200_000, 25, 1):
             monkeypatch.setattr(model, "SVM_MAX_ITER", max_iter)
             batch = fit_svm_rbf(problems)
-            for (X, y, cells), classifiers in zip(problems, batch, strict=True):
-                for cell, clf in zip(cells, classifiers, strict=True):
+            for (X, y, cells), solved in zip(problems, batch, strict=True):
+                for cell, clf in zip(cells, classifiers(solved), strict=True):
                     alone = lone_svm(X, y, cell)
                     expected = smo_oracle(X, y, cell["C"], cell["gamma"], max_iter=max_iter)
                     for fitted in (clf, alone):
@@ -685,10 +704,11 @@ class TestIntake:
         extra = {} if kind == "lr" else {"gamma": "scale"}
         cells = [{"C": c, **extra} for c in (0.1, 1.0, 10.0)]
         fit = fit_lr if kind == "lr" else fit_svm_rbf
-        [shared] = fit([(X, y, cells)])
+        [shared] = map(classifiers, fit([(X, y, cells)]))
         assert len(checked) == 1 and len(shared) == len(cells)
         # copies of the input in separate problems give identical classifiers
-        separate = [clf for [clf] in fit([(X.copy(), y.copy(), [cell]) for cell in cells])]
+        separate = [clf for [clf] in map(classifiers,
+                                         fit([(X.copy(), y.copy(), [cell]) for cell in cells]))]
         assert len(checked) == 1 + len(cells)
         for ours, theirs in zip(shared, separate, strict=True):
             for field in dataclasses.fields(Classifier):
@@ -713,7 +733,7 @@ class TestIntake:
         users = [f"u{i // 2}" for i in range(len(X))]
         usable = [f for f in _inner_user_folds(users, 0)
                   if all(len(np.unique(y[idx])) == 2 for idx in f)]
-        grid_search(X, y, users, [(every_row(X), 0)], "lr", pca_cutoffs=PCA_CUTOFFS)
+        search(X, y, users, [(every_row(X), 0)], "lr", pca_cutoffs=PCA_CUTOFFS)
         assert solved[0] > len(usable)  # more than one problem per slice
         assert len(checked) == len(usable) > 0
 
@@ -743,8 +763,8 @@ class TestGridSearch:
         users = self.users(len(X))
         monkeypatch.setattr(model, "SVM_C_GRID", (1.0,))
         monkeypatch.setattr(model, "SVM_GAMMA_GRID", (1e-5, 1.0))
-        [[best]] = grid_search(X, y, users, [(every_row(X), 0)], "svm-rbf",
-                               pca_cutoffs=[0.95])
+        [[best]] = search(X, y, users, [(every_row(X), 0)], "svm-rbf",
+                          pca_cutoffs=[0.95])
         assert best == {"C": 1.0, "gamma": 1.0}
 
     def test_deterministic(self, monkeypatch):
@@ -752,28 +772,28 @@ class TestGridSearch:
         users = self.users(len(X))
         monkeypatch.setattr(model, "SVM_C_GRID", (0.1, 1.0))
         monkeypatch.setattr(model, "SVM_GAMMA_GRID", ("scale", 0.01))
-        [[a]] = grid_search(X, y, users, [(every_row(X), 0)], "svm-rbf", pca_cutoffs=[0.95])
-        [[b]] = grid_search(X, y, users, [(every_row(X), 0)], "svm-rbf", pca_cutoffs=[0.95])
+        [[a]] = search(X, y, users, [(every_row(X), 0)], "svm-rbf", pca_cutoffs=[0.95])
+        [[b]] = search(X, y, users, [(every_row(X), 0)], "svm-rbf", pca_cutoffs=[0.95])
         assert a == b
 
     def test_too_few_users(self):
         X, y = blobs(n_per=4, seed=20)
         with pytest.raises(TooFewUsers):
-            grid_search(X, y, ["u0"] * 4 + ["u1"] * 4, [(every_row(X), 0)], "lr",
-                        pca_cutoffs=[0.95])
+            search(X, y, ["u0"] * 4 + ["u1"] * 4, [(every_row(X), 0)], "lr",
+                   pca_cutoffs=[0.95])
 
     def test_tie_breaks_toward_smaller_c(self):
         # perfectly separable data: every C wins, smallest must be chosen
         X, y = blobs(n_per=30, d=2, sep=10.0, seed=21)
-        [[best]] = grid_search(X, y, self.users(len(X)), [(every_row(X), 0)], "lr",
-                               pca_cutoffs=[0.95])
+        [[best]] = search(X, y, self.users(len(X)), [(every_row(X), 0)], "lr",
+                          pca_cutoffs=[0.95])
         assert best == {"C": 0.01}
 
     def test_pipeline_mode_runs(self, monkeypatch):
         X, y = blobs(n_per=30, d=6, sep=3.0, seed=22)
         monkeypatch.setattr(model, "LR_C_GRID", (0.1, 1.0))
-        [[best]] = grid_search(X, y, self.users(len(X)), [(every_row(X), 0)], "lr",
-                               pca_cutoffs=[0.9])
+        [[best]] = search(X, y, self.users(len(X)), [(every_row(X), 0)], "lr",
+                          pca_cutoffs=[0.9])
         assert best["C"] in (0.1, 1.0)
 
     def test_one_basis_per_usable_inner_fold(self, monkeypatch):
@@ -786,7 +806,7 @@ class TestGridSearch:
         assert len(grid_cells("lr")) == 4
         usable = [f for f in _inner_user_folds(users, 0)
                   if all(len(np.unique(y[idx])) == 2 for idx in f)]
-        grid_search(X, y, users, [(every_row(X), 0)], "lr", pca_cutoffs=[0.9])
+        search(X, y, users, [(every_row(X), 0)], "lr", pca_cutoffs=[0.9])
         assert len(calls) == len(usable) > 0  # 4 per fold, one per C, before
 
     @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
@@ -796,8 +816,8 @@ class TestGridSearch:
         monkeypatch.setattr(Pipeline, "__init__", lambda self, *a: built.append(1) or init(self, *a))
         monkeypatch.setattr(model, "SVM_C_GRID", (0.1, 1.0))
         X, y = blobs(n_per=20, d=6, seed=24)
-        [best] = grid_search(X, y, self.users(len(X)), [(every_row(X), 0)], kind,
-                             pca_cutoffs=PCA_CUTOFFS)
+        [best] = search(X, y, self.users(len(X)), [(every_row(X), 0)], kind,
+                        pca_cutoffs=PCA_CUTOFFS)
         assert len(best) == len(PCA_CUTOFFS) and built == []
 
     @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
@@ -809,7 +829,7 @@ class TestGridSearch:
         users = self.users(len(X))
         usable = [f for f in _inner_user_folds(users, 0)
                   if all(len(np.unique(y[idx])) == 2 for idx in f)]
-        grid_search(X, y, users, [(every_row(X), 0)], kind, pca_cutoffs=PCA_CUTOFFS)
+        search(X, y, users, [(every_row(X), 0)], kind, pca_cutoffs=PCA_CUTOFFS)
         assert len(calls) == len(usable) > 0  # one per distinct classifier, before
 
     @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
@@ -823,27 +843,27 @@ class TestGridSearch:
         slices = [(rng.permutation(len(X))[:30], 3), (rng.permutation(len(X))[:34], 4)]
         for rows, _ in slices:
             assert np.any(np.diff(rows) < 0) and set(y[rows]) == {0, 1}
-        on_rows = grid_search(X, y, users, slices, kind, pca_cutoffs=PCA_CUTOFFS)
-        on_copies = [grid_search(X[rows], y[rows], users[rows], [(every_row(rows), seed)], kind,
-                                 pca_cutoffs=PCA_CUTOFFS)[0] for rows, seed in slices]
+        on_rows = search(X, y, users, slices, kind, pca_cutoffs=PCA_CUTOFFS)
+        on_copies = [search(X[rows], y[rows], users[rows], [(every_row(rows), seed)], kind,
+                            pca_cutoffs=PCA_CUTOFFS)[0] for rows, seed in slices]
         assert on_rows == on_copies
 
     def test_near_tie_moves_only_past_1e_12(self):
         # a later cell wins only by more than 1e-12 over the best so far: an
         # argmax would pick C=10, "first within 1e-12 of the max" C=0.1
         row = np.array([0.5, 0.5 + 6e-13, 0.5 + 1.2e-12, 0.5 + 1.5e-12])
-        assert model._select(grid_cells("lr"), [row], 1) == [{"C": 1.0}]
+        assert model._select(grid_cells("lr"), [row]) == [{"C": 1.0}]
 
     def test_each_cutoff_selects_as_if_alone(self):
         rng = np.random.default_rng(40)
         X = rng.normal(size=(40, 8))
         y = (X[:, 5] + X[:, 6] + rng.normal(0, 1.0, 40) > 0).astype(int)
         users = self.users(len(X))
-        [best] = grid_search(X, y, users, [(every_row(X), 0)], "lr", pca_cutoffs=PCA_CUTOFFS)
+        [best] = search(X, y, users, [(every_row(X), 0)], "lr", pca_cutoffs=PCA_CUTOFFS)
         assert len({cell["C"] for cell in best}) == 3  # the cutoffs disagree
         for cutoff, cell in zip(PCA_CUTOFFS, best):
-            assert grid_search(X, y, users, [(every_row(X), 0)], "lr",
-                               pca_cutoffs=[cutoff]) == [[cell]]
+            assert search(X, y, users, [(every_row(X), 0)], "lr",
+                          pca_cutoffs=[cutoff]) == [[cell]]
 
 
 class TestFitPipeline:
@@ -855,6 +875,10 @@ class TestFitPipeline:
         X = z * np.ones(5) + rng.normal(size=(24, 5)) * np.array([0.2, 0.3, 0.5, 0.8, 1.0])
         y = (z[:, 0] + rng.normal(0, 0.5, 24) > 0).astype(int)
         return X, y
+
+    def plan(self, X, y, cutoffs) -> list:
+        """The plan of the slice of all of X's rows, none held out."""
+        return fit_pipeline(X, y, [(every_row(X), every_row(X)[:0])], cutoffs)
 
     def spy(self, monkeypatch, kind) -> list:
         """Per solver call, the (k, cells) of each problem it gets."""
@@ -873,15 +897,16 @@ class TestFitPipeline:
         calls = self.spy(monkeypatch, "lr")
         cells = [{"C": 0.1}, {"C": 1.0}]
         fits = [(cutoff, cell) for cutoff in PCA_CUTOFFS for cell in cells]
-        [pipes] = fit_pipeline(X, y, [(every_row(X), fits)], "lr")
+        [pipes] = fit_pipelines(X, y, [(every_row(X), fits)], "lr")
         assert [p.pca.k for p in pipes] == [1, 1, 1, 1, 2, 2, 3, 3]
         assert [p.pca.cutoff for p in pipes] == [cutoff for cutoff, _ in fits]
         assert calls == [[(1, cells), (2, cells), (3, cells)]]  # one problem per distinct k
-        assert pipes[0].classifier is pipes[2].classifier
-        assert pipes[1].classifier is pipes[3].classifier
-        assert len({id(p.classifier) for p in pipes}) == 6
+        # fits 0 and 2, and 1 and 3, are one (problem, cell) fit each: 6 distinct
+        [refit] = fit_slices(self.plan(X, y, PCA_CUTOFFS), [fits], "lr")
+        assert refit.at[0] == refit.at[2] and refit.at[1] == refit.at[3]
+        assert len(set(refit.at)) == 6
         for fit, pipe in zip(fits, pipes):
-            [[alone]] = fit_pipeline(X, y, [(every_row(X), [fit])], "lr")
+            [[alone]] = fit_pipelines(X, y, [(every_row(X), [fit])], "lr")
             assert json.dumps(pipeline_to_dict(alone)) == json.dumps(pipeline_to_dict(pipe))
 
     @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
@@ -894,12 +919,13 @@ class TestFitPipeline:
         a, b = grid_cells(kind)[0], grid_cells(kind)[-1]
         fits = [(0.7, a), (0.9, b), (0.8, dict(a) if same_cell else b), (0.95, a)]
         calls = self.spy(monkeypatch, kind)
-        [pipes] = fit_pipeline(X, y, [(every_row(X), fits)], kind)
+        [pipes] = fit_pipelines(X, y, [(every_row(X), fits)], kind)
         assert [p.pca.k for p in pipes] == [1, 2, 1, 3]
         assert calls == [[(1, [a] if same_cell else [a, b]), (2, [b]), (3, [a])]]
-        assert (pipes[0].classifier is pipes[2].classifier) == same_cell
+        [refit] = fit_slices(self.plan(X, y, [cutoff for cutoff, _ in fits]), [fits], kind)
+        assert (refit.at[0] == refit.at[2]) == same_cell  # one (problem, cell) fit
         for fit, pipe in zip(fits, pipes):
-            [[alone]] = fit_pipeline(X, y, [(every_row(X), [fit])], kind)
+            [[alone]] = fit_pipelines(X, y, [(every_row(X), [fit])], kind)
             assert json.dumps(pipeline_to_dict(alone)) == json.dumps(pipeline_to_dict(pipe))
 
     @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
@@ -914,10 +940,15 @@ class TestFitPipeline:
             fits = [(cutoff, cell) for cutoff in PCA_CUTOFFS for cell in cells]
         else:
             fits = [(0.7, cells[0]), (0.9, cells[-1]), (0.8, cells[-1]), (0.95, cells[0])]
-        [pipes] = fit_pipeline(X, y, [(every_row(X), fits)], kind)
+        [pipes] = fit_pipelines(X, y, [(every_row(X), fits)], kind)
         assert [p.pca.k for p in pipes] == [{0.7: 1, 0.8: 1, 0.9: 2, 0.95: 3}[c] for c, _ in fits]
         held_out = np.random.default_rng(27).normal(size=(9, 5))
-        scores = model.slice_scores(pipes, held_out)
+        # the held-out rows follow the slice's rows in one matrix
+        X_all, y_all = np.vstack([X, held_out]), np.concatenate([y, np.arange(9) % 2])
+        plans = fit_pipeline(X_all, y_all, [(every_row(X), np.arange(len(X), len(X_all)))],
+                             PCA_CUTOFFS)
+        [fitted] = fit_slices(plans, [fits], kind)
+        scores = fitted.scores()
         assert scores.shape == (len(held_out), len(fits))
         for j, pipe in enumerate(pipes):
             assert np.array_equal(scores[:, j], pipe.decision_scores(held_out))
@@ -925,13 +956,13 @@ class TestFitPipeline:
     def test_cells_share_one_preprocessing(self):
         X, y = blobs(n_per=12, d=5, seed=25)
         cells = [{"C": 0.1, "gamma": "scale"}, {"C": 10.0, "gamma": 0.01}]
-        [pipes] = fit_pipeline(X, y, [(every_row(X), [(0.9, cell) for cell in cells])],
-                               "svm-rbf")
+        [pipes] = fit_pipelines(X, y, [(every_row(X), [(0.9, cell) for cell in cells])],
+                                "svm-rbf")
         assert [p.classifier.hyperparameters["C"] for p in pipes] == [0.1, 10.0]
         assert all(p.pca is pipes[0].pca and p.standardizer is pipes[0].standardizer
                    for p in pipes)
         for cell, pipe in zip(cells, pipes):
-            [[alone]] = fit_pipeline(X, y, [(every_row(X), [(0.9, cell)])], "svm-rbf")
+            [[alone]] = fit_pipelines(X, y, [(every_row(X), [(0.9, cell)])], "svm-rbf")
             assert np.array_equal(alone.decision_scores(X), pipe.decision_scores(X))
 
 
@@ -942,8 +973,8 @@ class TestFitPipeline:
         rows = np.random.default_rng(28).permutation(len(X))[:20]
         assert np.any(np.diff(rows) < 0) and set(y[rows]) == {0, 1}
         fits = [(cutoff, cell) for cutoff in PCA_CUTOFFS for cell in grid_cells(kind)[::3]]
-        [pipes] = fit_pipeline(X, y, [(rows, fits)], kind)
-        [copied] = fit_pipeline(X[rows], y[rows], [(every_row(rows), fits)], kind)
+        [pipes] = fit_pipelines(X, y, [(rows, fits)], kind)
+        [copied] = fit_pipelines(X[rows], y[rows], [(every_row(rows), fits)], kind)
         assert ([json.dumps(pipeline_to_dict(p)) for p in pipes]
                 == [json.dumps(pipeline_to_dict(p)) for p in copied])
 
@@ -951,7 +982,7 @@ class TestFitPipeline:
 def lone_preprocess(X, X_val, cutoffs) -> SimpleNamespace:
     """One training slice X standardized, decomposed and projected with
     lone-slice numpy, as `fit_pipeline` once did slice by slice; `X_val` is
-    projected as `slice_scores` projects held-out rows."""
+    projected as `fit_pipeline` projects held-out rows."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean, std = X.mean(axis=0), X.std(axis=0)
     big = ~np.isfinite(std)
@@ -1008,42 +1039,41 @@ class TestStackedPreprocessing:
         monkeypatch.setattr(model, "STACK_ENTRIES", stack_entries)
         seen = []  # slices per fit_pca call
         problems = []  # the solver's problems, slice by slice
-        projected = []  # held-out rows, projected, per scored problem
         monkeypatch.setattr(model, "fit_pca",
                             lambda Z, cutoffs: seen.append(len(Z)) or fit_pca(Z, cutoffs))
         monkeypatch.setattr(model, "fit_lr", lambda batch: problems.extend(batch) or fit_lr(batch))
-        score_columns = model._score_columns
-        monkeypatch.setattr(model, "_score_columns",
-                            lambda classifiers, Z: projected.append(Z)
-                            or score_columns(classifiers, Z))
         fits = [(cutoff, {"C": 1.0}) for cutoff in PCA_CUTOFFS]
-        fitted = fit_pipeline(X, y, [(rows, fits) for rows in slices], "lr")
+        # the plans, and the standardizer and PCA models only `fit_pipelines` keeps
+        prepared = dict(model._prepare(X, y, [(rows, val) for rows in slices], PCA_CUTOFFS))
+        plans = model._plans([prepared[s][0] for s in range(len(slices))], PCA_CUTOFFS)
         assert seen == stacks
-        for rows, pipes in zip(slices, fitted, strict=True):
+        fit_slices(plans, [fits] * len(plans), "lr")
+        for s, rows in enumerate(slices):
+            plan, (standardizer, pcas) = plans[s], prepared[s][1]
             alone = lone_preprocess(X[rows], X[val], PCA_CUTOFFS)
-            assert [pipe.pca.k for pipe in pipes] == alone.ks
-            for pipe, k in zip(pipes, alone.ks):
-                assert same_bytes(pipe.standardizer.mean, alone.mean)
-                assert same_bytes(pipe.standardizer.std, alone.std)
-                assert same_bytes(pipe.pca.mean, alone.center)
-                assert same_bytes(pipe.pca.components, alone.top[:k])
-                assert same_bytes(pipe.pca.explained_variance_ratio, alone.ratio[:k])
+            assert [pcas[c].k for c in PCA_CUTOFFS] == [plan.k(c) for c in PCA_CUTOFFS] == alone.ks
+            for cutoff, k in zip(PCA_CUTOFFS, alone.ks):
+                pca = pcas[cutoff]
+                assert same_bytes(standardizer.mean, alone.mean)
+                assert same_bytes(standardizer.std, alone.std)
+                assert same_bytes(pca.mean, alone.center)
+                assert same_bytes(pca.components, alone.top[:k])
+                assert same_bytes(pca.explained_variance_ratio, alone.ratio[:k])
             ks = list(dict.fromkeys(alone.ks))  # one problem per distinct k
             mine, problems[:len(ks)] = problems[:len(ks)], []
             for (Z, _, _), k in zip(mine, ks, strict=True):
                 assert same_bytes(Z, alone.train[k])
-            projected.clear()
-            model.slice_scores(pipes, X[val])
-            for Z, k in zip(projected, ks, strict=True):
-                assert same_bytes(Z, alone.val[k])
+            assert len(plan.ks) == len(ks)
+            for i, k in enumerate(ks):  # held-out rows, projected
+                Z_val = plan.held(i)
+                assert same_bytes(Z_val, alone.val[k])
         assert problems == []
 
     def test_a_zero_variance_slice_raises(self):
         X, y, slices, _ = self.data()
         X[slices[2]] = 0.0
-        fits = [(cutoff, {"C": 1.0}) for cutoff in PCA_CUTOFFS]
         with pytest.raises(DegenerateData):
-            fit_pipeline(X, y, [(rows, fits) for rows in slices], "lr")
+            fit_pipeline(X, y, [(rows, rows[:0]) for rows in slices], PCA_CUTOFFS)
         with pytest.raises(DegenerateData):
             fit_pca(X[np.stack(slices[1:3])], PCA_CUTOFFS)
 
@@ -1052,7 +1082,7 @@ class TestPipelinePersistence:
     def make(self, kind):
         X, y = blobs(n_per=12, d=5, seed=23)
         params = {"C": 1.0} if kind == "lr" else {"C": 1.0, "gamma": 0.1}
-        [[pipe]] = fit_pipeline(X, y, [(every_row(X), [(0.9, params)])], kind)
+        [[pipe]] = fit_pipelines(X, y, [(every_row(X), [(0.9, params)])], kind)
         return pipe, X
 
     @pytest.mark.parametrize("kind", ["lr", "svm-rbf"])
